@@ -11,11 +11,8 @@ from .group_process import (
     GroupSdeConfig,
     apply_generator_linear,
     ergodic_average_repetitions,
-    ergodic_time_average,
-    haar_moment_matrix,
     haar_moment_stats,
     poisson_h,
-    simulate_group_terminal,
     step_group,
 )
 from .homogenize import (
@@ -42,11 +39,10 @@ from .lie_algebra import (
 )
 from .manifold import (
     Chart,
-    FramePoint,
     chart_by_name,
     euclidean_chart,
+    frame_transport,
     gram_schmidt_metric,
-    horizontal_velocity,
     hyperbolic2_chart,
     hyperbolic_distance,
     numeric_christoffel,
@@ -56,13 +52,10 @@ from .perturbed_geodesic import (
     EnsemblePaths,
     PathRecord,
     SimConfig,
-    SimState,
     holder_modulus,
-    initial_state,
     philox_stream,
     simulate_paths,
     simulate_rescaled_path,
-    step,
 )
 
 __version__ = "0.1.0"

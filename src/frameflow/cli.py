@@ -2,8 +2,9 @@
 
 Configuration values come, in increasing priority, from built-in defaults,
 the FRAMEFLOW_SEED environment variable (seed only), a flat key=value
-config file, and command-line flags.  All numeric constraints are
-re-validated at parse time so bad values fail before any work starts.
+config file, and command-line flags.  This module parses text into
+values; the library's config objects and check functions validate them,
+before any work starts.
 
 Exit codes: 0 success, 1 criterion failure, 2 configuration error,
 3 numerical abort.
@@ -21,20 +22,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainExitError, NumericalAbort
-from .group_process import GroupSdeConfig, haar_moment_stats, step_group
+from .errors import ConfigError, DomainExitError, NumericalAbort, require_finite
+from .group_process import (
+    GroupSdeConfig,
+    check_direction,
+    check_h0,
+    ergodic_average_repetitions,
+    haar_moment_stats,
+)
 from .homogenize import (
     EnsembleSpec,
-    effective_diffusivity,
+    check_epsilon_list,
     epsilon_sweep,
-    ks_vs_standard_normal,
     linear_fit,
+    marginal_normal_ks,
     msd_rate,
     run_ensemble,
 )
 from .lie_algebra import canonical_basis, casimir_sum
 from .manifold import chart_by_name
-from .perturbed_geodesic import SimConfig, initial_state, philox_stream, simulate_rescaled_path
+from .perturbed_geodesic import SimConfig, philox_stream, simulate_rescaled_path
 
 # Keys accepted in config files; anything else is rejected by name.
 CONFIG_KEYS = (
@@ -155,10 +162,7 @@ def _parse_e0(spec: str, n: int) -> np.ndarray:
         raise ConfigError(f"e0: expected e<k> or a comma list, got {spec!r}") from None
     if vec.shape != (n,):
         raise ConfigError(f"e0: expected {n} components, got {vec.size}")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-8:
-        raise ConfigError(f"e0 must be a unit vector (|e0| = {norm:.6g})")
-    return vec
+    return check_direction(vec)
 
 
 def _parse_abar(spec: str, n: int) -> np.ndarray | None:
@@ -222,7 +226,7 @@ def parse_config(file: str | None = None, flags: dict | None = None,
         "e0": lambda v: str(v),
         "abar": lambda v: str(v),
         "t_final": lambda v: _parse_float("t_final", v, positive=True),
-        "h0": _parse_h0,
+        "h0": lambda v: check_h0(_parse_float("h0", v, positive=True)),
         "renorm_every": lambda v: _parse_int("renorm_every", v, minimum=1),
         "seed": lambda v: _parse_int("seed", v),
         "paths": lambda v: _parse_int("paths", v, minimum=1),
@@ -245,13 +249,6 @@ def parse_config(file: str | None = None, flags: dict | None = None,
     return cfg
 
 
-def _parse_h0(value) -> float:
-    out = _parse_float("h0", value, positive=True)
-    if out > 0.1:
-        raise ConfigError("h0 must lie in (0, 0.1]")
-    return out
-
-
 def _parse_oracle(value) -> str | None:
     text = str(value).strip().lower()
     if text in ("", "none", "auto"):
@@ -266,10 +263,7 @@ def _parse_epsilon_list(value) -> tuple[float, ...]:
         parts = [str(v) for v in value]
     else:
         parts = str(value).split(",")
-    eps = tuple(_parse_float("epsilon_list", v, positive=True) for v in parts)
-    if not all(b < a for a, b in zip(eps, eps[1:])):
-        raise ConfigError("epsilon_list must be strictly decreasing")
-    return eps
+    return check_epsilon_list(_parse_float("epsilon_list", v) for v in parts)
 
 
 def _fmt(value) -> str:
@@ -325,6 +319,7 @@ def cmd_ergodic(cfg: RunConfig) -> int:
     n = cfg.dim if cfg.dim is not None else cfg.resolve_dim()
     e0 = cfg.e0_vector(n)
     t_avg = 400.0 if cfg.t_final is None else cfg.t_final
+    require_finite("t_final", t_avg)
     basis = canonical_basis(n)
     gcfg = GroupSdeConfig(basis=basis, epsilon=1.0, abar=cfg.abar_matrix(n), h=cfg.h0)
     rng = philox_stream(cfg.seed, 0)
@@ -335,7 +330,9 @@ def cmd_ergodic(cfg: RunConfig) -> int:
         w = np.einsum("rij,j->ri", gs, e0)
         return np.stack([w[:, i] * w[:, j] for i, j in pairs], axis=0)
 
-    acc = _ergodic_moment_averages(moments, gcfg, t_avg, cfg.reps, rng, len(pairs))
+    # The horizon snapped to the step grid, as a whole number of steps.
+    t_grid = float(np.rint(t_avg / gcfg.h)) * gcfg.h
+    acc = ergodic_average_repetitions(moments, gcfg, [t_grid], cfg.reps, rng)[0]
     est = acc.mean(axis=1)
     se = acc.std(axis=1, ddof=1) / np.sqrt(cfg.reps)
     rows = [(i, j, est[k], se[k]) for k, (i, j) in enumerate(pairs)]
@@ -345,23 +342,6 @@ def cmd_ergodic(cfg: RunConfig) -> int:
     worst = float(np.max(np.abs(est - target) / np.maximum(se, 1e-300)))
     print(f"wrote {out}; worst deviation {worst:.2f} stderr from delta_ij/n at t={t_avg:g}")
     return 0 if worst <= 4.0 else 1
-
-
-def _ergodic_moment_averages(moments, gcfg, t_avg, reps, rng, n_components):
-    """Left-rectangle time averages of a component-stack functional.
-
-    One batched pass over ``reps`` independent group paths; every
-    component shares the same path sample.
-    """
-    n = gcfg.basis.dim
-    n_basis = len(gcfg.basis)
-    n_steps = int(round(t_avg / gcfg.h))
-    g = np.broadcast_to(np.eye(n), (reps, n, n)).copy()
-    total = np.zeros((n_components, reps))
-    for _ in range(n_steps):
-        total += moments(g) * gcfg.h
-        g = step_group(g, gcfg, rng.standard_normal((reps, n_basis)))
-    return total / (n_steps * gcfg.h)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -417,11 +397,7 @@ def cmd_homogenize(cfg: RunConfig) -> int:
         criteria["msd_linearity"] = {
             "r2": r2, "threshold": R2_THRESHOLD, "pass": bool(r2 > R2_THRESHOLD),
         }
-        c = effective_diffusivity(n)
-        t_last = stats.times[-1]
-        x0 = initial_state(spec.sim).x
-        z = (stats.positions[-1, :, 0] - x0[0]) / np.sqrt(2.0 * c * t_last)
-        ks_stat, ks_p = ks_vs_standard_normal(z)
+        ks_stat, ks_p = marginal_normal_ks(stats)
         criteria["marginal_normal_ks"] = {
             "statistic": ks_stat, "p_value": ks_p, "floor": KS_P_FLOOR,
             "pass": bool(ks_p > KS_P_FLOOR),

@@ -1,8 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import numpy as np
 
 
 class ConfigError(ValueError):
     """A configuration value violates one of its documented constraints."""
+
+
+def require_finite(name: str, value) -> np.ndarray:
+    """``value`` as a float array; raises :class:`ConfigError` on NaN or infinity."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be finite")
+    return arr
 
 
 class DomainExitError(RuntimeError):

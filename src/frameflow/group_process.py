@@ -23,8 +23,40 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .lie_algebra import SkewBasis, group_exp, haar_sample, skewness_defect, SKEW_TOL
+
+# Ceiling of the fast-clock step h/epsilon, the noise variance of one group
+# step, below which the single-exponential step stays accurate.
+MAX_H0 = 0.1
+# Largest tolerated deviation of |e0| from 1.
+UNIT_TOL = 1e-9
+
+
+def check_h0(h0: float) -> float:
+    """``h0`` itself; raises :class:`ConfigError` unless it lies in (0, MAX_H0]."""
+    if not 0.0 < h0 <= MAX_H0:
+        raise ConfigError(f"h0 must lie in (0, {MAX_H0}]")
+    return h0
+
+
+def check_direction(e0) -> np.ndarray:
+    """``e0`` as a float vector; raises :class:`ConfigError` unless it is a finite unit vector."""
+    e0 = require_finite("e0", e0)
+    norm = float(np.linalg.norm(e0))
+    if abs(norm - 1.0) > UNIT_TOL:
+        raise ConfigError(f"e0 must be a unit vector (|e0| = {norm:.6g})")
+    return e0
+
+
+def check_drift(abar, n: int) -> np.ndarray:
+    """``abar`` as a float matrix; raises :class:`ConfigError` unless it is a finite skew n x n matrix."""
+    abar = require_finite("abar", abar)
+    if abar.shape != (n, n):
+        raise ConfigError(f"abar must have shape {(n, n)}, got {abar.shape}")
+    if skewness_defect(abar) > SKEW_TOL:
+        raise ConfigError("abar must be skew-symmetric")
+    return abar
 
 
 @dataclass(frozen=True)
@@ -32,34 +64,27 @@ class GroupSdeConfig:
     """Parameters of the group diffusion and its integrator.
 
     ``h`` is the integration step in the equation's own time variable; the
-    per-step noise variance is h/epsilon, which the CFL-style bound keeps
-    small enough that the single-exponential step stays accurate.
+    per-step noise variance h/epsilon is the fast-clock step, which MAX_H0
+    bounds so that the single-exponential step stays accurate.
     """
 
     basis: SkewBasis
     epsilon: float = 1.0
     abar: np.ndarray | None = None
     h: float = 0.1
-    cfl_factor: float = 0.1
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ConfigError("epsilon must be positive")
+        require_finite("epsilon", self.epsilon)
         if not self.h > 0.0:
             raise ConfigError("step h must be positive")
-        if self.h / self.epsilon > self.cfl_factor * (1.0 + 1e-12):
+        # h/epsilon is a computed ratio: allow it a rounding error over MAX_H0.
+        if self.h / self.epsilon > MAX_H0 * (1.0 + 1e-12):
             raise ConfigError(
-                f"fast-clock step h/epsilon = {self.h / self.epsilon:g} exceeds "
-                f"cfl_factor = {self.cfl_factor:g}"
-            )
+                f"fast-clock step h/epsilon = {self.h / self.epsilon:g} exceeds MAX_H0 = {MAX_H0:g}")
         if self.abar is not None:
-            abar = np.asarray(self.abar, dtype=float)
-            n = self.basis.dim
-            if abar.shape != (n, n):
-                raise ConfigError(f"abar must have shape {(n, n)}, got {abar.shape}")
-            if skewness_defect(abar) > SKEW_TOL:
-                raise ConfigError("abar must be skew-symmetric")
-            object.__setattr__(self, "abar", abar)
+            object.__setattr__(self, "abar", check_drift(self.abar, self.basis.dim))
 
     @property
     def noise_scale(self) -> float:
@@ -112,73 +137,36 @@ def apply_generator_linear(g: np.ndarray, e0: np.ndarray, i: int, basis: SkewBas
     return 0.5 * float(np.sum(terms))
 
 
-def ergodic_time_average(f: Callable[[np.ndarray], float], cfg: GroupSdeConfig,
-                         t: float, rng: np.random.Generator) -> float:
-    """Left-rectangle time average (1/t) int_0^t f(g_s) ds along one path.
+def ergodic_average_repetitions(f: Callable[[np.ndarray], np.ndarray], cfg: GroupSdeConfig,
+                                checkpoints, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Left-rectangle time averages over ``reps`` independent paths started at I.
 
-    The path is run at epsilon = 1 (the equation clock is the clock the
-    law-of-large-numbers bound is stated in); cfg supplies the basis, the
+    ``f`` receives the (reps, n, n) stack and returns a (..., reps) array;
+    the result has shape (len(checkpoints), ..., reps) and row j holds the
+    averages (1/t_j) int_0^{t_j} f(g_s) ds.  Checkpoints must sit on the
+    step grid.  The paths run at epsilon = 1 (the equation clock, in which
+    the law-of-large-numbers bound is stated); cfg supplies the basis, the
     drift and the step size.
     """
-    if not t > 0.0:
-        raise ConfigError("averaging horizon t must be positive")
-    cfg1 = dataclasses.replace(cfg, epsilon=1.0)
-    n = cfg.basis.dim
-    n_steps = int(np.floor(t / cfg1.h + 1e-12))
-    rem = t - n_steps * cfg1.h
-    g = np.eye(n)
-    acc = 0.0
-    for _ in range(n_steps):
-        acc += f(g) * cfg1.h
-        g = step_group(g, cfg1, rng.standard_normal(len(cfg.basis)))
-    if rem > 1e-15:
-        acc += f(g) * rem
-    return acc / t
-
-
-def ergodic_average_repetitions(f: Callable[[np.ndarray], np.ndarray], cfg: GroupSdeConfig,
-                                checkpoints, reps: int, rng: np.random.Generator,
-                                batched: bool = False) -> np.ndarray:
-    """Time averages over ``reps`` independent paths at several horizons.
-
-    Returns an array of shape (len(checkpoints), reps) whose row j holds
-    the averages (1/t_j) int_0^{t_j} f(g_s) ds.  With ``batched=True`` the
-    functional receives the whole (reps, n, n) stack and must return a
-    (reps,) array; otherwise it is applied matrix by matrix.
-    """
-    checkpoints = np.atleast_1d(np.asarray(checkpoints, dtype=float))
+    checkpoints = require_finite("checkpoints", np.atleast_1d(checkpoints))
     if np.any(checkpoints <= 0) or np.any(np.diff(checkpoints) <= 0):
         raise ConfigError("checkpoints must be positive and strictly increasing")
     cfg1 = dataclasses.replace(cfg, epsilon=1.0)
     n = cfg.basis.dim
     n_basis = len(cfg.basis)
-    f_stack = f if batched else (lambda gs: np.array([f(gs[r]) for r in range(gs.shape[0])]))
 
     marks = np.rint(checkpoints / cfg1.h).astype(int)
     if np.max(np.abs(marks * cfg1.h - checkpoints)) > 1e-9 * max(1.0, checkpoints[-1]):
         raise ConfigError("checkpoints must sit on the step grid")
     g = np.broadcast_to(np.eye(n), (reps, n, n)).copy()
-    acc = np.zeros(reps)
-    out = np.empty((len(marks), reps))
-    next_mark = 0
+    acc = 0.0
+    out = []
     for m in range(marks[-1]):
-        acc += f_stack(g) * cfg1.h
+        acc = acc + f(g) * cfg1.h
         g = step_group(g, cfg1, rng.standard_normal((reps, n_basis)))
-        while next_mark < len(marks) and m + 1 == marks[next_mark]:
-            out[next_mark] = acc / checkpoints[next_mark]
-            next_mark += 1
-    return out
-
-
-def simulate_group_terminal(cfg: GroupSdeConfig, t: float, count: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Terminal values g_t of ``count`` independent paths started at I."""
-    n = cfg.basis.dim
-    n_steps = int(round(t / cfg.h))
-    g = np.broadcast_to(np.eye(n), (count, n, n)).copy()
-    for _ in range(n_steps):
-        g = step_group(g, cfg, rng.standard_normal((count, len(cfg.basis))))
-    return g
+        while len(out) < len(marks) and m + 1 == marks[len(out)]:
+            out.append(acc / checkpoints[len(out)])
+    return np.array(out)
 
 
 def haar_moment_stats(n: int, e0: np.ndarray, samples: int,
@@ -207,10 +195,3 @@ def haar_moment_stats(n: int, e0: np.ndarray, samples: int,
     var = np.maximum(s2 / samples - mean**2, 0.0)
     scale = 4.0 / (n - 1)
     return scale * mean, scale * np.sqrt(var / samples)
-
-
-def haar_moment_matrix(n: int, e0: np.ndarray, samples: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """The a_ij estimate alone; see :func:`haar_moment_stats`."""
-    est, _ = haar_moment_stats(n, e0, samples, rng)
-    return est

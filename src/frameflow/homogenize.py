@@ -18,18 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .errors import ConfigError, NumericalAbort
+from .errors import ConfigError, NumericalAbort, require_finite
 from .manifold import chart_by_name
 from .perturbed_geodesic import (
     ORACLE_STREAM_BASE,
     SimConfig,
-    initial_state,
     philox_stream,
+    resolve_start,
     simulate_paths,
 )
 
 MIN_ENSEMBLE_PATHS = 100
 ABORT_FRACTION_LIMIT = 0.01
+# Base step of the hyperbolic reference sampler (slow clock).
+ORACLE_STEP = 1e-4
 _ORACLES = ("euclidean", "hyperbolic")
 
 
@@ -52,7 +54,6 @@ class EnsembleSpec:
     epsilon_list: tuple[float, ...] | None = None
     oracle: str | None = None
     jobs: int = 1
-    oracle_step: float = 1e-4
 
     def __post_init__(self):
         if self.paths < MIN_ENSEMBLE_PATHS:
@@ -62,12 +63,7 @@ class EnsembleSpec:
         if self.oracle is not None and self.oracle not in _ORACLES:
             raise ConfigError(f"oracle must be one of {_ORACLES}")
         if self.epsilon_list is not None:
-            eps = tuple(float(e) for e in self.epsilon_list)
-            if len(eps) == 0 or any(e <= 0 for e in eps):
-                raise ConfigError("epsilon_list must hold positive values")
-            if not all(b < a for a, b in zip(eps, eps[1:])):
-                raise ConfigError("epsilon_list must be strictly decreasing")
-            object.__setattr__(self, "epsilon_list", eps)
+            object.__setattr__(self, "epsilon_list", check_epsilon_list(self.epsilon_list))
 
     def resolved_oracle(self) -> str | None:
         if self.oracle is not None:
@@ -80,11 +76,23 @@ class EnsembleSpec:
         return None
 
 
+def check_epsilon_list(values) -> tuple[float, ...]:
+    """``values`` as a tuple; raises :class:`ConfigError` unless finite, positive and strictly decreasing."""
+    eps = tuple(float(e) for e in values)
+    if len(eps) == 0 or any(not e > 0 for e in eps):
+        raise ConfigError("epsilon_list must be positive")
+    require_finite("epsilon_list", eps)
+    if not all(b < a for a, b in zip(eps, eps[1:])):
+        raise ConfigError("epsilon_list must be strictly decreasing")
+    return eps
+
+
 @dataclass
 class EnsembleStats:
     """Marginal samples and derived statistics at each output time."""
 
     times: np.ndarray
+    x0: np.ndarray                      # (n,) start point of every path
     positions: np.ndarray               # (K, M, n), surviving paths only
     frames: np.ndarray | None           # (K, M, n, n)
     msd: np.ndarray                     # (K,)
@@ -141,7 +149,7 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     survivors = int(alive.sum())
 
     times = cfg.resolved_output_times()
-    x0 = initial_state(cfg).x
+    x0 = resolve_start(cfg, chart)[0]
     d = chart.distance(xs, x0) if chart.distance is not None else np.sqrt(
         np.sum((xs - x0) ** 2, axis=-1))
     d2 = d**2
@@ -153,15 +161,14 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     if oracle_name is not None:
         n = chart.dim
         c = effective_diffusivity(n)
-        grid = np.asarray(out_times_for_oracle(times), dtype=float)
         rng = philox_stream(cfg.seed, ORACLE_STREAM_BASE)
         if oracle_name == "euclidean":
-            ref = oracle_euclidean_bm(n, c, grid, m_paths, rng, x0=x0)
-            oracle_msd = 2.0 * n * c * grid
+            ref = oracle_euclidean_bm(n, c, times, m_paths, rng, x0=x0)
+            oracle_msd = 2.0 * n * c * times
             sim_scalar = xs[:, :, 0]
             oracle_scalar = ref[:, :, 0].T
         else:
-            ref, ref_alive = oracle_hyperbolic_bm(c, grid, m_paths, spec.oracle_step, rng, x0=x0)
+            ref, ref_alive = oracle_hyperbolic_bm(c, times, m_paths, ORACLE_STEP, rng, x0=x0)
             ref = ref[ref_alive]
             rho_ref = chart.distance(ref, x0)
             oracle_msd = (rho_ref**2).mean(axis=0)
@@ -174,6 +181,7 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
 
     return EnsembleStats(
         times=times,
+        x0=x0,
         positions=xs,
         frames=us,
         msd=msd,
@@ -186,13 +194,6 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
         paths=survivors,
         aborts=aborts,
     )
-
-
-def out_times_for_oracle(times: np.ndarray) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ConfigError("output times must be non-negative")
-    return times
 
 
 def oracle_euclidean_bm(n: int, c: float, times: np.ndarray, m: int,
@@ -299,6 +300,13 @@ def ks_vs_standard_normal(z: np.ndarray) -> tuple[float, float]:
     return float(res.statistic), float(res.pvalue)
 
 
+def marginal_normal_ks(stats: EnsembleStats) -> tuple[float, float]:
+    """KS of the first coordinate at the last output time against N(x0_1, 2 c t)."""
+    c = effective_diffusivity(stats.positions.shape[-1])
+    z = (stats.positions[-1, :, 0] - stats.x0[0]) / np.sqrt(2.0 * c * stats.times[-1])
+    return ks_vs_standard_normal(z)
+
+
 def linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line fit; returns (slope, intercept, r_squared)."""
     x = np.asarray(x, dtype=float)
@@ -329,21 +337,15 @@ def epsilon_sweep(spec: EnsembleSpec) -> list[SweepRow]:
     """
     if spec.epsilon_list is None:
         raise ConfigError("epsilon_sweep requires epsilon_list")
-    chart = chart_by_name(spec.sim.chart)
-    n = chart.dim
-    c = effective_diffusivity(n)
-    target = msd_rate(n)
+    target = msd_rate(chart_by_name(spec.sim.chart).dim)
     rows = []
     for eps in spec.epsilon_list:
         sim = dataclasses.replace(spec.sim, epsilon=eps)
         sub = dataclasses.replace(spec, sim=sim, epsilon_list=None)
         stats = run_ensemble(sub, record_frames=False)
-        t_final = stats.times[-1]
-        rel_err = abs(stats.msd[-1] / t_final - target) / target
+        rel_err = abs(stats.msd[-1] / stats.times[-1] - target) / target
         if spec.resolved_oracle() == "euclidean":
-            x0 = 0.0 if spec.sim.x0 is None else float(np.asarray(spec.sim.x0)[0])
-            z = (stats.positions[-1, :, 0] - x0) / np.sqrt(2.0 * c * t_final)
-            ks_stat, ks_p = ks_vs_standard_normal(z)
+            ks_stat, ks_p = marginal_normal_ks(stats)
         else:
             ks_stat, ks_p = ks_two_sample(stats.sim_scalar[-1], stats.oracle_scalar[-1])
         rows.append(SweepRow(epsilon=float(eps), msd_rel_err=float(rel_err),

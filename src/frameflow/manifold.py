@@ -14,20 +14,17 @@ velocity v is
 
     du[k, l]/dt = - sum_ij v[i] Gamma[k, i, j] u[j, l],
 
-which is what :func:`horizontal_velocity` evaluates together with the
-base velocity itself.
+and :func:`frame_transport` returns the matrix B that makes it du/dt = B u.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainExitError
-
-FRAME_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,26 +52,6 @@ class Chart:
         ok = np.asarray(self.in_domain(np.asarray(x, dtype=float)))
         if not bool(np.all(ok)):
             raise DomainExitError(t, np.asarray(x, dtype=float))
-
-
-@dataclass
-class FramePoint:
-    """A chart point together with a frame coefficient matrix."""
-
-    x: np.ndarray
-    u: np.ndarray
-
-    def defect(self, chart: Chart) -> float:
-        """Largest entry of u^T G(x) u - I (metric-orthonormality defect)."""
-        g = chart.metric(self.x)
-        gram = np.einsum("...ji,...jk,...kl->...il", self.u, g, self.u)
-        return float(np.max(np.abs(gram - np.eye(chart.dim))))
-
-    def validate(self, chart: Chart, tol: float = FRAME_TOL) -> None:
-        chart.require_in_domain(self.x)
-        defect = self.defect(chart)
-        if defect > tol:
-            raise ValueError(f"frame is not metric-orthonormal: defect {defect:.3e} > {tol:g}")
 
 
 def euclidean_chart(n: int) -> Chart:
@@ -206,22 +183,15 @@ def numeric_christoffel(metric: Callable[[np.ndarray], np.ndarray], x: np.ndarra
     return 0.5 * np.einsum("kl,lij->kij", g_inv, bracket)
 
 
-def horizontal_velocity(chart: Chart, fp: FramePoint, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Base velocity and frame transport rate for direction vector e.
+def frame_transport(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B[..., k, j] = -sum_i v_i Gamma[k, i, j]: a frame carried along v moves as du/dt = B u.
 
-    Returns ``(v, udot)`` where v = u e are the chart components of the
-    frame vector selected by e, and udot is the parallel-transport rate of
-    the whole frame along v.  Preserves u^T G(x) u to first order because
-    the connection is metric-compatible.
+    Uses the chart's closed form ``transport_rate`` when it has one, and
+    contracts the Christoffel symbols otherwise.  Works on stacked inputs.
     """
-    chart.require_in_domain(fp.x)
-    u = np.asarray(fp.u, dtype=float)
-    v = u @ np.asarray(e, dtype=float)
-    if chart.flat:
-        return v, np.zeros_like(u)
-    gamma = chart.christoffel(fp.x)
-    udot = -np.einsum("i,kij,jl->kl", v, gamma, u)
-    return v, udot
+    if chart.transport_rate is not None:
+        return chart.transport_rate(x, v)
+    return -np.einsum("...i,...kij->...kj", v, chart.christoffel(x))
 
 
 def gram_schmidt_metric(chart: Chart, x: np.ndarray, u: np.ndarray) -> np.ndarray:

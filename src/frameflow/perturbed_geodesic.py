@@ -15,7 +15,8 @@ of the frame ODE with the rotation frozen at its midpoint value, then the
 second half group step.  Group iterates are rotations by construction;
 the frame is re-orthonormalized in the point's metric every
 ``renorm_every`` steps and the group factor re-projected on a fixed long
-cadence to shed accumulated rounding.
+cadence to shed accumulated rounding.  :func:`simulate_paths` is the one
+stepping loop; :func:`simulate_rescaled_path` is its one-path view.
 
 Randomness is counter-based: path p of a run with seed s draws from a
 Philox stream keyed by (s, p), consuming, per step, one vector of N
@@ -26,23 +27,20 @@ Results are therefore identical however paths are batched or distributed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainExitError
-from .lie_algebra import canonical_basis, project_rotation, skewness_defect, SKEW_TOL
-from .group_process import _advance
-from .manifold import Chart, chart_by_name, gram_schmidt_metric
+from .errors import ConfigError, DomainExitError, require_finite
+from .lie_algebra import canonical_basis, project_rotation
+from .group_process import _advance, check_direction, check_drift, check_h0
+from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
 
 # Steps per noise block (per-path pre-draw granularity).  Fixed constant:
 # consumption order must not depend on batch composition.
 _NOISE_BLOCK = 1024
 # Cadence of the polar re-projection of the group factor.
 _GROUP_PROJECT_EVERY = 1000
-
-MAX_H0 = 0.1
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
@@ -61,9 +59,10 @@ class SimConfig:
     """Configuration of one rescaled-path simulation.
 
     ``t_final`` is the horizon of the rescaled observation (slow clock);
-    ``output_times`` defaults to 21 equispaced times in [0, t_final].
-    ``x0``/``u0`` default to the chart's base point with the identity
-    frame orthonormalized in the metric there.
+    ``output_times`` defaults to 21 equispaced times in [0, t_final], and
+    ``x0``/``u0``/``e0`` to the values :func:`resolve_start` fills in.
+    Every value is checked, finiteness included, when the config is built;
+    shapes, which depend on the chart, are checked when a run starts.
     """
 
     chart: str
@@ -83,14 +82,18 @@ class SimConfig:
             raise ConfigError("epsilon must be positive")
         if not self.t_final > 0.0:
             raise ConfigError("t_final must be positive")
-        if not 0.0 < self.h0 <= MAX_H0:
-            raise ConfigError(f"h0 must lie in (0, {MAX_H0}]")
+        for name in ("epsilon", "t_final", "x0", "u0", "abar"):
+            if getattr(self, name) is not None:
+                require_finite(name, getattr(self, name))
+        check_h0(self.h0)
+        if self.e0 is not None:
+            check_direction(self.e0)
         if self.renorm_every < 1:
             raise ConfigError("renorm_every must be a positive integer")
         times = self.output_times
         if times is not None:
             times = tuple(float(t) for t in times)
-            arr = np.asarray(times)
+            arr = require_finite("output_times", times)
             if arr.size == 0:
                 raise ConfigError("output_times must be non-empty")
             if np.any(np.diff(arr) < 0):
@@ -103,16 +106,6 @@ class SimConfig:
         if self.output_times is not None:
             return np.asarray(self.output_times, dtype=float)
         return np.linspace(0.0, self.t_final, 21)
-
-
-@dataclass
-class SimState:
-    """Slow-clock time, chart point, frame matrix, and group factor."""
-
-    t: float
-    x: np.ndarray
-    u: np.ndarray
-    g: np.ndarray
 
 
 @dataclass
@@ -137,11 +130,33 @@ class EnsemblePaths:
     aborts: list                      # (path_index, t, x) records
 
 
+def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial point, frame and direction (x0, u0, e0) of ``cfg`` on ``chart``.
+
+    x0 defaults to the chart's base point (the origin; (0, 1) on
+    hyperbolic2), u0 to the identity, orthonormalized in the metric at x0,
+    and e0 to the first coordinate vector.  Raises :class:`ConfigError` on
+    a shape mismatch and :class:`DomainExitError` when x0 is off the chart.
+    """
+    n = chart.dim
+    e0 = np.eye(n)[0] if cfg.e0 is None else np.asarray(cfg.e0, dtype=float)
+    if e0.shape != (n,):
+        raise ConfigError(f"e0 must have shape ({n},)")
+    if cfg.x0 is None:
+        x0 = np.zeros(n)
+        if chart.name == "hyperbolic2":
+            x0[1] = 1.0
+    else:
+        x0 = np.asarray(cfg.x0, dtype=float)
+    chart.require_in_domain(x0)
+    u0 = np.eye(n) if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
+    return x0, gram_schmidt_metric(chart, x0, u0), e0
+
+
 class _Engine:
     """Precomputed per-config pieces of the Strang step, batched over paths."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
         self.chart: Chart = chart_by_name(cfg.chart)
         n = self.chart.dim
         self.n = n
@@ -150,35 +165,8 @@ class _Engine:
         self.h = cfg.h0 * cfg.epsilon                      # equation-clock step
         self.slow_dt = cfg.h0 * cfg.epsilon**2             # slow-clock advance per step
         self.noise_scale = float(np.sqrt(0.5 * self.h / cfg.epsilon))
-        if cfg.abar is not None:
-            abar = np.asarray(cfg.abar, dtype=float)
-            if abar.shape != (n, n):
-                raise ConfigError(f"abar must have shape {(n, n)}, got {abar.shape}")
-            if skewness_defect(abar) > SKEW_TOL:
-                raise ConfigError("abar must be skew-symmetric")
-            self.drift_half = 0.5 * self.h * abar
-        else:
-            self.drift_half = None
-        if cfg.e0 is None:
-            e0 = np.zeros(n)
-            e0[0] = 1.0
-        else:
-            e0 = np.asarray(cfg.e0, dtype=float)
-            if e0.shape != (n,):
-                raise ConfigError(f"e0 must have shape ({n},)")
-            if abs(np.linalg.norm(e0) - 1.0) > 1e-9:
-                raise ConfigError("e0 must be a unit vector")
-        self.e0 = e0
-        if cfg.x0 is None:
-            x0 = np.zeros(n)
-            if self.chart.name == "hyperbolic2":
-                x0[1] = 1.0
-        else:
-            x0 = np.asarray(cfg.x0, dtype=float)
-        self.chart.require_in_domain(x0)
-        u0 = np.eye(n) if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
-        self.x0 = x0
-        self.u0 = gram_schmidt_metric(self.chart, x0, u0)
+        self.drift_half = None if cfg.abar is None else 0.5 * self.h * check_drift(cfg.abar, n)
+        self.x0, self.u0, self.e0 = resolve_start(cfg, self.chart)
 
     def group_half(self, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return _advance(g, xi, self.basis.mats, self.noise_scale, self.drift_half)
@@ -189,18 +177,12 @@ class _Engine:
         if self.chart.flat:
             return x + h * np.einsum("...ij,...j->...i", u, e_dir), u
         v1 = np.einsum("...ij,...j->...i", u, e_dir)
-        udot1 = self._transport(x, v1) @ u
+        udot1 = frame_transport(self.chart, x, v1) @ u
         xp = x + h * v1
         up = u + h * udot1
         v2 = np.einsum("...ij,...j->...i", up, e_dir)
-        udot2 = self._transport(xp, v2) @ up
+        udot2 = frame_transport(self.chart, xp, v2) @ up
         return x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
-
-    def _transport(self, x, v):
-        """B[k, j] = -sum_i v_i Gamma[k, i, j]: frame rate is B u."""
-        if self.chart.transport_rate is not None:
-            return self.chart.transport_rate(x, v)
-        return -np.einsum("...i,...kij->...kj", v, self.chart.christoffel(x))
 
     def strang(self, x, u, g, xi1, xi2):
         g_mid = self.group_half(g, xi1)
@@ -211,50 +193,6 @@ class _Engine:
         if self.chart.flat:
             return u
         return gram_schmidt_metric(self.chart, x, u)
-
-    def n_steps(self, t_final: float) -> int:
-        return max(1, int(round(t_final / self.slow_dt)))
-
-    def output_indices(self, times: np.ndarray, n_steps: int) -> np.ndarray:
-        idx = np.rint(np.asarray(times, dtype=float) / self.slow_dt).astype(int)
-        return np.clip(idx, 0, n_steps)
-
-
-@lru_cache(maxsize=64)
-def _engine_for(cfg: SimConfig) -> _Engine:
-    # SimConfig hashes by identity (eq=False), so reusing a config object
-    # across calls reuses its engine.
-    return _Engine(cfg)
-
-
-def step(state: SimState, cfg: SimConfig, xi: np.ndarray) -> SimState:
-    """One Strang step; ``xi`` holds the two half-step noise vectors, shape (2, N).
-
-    Advances the slow clock by h0 * epsilon^2 (one equation-clock step of
-    h0 * epsilon).  Raises :class:`DomainExitError` if the step leaves the
-    chart domain.
-    """
-    eng = _engine_for(cfg)
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (2, eng.n_noise):
-        raise ConfigError(f"xi must have shape (2, {eng.n_noise}), got {xi.shape}")
-    x, u, g = eng.strang(state.x, state.u, state.g, xi[0], xi[1])
-    t = state.t + eng.slow_dt
-    if not eng.chart.unbounded and not bool(np.all(eng.chart.in_domain(x))):
-        raise DomainExitError(t, x)
-    # Same re-projection cadence as the batch engine; the step index is
-    # implicit in the slow clock.
-    m = int(round(t / eng.slow_dt))
-    if m % cfg.renorm_every == 0:
-        u = eng.renorm_frame(x, u)
-    if m % _GROUP_PROJECT_EVERY == 0:
-        g = project_rotation(g)
-    return SimState(t=t, x=x, u=u, g=g)
-
-
-def initial_state(cfg: SimConfig) -> SimState:
-    eng = _engine_for(cfg)
-    return SimState(t=0.0, x=eng.x0.copy(), u=eng.u0.copy(), g=np.eye(eng.n))
 
 
 def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
@@ -269,10 +207,12 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     leaves the chart domain is recorded in ``aborts``, frozen at a dummy
     in-domain state, and flagged dead in ``alive``.
 
-    ``monitor(step_index, x, u, g, alive)`` is invoked after every step
-    when provided (constraint-defect tracking in the test-suite).
+    ``rngs``, one generator per path, replaces the Philox streams (noise
+    injection in the test-suite).  ``monitor(step_index, x, u, g, alive)``
+    is invoked after every step when provided (constraint-defect tracking
+    in the test-suite).
     """
-    eng = _engine_for(cfg)
+    eng = _Engine(cfg)
     n, n_noise = eng.n, eng.n_noise
     paths = list(int(p) for p in path_indices)
     n_paths = len(paths)
@@ -281,9 +221,8 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     elif len(rngs) != n_paths:
         raise ConfigError("rngs must match path_indices in length")
 
-    times = cfg.resolved_output_times()
-    n_steps = eng.n_steps(cfg.t_final)
-    out_idx = eng.output_indices(times, n_steps)
+    n_steps = max(1, int(round(cfg.t_final / eng.slow_dt)))
+    out_idx = np.clip(np.rint(cfg.resolved_output_times() / eng.slow_dt).astype(int), 0, n_steps)
     grid_times = out_idx * eng.slow_dt
 
     x = np.tile(eng.x0, (n_paths, 1))
@@ -342,17 +281,14 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     return EnsemblePaths(times=grid_times, xs=xs, us=us, gs=gs, alive=alive, aborts=aborts)
 
 
-def simulate_rescaled_path(cfg: SimConfig, rng: np.random.Generator | None = None,
-                           path_index: int = 0, record_group: bool = False) -> PathRecord:
+def simulate_rescaled_path(cfg: SimConfig, path_index: int = 0,
+                           record_group: bool = False) -> PathRecord:
     """One rescaled path sampled at the output times.
 
-    Deterministic given (cfg, seed): the default noise stream is the one
-    keyed by (cfg.seed, path_index).  Domain exits raise
-    :class:`DomainExitError`.
+    Deterministic given (cfg, seed): the noise stream is the one keyed by
+    (cfg.seed, path_index).  Domain exits raise :class:`DomainExitError`.
     """
-    rngs = None if rng is None else [rng]
-    out = simulate_paths(cfg, [path_index], record_frames=True,
-                         record_group=record_group, rngs=rngs)
+    out = simulate_paths(cfg, [path_index], record_frames=True, record_group=record_group)
     if not out.alive[0]:
         _, t, xbad = out.aborts[0]
         raise DomainExitError(t, xbad, path_index)

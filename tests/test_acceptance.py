@@ -127,7 +127,7 @@ def test_criterion_4_ergodic_rate_bound():
     for n in (2, 3):
         cfg = GroupSdeConfig(basis=canonical_basis(n), epsilon=1.0, h=0.1)
         avgs = ergodic_average_repetitions(lambda gs: gs[:, 0, 0], cfg, times,
-                                           reps=200, rng=rng, batched=True)
+                                           reps=200, rng=rng)
         n_basis = n * (n - 1) // 2
         for row, t in zip(avgs, times):
             bound = np.sqrt(n_basis) * 2.0 / np.sqrt(t)

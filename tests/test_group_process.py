@@ -8,12 +8,9 @@ from frameflow import (
     apply_generator_linear,
     canonical_basis,
     ergodic_average_repetitions,
-    ergodic_time_average,
-    haar_moment_matrix,
     haar_sample,
     orthogonality_defect,
     poisson_h,
-    simulate_group_terminal,
     step_group,
 )
 from frameflow.group_process import haar_moment_stats
@@ -35,6 +32,12 @@ class TestGroupSdeConfig:
     def test_non_skew_drift_rejected(self):
         with pytest.raises(ConfigError):
             GroupSdeConfig(basis=canonical_basis(2), abar=np.eye(2), h=0.1)
+
+    @pytest.mark.parametrize("kw", [{"epsilon": np.inf, "h": 0.1},
+                                    {"abar": np.array([[0.0, np.nan], [np.nan, 0.0]])}])
+    def test_non_finite_inputs_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            GroupSdeConfig(basis=canonical_basis(2), **kw)
 
 
 class TestStepGroup:
@@ -134,8 +137,9 @@ class TestPoissonIdentities:
 class TestErgodicAverages:
     def test_constant_functional_is_exact(self):
         cfg = cfg_for(3)
-        avg = ergodic_time_average(lambda g: 2.5, cfg, t=7.3, rng=np.random.default_rng(0))
-        assert avg == pytest.approx(2.5, abs=1e-12)
+        avg = ergodic_average_repetitions(lambda gs: np.full(len(gs), 2.5), cfg, [3.0, 7.0],
+                                          reps=1, rng=np.random.default_rng(0))
+        np.testing.assert_allclose(avg, 2.5, atol=1e-12)
 
     def test_lln_bound_n3_t400(self):
         # E(avg^2) <= sqrt(N) * Osc(f) * t^(-1/2) for f(g) = <g e1, e1>,
@@ -143,7 +147,7 @@ class TestErgodicAverages:
         cfg = cfg_for(3)
         rng = np.random.default_rng(21)
         avgs = ergodic_average_repetitions(
-            lambda gs: gs[:, 0, 0], cfg, [400.0], reps=200, rng=rng, batched=True)
+            lambda gs: gs[:, 0, 0], cfg, [400.0], reps=200, rng=rng)
         bound = np.sqrt(3.0) * 2.0 / np.sqrt(400.0)
         assert np.mean(avgs[0] ** 2) <= bound
 
@@ -154,7 +158,7 @@ class TestErgodicAverages:
         for n in (2, 3, 4):
             cfg = cfg_for(n)
             avgs = ergodic_average_repetitions(
-                lambda gs: gs[:, 0, 0], cfg, times, reps=200, rng=rng, batched=True)
+                lambda gs: gs[:, 0, 0], cfg, times, reps=200, rng=rng)
             n_basis = n * (n - 1) // 2
             for row, t in zip(avgs, times):
                 assert np.mean(row**2) <= np.sqrt(n_basis) * 2.0 / np.sqrt(t)
@@ -165,7 +169,7 @@ class TestErgodicAverages:
         cfg = cfg_for(n)
         rng = np.random.default_rng(23)
         avgs = ergodic_average_repetitions(
-            lambda gs: gs[:, 0, 0] ** 2, cfg, [3200.0], reps=32, rng=rng, batched=True)
+            lambda gs: gs[:, 0, 0] ** 2, cfg, [3200.0], reps=32, rng=rng)
         est = avgs[0].mean()
         se = avgs[0].std(ddof=1) / np.sqrt(avgs.shape[1])
         assert abs(est - 1.0 / n) < 4 * se
@@ -173,14 +177,31 @@ class TestErgodicAverages:
     def test_single_path_average_matches_moment(self):
         cfg = cfg_for(2)
         rng = np.random.default_rng(24)
-        avg = ergodic_time_average(lambda g: g[0, 0] ** 2, cfg, t=2000.0, rng=rng)
-        assert abs(avg - 0.5) < 0.05
+        avg = ergodic_average_repetitions(lambda gs: gs[:, 0, 0] ** 2, cfg, [2000.0],
+                                          reps=1, rng=rng)
+        assert abs(avg[0, 0] - 0.5) < 0.05
 
     def test_checkpoints_off_grid_rejected(self):
         cfg = cfg_for(2)
         with pytest.raises(ConfigError):
             ergodic_average_repetitions(lambda gs: gs[:, 0, 0], cfg, [100.05],
-                                        reps=4, rng=np.random.default_rng(0), batched=True)
+                                        reps=4, rng=np.random.default_rng(0))
+
+    def test_non_finite_checkpoints_rejected(self):
+        cfg = cfg_for(2)
+        with pytest.raises(ConfigError, match="finite"):
+            ergodic_average_repetitions(lambda gs: gs[:, 0, 0], cfg, [100.0, np.inf],
+                                        reps=4, rng=np.random.default_rng(0))
+
+    def test_component_stack_functional(self):
+        # f may return (..., reps): each component is averaged on the same paths.
+        cfg = cfg_for(2)
+        both = ergodic_average_repetitions(lambda gs: np.stack([gs[:, 0, 0], gs[:, 0, 1]]),
+                                           cfg, [5.0, 10.0], reps=3, rng=np.random.default_rng(1))
+        first = ergodic_average_repetitions(lambda gs: gs[:, 0, 0], cfg, [5.0, 10.0], reps=3,
+                                            rng=np.random.default_rng(1))
+        assert both.shape == (2, 2, 3)
+        np.testing.assert_array_equal(both[:, 0], first)
 
 
 class TestHaarMoments:
@@ -198,11 +219,6 @@ class TestHaarMoments:
             for j in range(4):
                 target = (1.0 / 3.0) if i == j else 0.0
                 assert abs(est[i, j] - target) < 4 * se[i, j]
-
-    def test_matrix_wrapper_returns_estimate(self):
-        rng = np.random.default_rng(33)
-        est = haar_moment_matrix(2, np.array([0.0, 1.0]), 2000, rng)
-        assert est.shape == (2, 2)
 
     def test_independent_of_direction(self):
         rng = np.random.default_rng(34)
@@ -225,7 +241,9 @@ def test_terminal_law_matches_haar():
     n = 3
     cfg = cfg_for(n)
     rng = np.random.default_rng(35)
-    ends = simulate_group_terminal(cfg, t=40.0, count=500, rng=rng)
+    ends = np.broadcast_to(np.eye(n), (500, n, n)).copy()
+    for _ in range(400):  # t = 40 at h = 0.1
+        ends = step_group(ends, cfg, rng.standard_normal((500, len(cfg.basis))))
     ref = haar_sample(n, np.random.default_rng(36), size=500)
     stat, p = ks_2samp(ends[:, 0, 0], ref[:, 0, 0])
     assert p > 0.01

@@ -194,6 +194,10 @@ class TestEpsilonSweep:
         with pytest.raises(ConfigError):
             spec_for(paths=150, epsilon_list=(0.05, 0.1))
 
+    def test_non_finite_epsilon_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            spec_for(paths=150, epsilon_list=(np.inf, 0.1))
+
     def test_reproducible_table(self):
         spec = spec_for(paths=150, seed=12, epsilon_list=(0.2, 0.1))
         rows_a = epsilon_sweep(spec)

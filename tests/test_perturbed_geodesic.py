@@ -8,12 +8,23 @@ from frameflow import (
     chart_by_name,
     holder_modulus,
     hyperbolic_distance,
-    initial_state,
-    philox_stream,
     simulate_paths,
     simulate_rescaled_path,
-    step,
 )
+
+
+class ZeroNoise:
+    """Stand-in generator for ``simulate_paths(rngs=...)``: noise off."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def every_step(steps, **kw):
+    """Config whose run is ``steps`` steps long, with an output at every step."""
+    slow_dt = kw.get("h0", 0.1) * kw["epsilon"] ** 2
+    return SimConfig(t_final=steps * slow_dt,
+                     output_times=tuple(np.arange(steps + 1) * slow_dt), **kw)
 
 
 class TestSimConfig:
@@ -31,10 +42,21 @@ class TestSimConfig:
                       output_times=(0.0, 2.0))
 
     def test_non_unit_e0_rejected(self):
-        cfg = SimConfig(chart="euclidean:2", epsilon=0.1, t_final=1.0,
-                        e0=np.array([1.0, 1.0]))
+        with pytest.raises(ConfigError, match="unit vector"):
+            SimConfig(chart="euclidean:2", epsilon=0.1, t_final=1.0, e0=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", np.inf), ("t_final", np.inf),
+        ("x0", [np.nan, 0.0]), ("u0", [[1.0, 0.0], [0.0, np.inf]]),
+        ("e0", [np.nan, 1.0]), ("abar", [[0.0, np.nan], [np.nan, 0.0]]),
+        ("output_times", (0.0, np.nan)),
+    ])
+    def test_non_finite_inputs_rejected(self, field, value):
+        # Checked when the config is built: a NaN x0 used to run to the end
+        # as a live path of NaN positions.
+        kw = {"chart": "euclidean:2", "epsilon": 0.1, "t_final": 1.0, field: value}
         with pytest.raises(ConfigError):
-            initial_state(cfg)
+            SimConfig(**kw)
 
     def test_default_output_grid(self):
         cfg = SimConfig(chart="euclidean:2", epsilon=0.1, t_final=2.0)
@@ -44,51 +66,33 @@ class TestSimConfig:
 
 
 class TestStep:
+    """Single Strang steps, observed through one output per step."""
+
     def test_noise_off_flat_is_straight_line(self):
-        cfg = SimConfig(chart="euclidean:2", epsilon=0.05, t_final=1.0)
-        st = initial_state(cfg)
-        xi = np.zeros((2, 1))
-        for _ in range(100):
-            st = step(st, cfg, xi)
+        cfg = every_step(100, chart="euclidean:2", epsilon=0.05)
+        out = simulate_paths(cfg, [0], rngs=[ZeroNoise()])
         # 100 steps of equation time h0 * eps each, velocity u0 e0 = e1.
         expected = 100 * 0.1 * 0.05
-        np.testing.assert_allclose(st.x, [expected, 0.0], rtol=1e-14)
-        np.testing.assert_array_equal(st.u, np.eye(2))
+        np.testing.assert_allclose(out.xs[-1, 0], [expected, 0.0], rtol=1e-14)
+        np.testing.assert_array_equal(out.us[-1, 0], np.eye(2))
 
     def test_noise_off_h2_vertical_geodesic(self):
-        cfg = SimConfig(chart="hyperbolic2", epsilon=1e-3, t_final=1.0,
-                        e0=np.array([0.0, 1.0]))
-        st = initial_state(cfg)
-        xi = np.zeros((2, 1))
-        for _ in range(10_000):  # equation time 1.0 at step 1e-4
-            st = step(st, cfg, xi)
-        np.testing.assert_allclose(st.x, [0.0, np.e], rtol=1e-6)
-        d = hyperbolic_distance(np.array([0.0, 1.0]), st.x)
+        # 10,000 steps: equation time 1.0 at step 1e-4.
+        cfg = SimConfig(chart="hyperbolic2", epsilon=1e-3, t_final=1e-3,
+                        e0=np.array([0.0, 1.0]), output_times=(1e-3,))
+        out = simulate_paths(cfg, [0], rngs=[ZeroNoise()])
+        x = out.xs[-1, 0]
+        np.testing.assert_allclose(x, [0.0, np.e], rtol=1e-6)
+        d = hyperbolic_distance(np.array([0.0, 1.0]), x)
         assert abs(d - 1.0) < 1e-6
 
     def test_chart_speed_identity_with_noise(self):
         # |xdot| = x2 on the half-plane: unit metric speed in chart terms.
-        cfg = SimConfig(chart="hyperbolic2", epsilon=0.05, t_final=1.0, seed=5)
-        chart = chart_by_name("hyperbolic2")
-        st = initial_state(cfg)
-        rng = philox_stream(5, 0)
-        for _ in range(500):
-            st = step(st, cfg, rng.standard_normal((2, 1)))
-            v = st.u @ (st.g @ np.array([1.0, 0.0]))
-            assert abs(np.linalg.norm(v) - st.x[1]) < 1e-6 * st.x[1]
-
-    def test_bad_noise_shape(self):
-        cfg = SimConfig(chart="euclidean:2", epsilon=0.05, t_final=1.0)
-        with pytest.raises(ConfigError):
-            step(initial_state(cfg), cfg, np.zeros(1))
-
-    def test_domain_exit_raises(self):
-        cfg = SimConfig(chart="strip-test", epsilon=0.2, t_final=1.0)
-        st = initial_state(cfg)
-        xi = np.zeros((2, 1))
-        with pytest.raises(DomainExitError):
-            for _ in range(1000):
-                st = step(st, cfg, xi)
+        cfg = every_step(500, chart="hyperbolic2", epsilon=0.05, seed=5)
+        out = simulate_paths(cfg, [0], record_group=True)
+        v = np.einsum("kij,kjl,l->ki", out.us[:, 0], out.gs[:, 0], np.array([1.0, 0.0]))
+        x2 = out.xs[:, 0, 1]
+        assert np.all(np.abs(np.linalg.norm(v, axis=-1) - x2) < 1e-6 * x2)
 
 
 class TestSimulateRescaledPath:
@@ -204,11 +208,19 @@ def test_h2_runs_are_conservative_at_desk_scale():
 def test_slow_displacement_bound():
     # chart speed is unitary, so per-step displacement on a flat chart is
     # exactly the equation-time step h0 * eps.
-    cfg = SimConfig(chart="euclidean:2", epsilon=0.05, t_final=1.0, seed=2)
-    st = initial_state(cfg)
-    rng = philox_stream(2, 0)
+    cfg = every_step(200, chart="euclidean:2", epsilon=0.05, seed=2)
+    out = simulate_paths(cfg, [0])
     h = cfg.h0 * cfg.epsilon
-    for _ in range(200):
-        prev = st.x.copy()
-        st = step(st, cfg, rng.standard_normal((2, 1)))
-        assert np.linalg.norm(st.x - prev) <= h * (1.0 + 1e-9)
+    steps = np.linalg.norm(np.diff(out.xs[:, 0], axis=0), axis=-1)
+    assert len(steps) == 200
+    assert np.all(steps <= h * (1.0 + 1e-9))
+
+
+def test_batch_invariance_n4():
+    # The n >= 4 exponential scales each matrix by its own norm, so a path
+    # does not depend on the batch it runs in.
+    cfg = SimConfig(chart="euclidean:4", epsilon=0.2, t_final=0.05, seed=1)
+    whole = simulate_paths(cfg, range(16), record_group=True)
+    alone = simulate_paths(cfg, [11], record_group=True)
+    np.testing.assert_array_equal(whole.xs[:, 11], alone.xs[:, 0])
+    np.testing.assert_array_equal(whole.gs[:, 11], alone.gs[:, 0])
