@@ -271,12 +271,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _cell(value) -> str:
+    """Integers as integers, other numbers as :func:`_fmt` writes them."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    return _fmt(value) if isinstance(value, (bool, float, np.floating)) else str(value)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                              for v in row))
+        # Floats (np.float64 included), the bulk of every path file, first.
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else _cell(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -340,7 +347,7 @@ def cmd_ergodic(cfg: RunConfig) -> int:
     _write_csv(out, ["i", "j", "estimate", "stderr"], rows)
     target = np.array([1.0 / n if i == j else 0.0 for i, j in pairs])
     worst = float(np.max(np.abs(est - target) / np.maximum(se, 1e-300)))
-    print(f"wrote {out}; worst deviation {worst:.2f} stderr from delta_ij/n at t={t_avg:g}")
+    print(f"wrote {out}; worst deviation {worst:.2f} stderr from delta_ij/n at t={t_grid:g}")
     return 0 if worst <= 4.0 else 1
 
 

@@ -11,17 +11,43 @@ equation time T/eps with step h = h0 * eps (noise variance h0 per group
 step, uniformly in eps) and T/(h0 eps^2) steps in total.
 
 Each step is a Strang splitting: half a group step, a Heun (order 2) step
-of the frame ODE with the rotation frozen at its midpoint value, then the
-second half group step.  Group iterates are rotations by construction;
-the frame is re-orthonormalized in the point's metric every
-``renorm_every`` steps and the group factor re-projected on a fixed long
-cadence to shed accumulated rounding.  :func:`simulate_paths` is the one
-stepping loop; :func:`simulate_rescaled_path` is its one-path view.
+of the frame ODE with the rotation frozen at its midpoint value g_mid,
+then the second half group step.  The group chain never reads the point
+or the frame; only the direction g_mid e0 reaches them.  So
+:func:`simulate_paths`, the one stepping routine, takes each block of
+1024 steps in three stages, the last two in chunks of 128 steps:
+
+1. Draw: every path fills its row of the block from its own stream.
+2. Group chain: the directions g_mid e0 of the chunk's steps, and g
+   itself where an output or the ``monitor`` needs it, computed in a
+   representation chosen by the dimension n and the chart:
+
+   - n = 2 on flat charts: g is a rotation by an angle and half-steps add
+     angles, so one cumsum gives every angle and cos/sin every direction;
+   - n = 3: a unit quaternion, multiplied at each half-step by the
+     closed-form quaternion exponential (a loop over half-steps of
+     Hamilton products, vectorised over paths);
+   - otherwise (n >= 4, and curved n = 2 charts, whose per-step frame
+     loop costs more than the chain): rotation matrices, multiplied by
+     the matrix exponential of each half-step through ``_advance``.
+
+   An angle is a rotation whatever its rounding, and a quaternion
+   renormalised once per chunk gives a matrix orthogonal to the rounding
+   of its norm, so only the matrix chain drifts off SO(n); it alone is
+   re-projected (polar decomposition) every 1000 steps.
+3. Frame: on flat unbounded charts the frame stays u0 and the point is x0
+   plus a cumsum of h u0 g_mid e0.  Otherwise one loop over the steps does
+   the Heun frame step, on bounded charts the domain and finiteness check,
+   and the metric re-orthonormalization every ``renorm_every`` steps.
+
+:func:`simulate_rescaled_path` is the one-path view of the routine.
 
 Randomness is counter-based: path p of a run with seed s draws from a
 Philox stream keyed by (s, p), consuming, per step, one vector of N
 standard normals for the first group half-step and one for the second.
-Results are therefore identical however paths are batched or distributed.
+Every stage works on each path by itself, at block and chunk boundaries
+that depend on the step count alone, so results are identical however
+paths are batched or distributed.
 """
 
 from __future__ import annotations
@@ -39,7 +65,9 @@ from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
 # Steps per noise block (per-path pre-draw granularity).  Fixed constant:
 # consumption order must not depend on batch composition.
 _NOISE_BLOCK = 1024
-# Cadence of the polar re-projection of the group factor.
+# Steps per chunk of the chain and frame stages; bounds their temporaries.
+_CHUNK = 128
+# Cadence, in steps, of the polar re-projection of the matrix chain.
 _GROUP_PROJECT_EVERY = 1000
 
 
@@ -148,8 +176,12 @@ def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray,
             x0[1] = 1.0
     else:
         x0 = np.asarray(cfg.x0, dtype=float)
+        if x0.shape != (n,):
+            raise ConfigError(f"x0 must have shape ({n},), got {x0.shape}")
     chart.require_in_domain(x0)
     u0 = np.eye(n) if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
+    if u0.shape != (n, n):
+        raise ConfigError(f"u0 must have shape {(n, n)}, got {u0.shape}")
     return x0, gram_schmidt_metric(chart, x0, u0), e0
 
 
@@ -168,15 +200,12 @@ class _Engine:
         self.drift_half = None if cfg.abar is None else 0.5 * self.h * check_drift(cfg.abar, n)
         self.x0, self.u0, self.e0 = resolve_start(cfg, self.chart)
 
-    def group_half(self, g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return _advance(g, xi, self.basis.mats, self.noise_scale, self.drift_half)
-
-    def frame_step(self, x: np.ndarray, u: np.ndarray, g_mid: np.ndarray):
-        e_dir = np.einsum("...ij,j->...i", g_mid, self.e0)
+    def frame_step(self, x: np.ndarray, u: np.ndarray, e_dir: np.ndarray):
+        """Heun step of (x, u) along the midpoint direction e_dir = g_mid e0."""
         h = self.h
-        if self.chart.flat:
-            return x + h * np.einsum("...ij,...j->...i", u, e_dir), u
         v1 = np.einsum("...ij,...j->...i", u, e_dir)
+        if self.chart.flat:
+            return x + h * v1, u
         udot1 = frame_transport(self.chart, x, v1) @ u
         xp = x + h * v1
         up = u + h * udot1
@@ -184,15 +213,150 @@ class _Engine:
         udot2 = frame_transport(self.chart, xp, v2) @ up
         return x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
 
-    def strang(self, x, u, g, xi1, xi2):
-        g_mid = self.group_half(g, xi1)
-        x, u = self.frame_step(x, u, g_mid)
-        return x, u, self.group_half(g_mid, xi2)
-
     def renorm_frame(self, x, u):
         if self.chart.flat:
             return u
         return gram_schmidt_metric(self.chart, x, u)
+
+
+# Group chains.  ``run(xi, keep)`` advances every path over a chunk of
+# noise xi (P, steps, 2, N) and returns the midpoint directions g_mid e0 as
+# (P, n, steps), and g after each chunk-local step listed in ``keep`` as
+# (len(keep), P, n, n).
+
+class _AngleChain:
+    """n = 2: g = [[cos a, sin a], [-sin a, cos a]] and each half-step adds to the angle a."""
+
+    def __init__(self, eng: _Engine, n_paths: int):
+        self.scale = eng.noise_scale * eng.basis.mats[0, 0, 1]
+        self.drift = 0.0 if eng.drift_half is None else eng.drift_half[0, 1]
+        self.e0 = eng.e0
+        self.angle = np.zeros(n_paths)
+
+    def run(self, xi: np.ndarray, keep: np.ndarray):
+        n_paths, steps = xi.shape[:2]
+        # Start angle, then the angle after each half-step.
+        angles = np.empty((n_paths, 2 * steps + 1))
+        angles[:, 0] = self.angle
+        np.multiply(xi.reshape(n_paths, 2 * steps), self.scale, out=angles[:, 1:])
+        if self.drift:
+            angles[:, 1:] += self.drift
+        np.cumsum(angles, axis=1, out=angles)
+        # Carried modulo 2 pi, so its rounding does not grow with the walk.
+        self.angle = np.remainder(angles[:, -1], 2.0 * np.pi)
+        mid = angles[:, 1::2]
+        c, s = np.cos(mid), np.sin(mid)
+        e0 = self.e0
+        e_dir = np.stack([c * e0[0] + s * e0[1], c * e0[1] - s * e0[0]], axis=1)
+        full = angles[:, 2::2][:, keep].T
+        ck, sk = np.cos(full), np.sin(full)
+        g = np.stack([np.stack([ck, sk], axis=-1), np.stack([-sk, ck], axis=-1)], axis=-2)
+        return e_dir, g
+
+
+def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Hamilton product a b of quaternions (w, x, y, z) stored along axis 0."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    out[0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    out[1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    out[2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    out[3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+
+
+def _quaternion_rotate(q: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
+    """Components of R(q) v for unit quaternions q (4, ...) and a fixed 3-vector v."""
+    w, x, y, z = q
+    # R(q) v = v + w t + (x, y, z) cross t with t = 2 (x, y, z) cross v.
+    t0 = 2.0 * (y * v[2] - z * v[1])
+    t1 = 2.0 * (z * v[0] - x * v[2])
+    t2 = 2.0 * (x * v[1] - y * v[0])
+    return [v[0] + w * t0 + (y * t2 - z * t1),
+            v[1] + w * t1 + (z * t0 - x * t2),
+            v[2] + w * t2 + (x * t1 - y * t0)]
+
+
+def _rotation_vector(a: np.ndarray) -> np.ndarray:
+    """The vector w with a v = w x v for skew 3 x 3 matrices a."""
+    return np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)
+
+
+class _QuaternionChain:
+    """n = 3: g is the rotation R(q) of a unit quaternion q; a half-step with
+    rotation vector w multiplies q by exp(w) = (cos(|w|/2), sin(|w|/2) w/|w|)."""
+
+    def __init__(self, eng: _Engine, n_paths: int):
+        # Each canonical basis element turns about one coordinate axis, so
+        # component j of the rotation vector is coef[j] * xi[source[j]].
+        axes = eng.noise_scale * _rotation_vector(eng.basis.mats)           # (N, 3)
+        self.source = np.argmax(np.abs(axes), axis=0)
+        self.coef = axes[self.source, np.arange(3)]
+        self.drift = None if eng.drift_half is None else _rotation_vector(eng.drift_half)
+        self.e0 = eng.e0
+        self.q = np.zeros((4, n_paths))
+        self.q[0] = 1.0
+
+    def run(self, xi: np.ndarray, keep: np.ndarray):
+        n_paths, steps = xi.shape[:2]
+        # Step-major from here on: the product loop reads contiguous (4, P) rows.
+        w = np.empty((steps, 2, 3, n_paths))
+        for j in range(3):
+            np.multiply(xi[..., self.source[j]].transpose(1, 2, 0), self.coef[j], out=w[:, :, j])
+        if self.drift is not None:
+            w += self.drift[:, None]
+        angle = np.sqrt(np.sum(w * w, axis=2))
+        half = 0.5 * angle
+        dq = np.empty((steps, 2, 4, n_paths))
+        np.cos(half, out=dq[:, :, 0])
+        # sin(angle/2) / angle, which tends to 1/2 as the angle vanishes.
+        ratio = np.divide(np.sin(half), angle, out=np.full_like(angle, 0.5), where=angle > 0)
+        np.multiply(w, ratio[:, :, None], out=dq[:, :, 1:])
+        qs = np.empty_like(dq)
+        q = self.q
+        for j in range(steps):
+            for k in (0, 1):
+                _hamilton(q, dq[j, k], qs[j, k])
+                q = qs[j, k]
+        self.q = q / np.sqrt(np.sum(q * q, axis=0))
+        mid = np.moveaxis(qs[:, 0], 1, 0)
+        e_dir = np.stack([c.T for c in _quaternion_rotate(mid, self.e0)], axis=1)
+        full = np.moveaxis(qs[keep, 1], 1, 0)
+        g = np.stack([np.stack(_quaternion_rotate(full, e), axis=-1) for e in np.eye(3)], axis=-1)
+        return e_dir, g
+
+
+class _MatrixChain:
+    """g as a matrix, multiplied by the matrix exponential of each half-step."""
+
+    def __init__(self, eng: _Engine, n_paths: int):
+        self.eng = eng
+        self.g = np.tile(np.eye(eng.n), (n_paths, 1, 1))
+        self.steps = 0
+
+    def run(self, xi: np.ndarray, keep: np.ndarray):
+        eng = self.eng
+        n_paths, steps = xi.shape[:2]
+        mids = np.empty((steps, n_paths, eng.n, eng.n))
+        kept = np.empty((len(keep), n_paths, eng.n, eng.n))
+        i = 0
+        for j in range(steps):
+            mids[j] = _advance(self.g, xi[:, j, 0], eng.basis.mats, eng.noise_scale, eng.drift_half)
+            self.g = _advance(mids[j], xi[:, j, 1], eng.basis.mats, eng.noise_scale, eng.drift_half)
+            self.steps += 1
+            if self.steps % _GROUP_PROJECT_EVERY == 0:
+                self.g = project_rotation(self.g)
+            if i < len(keep) and keep[i] == j:
+                kept[i] = self.g
+                i += 1
+        return np.einsum("spij,j->pis", mids, eng.e0), kept
+
+
+def _group_chain(eng: _Engine, n_paths: int):
+    if eng.n == 2 and eng.chart.flat:
+        return _AngleChain(eng, n_paths)
+    if eng.n == 3:
+        return _QuaternionChain(eng, n_paths)
+    return _MatrixChain(eng, n_paths)
 
 
 def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
@@ -227,7 +391,6 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
 
     x = np.tile(eng.x0, (n_paths, 1))
     u = np.tile(eng.u0, (n_paths, 1, 1))
-    g = np.tile(np.eye(n), (n_paths, 1, 1))
     alive = np.ones(n_paths, dtype=bool)
     aborts: list = []
     safe_x = eng.x0
@@ -237,7 +400,7 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     us = np.empty((k_out, n_paths, n, n)) if record_frames else None
     gs = np.empty((k_out, n_paths, n, n)) if record_group else None
 
-    def record(slot: int):
+    def record(slot: int, x, u, g):
         xs[slot] = x
         if us is not None:
             us[slot] = u
@@ -246,37 +409,69 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
 
     next_out = 0
     while next_out < k_out and out_idx[next_out] == 0:
-        record(next_out)
+        record(next_out, x, u, np.eye(n))
         next_out += 1
 
+    chain = _group_chain(eng, n_paths)
+    # Flat and unbounded: u stays u0 and x is x0 + h u0 (sum of the
+    # directions so far), formed only where it is read.
+    cumsum_frame = eng.chart.flat and eng.chart.unbounded
+    e_sum = np.zeros((n_paths, n))
+
+    def position(total):
+        return eng.x0 + eng.h * np.einsum("ij,pj->pi", eng.u0, total)
+
     check_domain = not eng.chart.unbounded
+    noise = np.empty((n_paths, min(_NOISE_BLOCK, n_steps), 2, n_noise))
     m = 0
     while m < n_steps:
         block = min(_NOISE_BLOCK, n_steps - m)
         # One draw per path per block keeps per-path stream order fixed.
-        xi = np.stack([r.standard_normal((block, 2, n_noise)) for r in rngs])
-        for j in range(block):
-            x, u, g = eng.strang(x, u, g, xi[:, j, 0, :], xi[:, j, 1, :])
-            m += 1
-            if check_domain:
-                ok = eng.chart.in_domain(x) & np.all(np.isfinite(x), axis=-1)
-                newly_dead = alive & ~ok
-                if np.any(newly_dead):
-                    t_now = m * eng.slow_dt
-                    for p in np.nonzero(newly_dead)[0]:
-                        aborts.append((paths[p], t_now, x[p].copy()))
-                    alive &= ok
-                    x[newly_dead] = safe_x
-                    u[newly_dead] = eng.u0
-            if m % cfg.renorm_every == 0:
-                u = eng.renorm_frame(x, u)
-            if m % _GROUP_PROJECT_EVERY == 0:
-                g = project_rotation(g)
+        for row, r in zip(noise, rngs):
+            row[:block] = r.standard_normal((block, 2, n_noise))
+        for lo in range(0, block, _CHUNK):
+            xi = noise[:, lo:min(lo + _CHUNK, block)]
+            steps = xi.shape[1]
+            # Output slots next_out..last-1 fall in this chunk, at local steps `at`.
+            last = int(np.searchsorted(out_idx, m + steps, side="right"))
+            at = out_idx[next_out:last] - m - 1
             if monitor is not None:
-                monitor(m, x, u, g, alive)
-            while next_out < k_out and out_idx[next_out] == m:
-                record(next_out)
-                next_out += 1
+                keep = np.arange(steps)
+            else:
+                keep = np.unique(at) if record_group else at[:0]
+            e_dir, g_kept = chain.run(xi, keep)
+            g_at = dict(zip(keep.tolist(), g_kept))
+            if cumsum_frame:
+                sums = np.cumsum(np.concatenate([e_sum[:, :, None], e_dir], axis=2), axis=2)
+                e_sum = sums[:, :, -1]
+                if monitor is not None:
+                    for j in range(steps):
+                        monitor(m + j + 1, position(sums[:, :, j + 1]), u, g_at[j], alive)
+                for slot, j in zip(range(next_out, last), at):
+                    record(slot, position(sums[:, :, j + 1]), u, g_at.get(j))
+                m += steps
+                next_out = last
+                continue
+            for j in range(steps):
+                x, u = eng.frame_step(x, u, e_dir[:, :, j])
+                m += 1
+                if check_domain:
+                    ok = eng.chart.in_domain(x) & np.all(np.isfinite(x), axis=-1)
+                    newly_dead = alive & ~ok
+                    if np.any(newly_dead):
+                        t_now = m * eng.slow_dt
+                        for p in np.nonzero(newly_dead)[0]:
+                            aborts.append((paths[p], t_now, x[p].copy()))
+                        alive &= ok
+                        x[newly_dead] = safe_x
+                        u[newly_dead] = eng.u0
+                if m % cfg.renorm_every == 0:
+                    u = eng.renorm_frame(x, u)
+                if monitor is not None:
+                    monitor(m, x, u, g_at[j], alive)
+                while next_out < last and out_idx[next_out] == m:
+                    record(next_out, x, u, g_at.get(j))
+                    next_out += 1
 
     return EnsemblePaths(times=grid_times, xs=xs, us=us, gs=gs, alive=alive, aborts=aborts)
 

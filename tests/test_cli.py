@@ -114,6 +114,7 @@ class TestHaarCommand:
         lines = (tmp_path / "haar.csv").read_text().splitlines()
         assert lines[0] == "i,j,estimate,stderr"
         assert len(lines) == 1 + 4  # 2x2 moment matrix
+        assert lines[1].startswith("0,0,")  # zero-based integer indices
 
 
 class TestErgodicCommand:
@@ -124,6 +125,13 @@ class TestErgodicCommand:
         lines = (tmp_path / "ergodic.csv").read_text().splitlines()
         assert lines[0] == "i,j,estimate,stderr"
         assert len(lines) == 1 + 4
+        assert lines[1].startswith("0,0,")  # zero-based integer indices
+
+    def test_prints_the_snapped_horizon(self, tmp_path, capsys):
+        # 0.26 is averaged over rint(0.26 / h0) = 3 steps of 0.1.
+        main(["ergodic", "--dim", "2", "--t-final", "0.26", "--reps", "4",
+              "--seed", "4", "--output-dir", str(tmp_path)])
+        assert capsys.readouterr().out.rstrip().endswith("at t=0.3")
 
 
 class TestSimulateCommand:

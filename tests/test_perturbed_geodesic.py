@@ -5,12 +5,16 @@ from frameflow import (
     ConfigError,
     DomainExitError,
     SimConfig,
+    canonical_basis,
     chart_by_name,
+    group_exp,
     holder_modulus,
     hyperbolic_distance,
     simulate_paths,
     simulate_rescaled_path,
 )
+from frameflow.manifold import frame_transport, gram_schmidt_metric
+from frameflow.perturbed_geodesic import philox_stream, resolve_start
 
 
 class ZeroNoise:
@@ -57,6 +61,16 @@ class TestSimConfig:
         kw = {"chart": "euclidean:2", "epsilon": 0.1, "t_final": 1.0, field: value}
         with pytest.raises(ConfigError):
             SimConfig(**kw)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("x0", [0.0, 0.0, 0.0], r"x0 must have shape \(2,\)"),
+        ("u0", np.eye(3), r"u0 must have shape \(2, 2\)"),
+    ], ids=["x0", "u0"])
+    def test_start_shape_mismatch_rejected(self, field, value, message):
+        # Both used to end in a numpy broadcast ValueError inside the run.
+        cfg = SimConfig(chart="euclidean:2", epsilon=0.1, t_final=0.01, **{field: value})
+        with pytest.raises(ConfigError, match=message):
+            simulate_paths(cfg, [0])
 
     def test_default_output_grid(self):
         cfg = SimConfig(chart="euclidean:2", epsilon=0.1, t_final=2.0)
@@ -224,3 +238,100 @@ def test_batch_invariance_n4():
     alone = simulate_paths(cfg, [11], record_group=True)
     np.testing.assert_array_equal(whole.xs[:, 11], alone.xs[:, 0])
     np.testing.assert_array_equal(whole.gs[:, 11], alone.gs[:, 0])
+
+
+def strang_reference(cfg, path_indices):
+    """The Strang step written out one step at a time with matrix exponentials.
+
+    Draws each path's noise in 1024-step blocks, as the engine does, and
+    records (x, u, g) at the output steps; the block engine must agree
+    with it up to rounding.
+    """
+    chart = chart_by_name(cfg.chart)
+    n = chart.dim
+    mats = canonical_basis(n).mats
+    h = cfg.h0 * cfg.epsilon
+    scale = np.sqrt(0.5 * h / cfg.epsilon)
+    drift = np.zeros((n, n)) if cfg.abar is None else 0.5 * h * np.asarray(cfg.abar)
+    x0, u0, e0 = resolve_start(cfg, chart)
+    steps = int(round(cfg.t_final / (cfg.h0 * cfg.epsilon**2)))
+    out_steps = np.rint(np.asarray(cfg.output_times) / (cfg.h0 * cfg.epsilon**2)).astype(int)
+    xi = np.stack([np.concatenate([rng.standard_normal((min(1024, steps - lo), 2, len(mats)))
+                                   for lo in range(0, steps, 1024)])
+                   for rng in (philox_stream(cfg.seed, p) for p in path_indices)])
+    x = np.tile(x0, (len(path_indices), 1))
+    u = np.tile(u0, (len(path_indices), 1, 1))
+    g = np.tile(np.eye(n), (len(path_indices), 1, 1))
+    xs, us, gs = {}, {}, {}
+    for m in range(steps + 1):
+        if m > 0:
+            g_mid = g @ group_exp(scale * np.einsum("pk,kij->pij", xi[:, m - 1, 0], mats) + drift)
+            e_dir = g_mid @ e0
+            v1 = np.einsum("pij,pj->pi", u, e_dir)
+            udot1 = frame_transport(chart, x, v1) @ u
+            xp, up = x + h * v1, u + h * udot1
+            v2 = np.einsum("pij,pj->pi", up, e_dir)
+            udot2 = frame_transport(chart, xp, v2) @ up
+            x, u = x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
+            u = gram_schmidt_metric(chart, x, u)
+            g = g_mid @ group_exp(scale * np.einsum("pk,kij->pij", xi[:, m - 1, 1], mats) + drift)
+        if m in out_steps:
+            xs[m], us[m], gs[m] = x, u, g
+    return (np.array([xs[k] for k in out_steps]), np.array([us[k] for k in out_steps]),
+            np.array([gs[k] for k in out_steps]))
+
+
+def _rotation(n, angle):
+    """A rotation by ``angle`` in the (0, n-1) plane."""
+    r = np.eye(n)
+    r[0, 0] = r[-1, -1] = np.cos(angle)
+    r[0, -1], r[-1, 0] = -np.sin(angle), np.sin(angle)
+    return r
+
+
+@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "hyperbolic2"])
+def test_block_engine_matches_per_step_reference(chart):
+    # 2,500 steps cross two noise-block edges; outputs fall mid-block,
+    # on chunk edges and exactly on both block edges.
+    n = chart_by_name(chart).dim
+    x0 = [0.3, 1.5] if chart == "hyperbolic2" else [0.3, -0.2, 0.1, 0.0][:n]
+    e0 = _rotation(n, 0.7)[:, 0]
+    abar = 0.8 * (_rotation(n, np.pi / 2) - _rotation(n, np.pi / 2).T)
+    slow_dt = 0.1 * 0.05**2
+    out_steps = [0, 1, 128, 500, 1023, 1024, 1500, 2048, 2049, 2500]
+    cfg = SimConfig(chart=chart, epsilon=0.05, t_final=2500 * slow_dt, seed=21, e0=e0, abar=abar,
+                    x0=np.array(x0), u0=_rotation(n, -0.4),
+                    output_times=tuple(k * slow_dt for k in out_steps))
+    ref_x, ref_u, ref_g = strang_reference(cfg, [0, 5, 9])
+    out = simulate_paths(cfg, [0, 5, 9], record_group=True)
+    np.testing.assert_allclose(out.xs, ref_x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.us, ref_u, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.gs, ref_g, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "hyperbolic2"])
+def test_batch_invariance(chart):
+    # 1,200 steps: a path's numbers, across a block edge, do not depend on
+    # the paths that share its batch.
+    cfg = SimConfig(chart=chart, epsilon=0.1, t_final=1.2, seed=3)
+    whole = simulate_paths(cfg, range(16), record_group=True)
+    alone = simulate_paths(cfg, [11], record_group=True)
+    np.testing.assert_array_equal(whole.xs[:, 11], alone.xs[:, 0])
+    np.testing.assert_array_equal(whole.us[:, 11], alone.us[:, 0])
+    np.testing.assert_array_equal(whole.gs[:, 11], alone.gs[:, 0])
+
+
+def test_monitor_fires_every_step_on_flat_chart():
+    # The flat frame is a cumsum per chunk; the monitor still sees every step.
+    cfg = every_step(300, chart="euclidean:2", epsilon=0.05, seed=4)
+    seen = []
+
+    def monitor(m, x, u, g, alive):
+        seen.append((m, x.copy(), u.copy(), g.copy(), alive.copy()))
+
+    out = simulate_paths(cfg, range(3), record_group=True, monitor=monitor)
+    assert [s[0] for s in seen] == list(range(1, 301))
+    np.testing.assert_array_equal([s[1] for s in seen], out.xs[1:])
+    np.testing.assert_array_equal([s[2] for s in seen], out.us[1:])
+    np.testing.assert_array_equal([s[3] for s in seen], out.gs[1:])
+    assert all(s[4].all() for s in seen)
