@@ -404,7 +404,7 @@ def cmd_homogenize(cfg: RunConfig) -> int:
         criteria["msd_linearity"] = {
             "r2": r2, "threshold": R2_THRESHOLD, "pass": bool(r2 > R2_THRESHOLD),
         }
-        ks_stat, ks_p = marginal_normal_ks(stats)
+        ks_stat, ks_p = marginal_normal_ks(stats, spec.sim)
         criteria["marginal_normal_ks"] = {
             "statistic": ks_stat, "p_value": ks_p, "floor": KS_P_FLOOR,
             "pass": bool(ks_p > KS_P_FLOOR),

@@ -5,8 +5,9 @@ c = 4 / (n (n-1)), so its mean squared displacement grows like 2 n c t =
 8 t / (n - 1) on flat charts and its law matches a Brownian motion run at
 diffusivity c on curved model charts.  This module fans an ensemble of
 independent paths out over processes, reduces them to per-time marginal
-samples, and compares those against exact (flat) or finely-stepped
-(hyperbolic) reference samplers with two-sample Kolmogorov-Smirnov tests.
+samples, and compares those against exact samples of the limiting
+Brownian motion (Gaussian increments on flat charts, heat-kernel
+transitions on the half-plane) with two-sample Kolmogorov-Smirnov tests.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .errors import ConfigError, NumericalAbort, require_finite
+from .group_process import poisson_h
 from .manifold import chart_by_name
 from .perturbed_geodesic import (
     ORACLE_STREAM_BASE,
@@ -30,8 +32,6 @@ from .perturbed_geodesic import (
 
 MIN_ENSEMBLE_PATHS = 100
 ABORT_FRACTION_LIMIT = 0.01
-# Base step of the hyperbolic reference sampler (slow clock).
-ORACLE_STEP = 1e-4
 _ORACLES = ("euclidean", "hyperbolic")
 
 
@@ -92,7 +92,6 @@ class EnsembleStats:
     """Marginal samples and derived statistics at each output time."""
 
     times: np.ndarray
-    x0: np.ndarray                      # (n,) start point of every path
     positions: np.ndarray               # (K, M, n), surviving paths only
     frames: np.ndarray | None           # (K, M, n, n)
     msd: np.ndarray                     # (K,)
@@ -168,7 +167,7 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
             sim_scalar = xs[:, :, 0]
             oracle_scalar = ref[:, :, 0].T
         else:
-            ref, ref_alive = oracle_hyperbolic_bm(c, times, m_paths, ORACLE_STEP, rng, x0=x0)
+            ref, ref_alive = oracle_hyperbolic_bm(c, times, m_paths, rng, x0=x0)
             ref = ref[ref_alive]
             rho_ref = chart.distance(ref, x0)
             oracle_msd = (rho_ref**2).mean(axis=0)
@@ -181,7 +180,6 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
 
     return EnsembleStats(
         times=times,
-        x0=x0,
         positions=xs,
         frames=us,
         msd=msd,
@@ -216,67 +214,106 @@ def oracle_euclidean_bm(n: int, c: float, times: np.ndarray, m: int,
     return paths
 
 
-def oracle_hyperbolic_bm(c: float, times: np.ndarray, m: int, step: float,
-                         rng: np.random.Generator,
-                         x0: np.ndarray = (0.0, 1.0),
-                         x2_floor: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Euler scheme for the upper half-plane diffusion with generator c * x2^2 (d11 + d22).
+def oracle_hyperbolic_bm(c: float, times: np.ndarray, m: int, rng: np.random.Generator,
+                         x0: np.ndarray = (0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
+    """Exact samples of the half-plane Brownian motion with generator c * x2^2 (d11 + d22).
 
-    Both coordinates move by sqrt(2 c) x2 dB.  A proposed move that would
-    push x2 below ``x2_floor`` is rejected and retried with the step
-    halved (the halved step persists for that path); a path that halves
-    60 times within one output interval is aborted.  Returns
-    (positions (m, K, 2), alive mask (m,)).
+    A Markov chain over the output times: each interval is one exact
+    transition at heat time c * dt (see :func:`_advance_half_plane`), so the
+    samples have the law of the diffusion at every output time, with no
+    step bias.  Returns (positions (m, K, 2), alive mask (m,)); a row whose
+    position overflows is dropped from ``alive``.
     """
     if not c > 0:
         raise ConfigError("diffusivity c must be positive")
-    if not step > 0:
-        raise ConfigError("step must be positive")
     times = np.asarray(times, dtype=float)
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
     if np.any(x[:, 1] <= 0):
         raise ConfigError("x0 must lie in the upper half-plane")
     alive = np.ones(m, dtype=bool)
     out = np.empty((m, len(times), 2))
-    sqrt2c = np.sqrt(2.0 * c)
+    tables: dict = {}
     t_prev = 0.0
     for k, t in enumerate(times):
         span = t - t_prev
         if span < 0:
             raise ConfigError("times must be non-decreasing")
         if span > 0:
-            base_dt = span / max(1, int(np.ceil(span / step)))
-            _advance_half_plane(x, alive, span, base_dt, rng, sqrt2c, x2_floor)
+            _advance_half_plane(x, alive, span, c, rng, tables)
         out[:, k, :] = x
         t_prev = t
     return out, alive
 
 
-def _advance_half_plane(x, alive, span, base_dt, rng, sqrt2c, floor,
-                        max_halvings: int = 60) -> None:
-    """Advance all rows of ``x`` by ``span`` in place, guarding positivity."""
-    m = x.shape[0]
-    remaining = np.where(alive, span, 0.0)
-    dt_try = np.full(m, base_dt)
-    halvings = np.zeros(m, dtype=int)
-    while True:
-        active = alive & (remaining > 1e-15)
-        if not np.any(active):
-            return
-        dt_cur = np.minimum(dt_try, remaining)
-        z = rng.standard_normal((m, 2))
-        prop = x + (sqrt2c * np.sqrt(dt_cur) * x[:, 1])[:, None] * z
-        ok = active & (prop[:, 1] >= floor)
-        x[ok] = prop[ok]
-        remaining[ok] -= dt_cur[ok]
-        bad = active & ~ok
-        if np.any(bad):
-            dt_try[bad] = dt_cur[bad] / 2.0
-            halvings[bad] += 1
-            dead = bad & (halvings >= max_halvings)
-            if np.any(dead):
-                alive[dead] = False
-                remaining[dead] = 0.0
+def _advance_half_plane(x, alive, span, c, rng, tables) -> None:
+    """Move the live rows of ``x`` in place by one exact transition over ``span``.
+
+    The distance rho travelled has McKean's law at heat time c * span,
+    drawn by inverse CDF from a table cached in ``tables``; the direction
+    is uniform.  With (z1, z2) = (cos phi, sin phi) |z| a standard normal
+    pair, u = exp(-|z|^2 / 2) is uniform and independent of phi, so rho =
+    S^-1(u) and the direction theta = 2 phi.  The isometry z -> a + b z,
+    which sends i to x = (a, b), maps the point at distance rho from i in
+    direction theta to
+
+        (a + b sinh(rho) sin(theta) / D, b / D),
+        D = cosh(rho) - sinh(rho) cos(theta) = e^-rho cos^2 phi + e^rho sin^2 phi,
+
+    which lies on the half-plane.  The half-angle form of D has no
+    cancellation.  A row whose new position is not finite (rho so large
+    that e^rho overflows) keeps its old position and is marked dead.
+    """
+    # Spans that differ only by the rounding of the output grid share a table.
+    heat_time = float(f"{c * span:.12g}")
+    if heat_time not in tables:
+        tables[heat_time] = _radial_table(heat_time)
+    radius, survival = tables[heat_time]
+    z = rng.standard_normal((x.shape[0], 2))
+    z1_sq, z2_sq = z[:, 0] ** 2, z[:, 1] ** 2
+    rho = np.interp(np.exp(-0.5 * (z1_sq + z2_sq)), survival, radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |z|^2 D, and |z|^2 sin(theta) = 2 z1 z2.
+        d = np.exp(-rho) * z1_sq + np.exp(rho) * z2_sq
+        new = np.column_stack([x[:, 0] + x[:, 1] * 2.0 * np.sinh(rho) * z[:, 0] * z[:, 1] / d,
+                               x[:, 1] * (z1_sq + z2_sq) / d])
+        ok = np.isfinite(new).all(axis=1) & (new[:, 1] > 0.0)
+    alive &= ok
+    x[alive] = new[alive]
+
+
+# Radial grid points of a table, and Gauss-Legendre nodes per grid point.
+_TABLE_POINTS = 2048
+_TABLE_NODES = 64
+
+
+def _radial_table(t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Survival function S(r) = P(rho_t > r) of the H^2 heat kernel at time t.
+
+    Returns (r, S(r)) on a uniform grid, both ordered by increasing S, as
+    :func:`numpy.interp` reads them.  McKean's kernel (J. Differential
+    Geom. 4, 1970) for the heat equation du/dt = Laplacian u gives, after
+    its inner integral over rho is done in closed form,
+
+        S(r) = 4 pi (4 pi t)^(-3/2) int_r^inf s e^(-(s - t)^2 / (4t))
+               sqrt((1 - e^(r - s)) (1 - e^(-r - s))) ds,
+
+    which is evaluated by Gauss-Legendre in v = sqrt(s - r) (smooth where
+    s = r) over the window |s - t| <= 2 sqrt(40 t), outside which the
+    weight is below e^-40.  S(0) = 1 to rounding, and the sampled law
+    (linear in S between grid points) is off the exact CDF by about 2e-6.
+    """
+    reach = 2.0 * np.sqrt(40.0 * t)
+    s_lo, s_hi = t - reach, t + reach
+    r = np.linspace(max(s_lo, 0.0), s_hi, _TABLE_POINTS)[:, None]
+    nodes, weights = np.polynomial.legendre.leggauss(_TABLE_NODES)
+    v_lo = np.sqrt(np.maximum(s_lo - r, 0.0))
+    half = 0.5 * (np.sqrt(s_hi - r) - v_lo)
+    v = v_lo + half * (nodes + 1.0)
+    s = r + v * v
+    f = s * np.exp(-(s - t) ** 2 / (4.0 * t)) * np.sqrt(np.expm1(-v * v) * np.expm1(-(s + r))) * v
+    survival = 8.0 * np.pi * (4.0 * np.pi * t) ** -1.5 * ((half * f) @ weights)
+    # Increasing in S, as numpy.interp requires, also where rounding wobbles near 1.
+    return r[::-1, 0].copy(), np.maximum.accumulate(survival[::-1])
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -300,10 +337,20 @@ def ks_vs_standard_normal(z: np.ndarray) -> tuple[float, float]:
     return float(res.statistic), float(res.pvalue)
 
 
-def marginal_normal_ks(stats: EnsembleStats) -> tuple[float, float]:
-    """KS of the first coordinate at the last output time against N(x0_1, 2 c t)."""
-    c = effective_diffusivity(stats.positions.shape[-1])
-    z = (stats.positions[-1, :, 0] - stats.x0[0]) / np.sqrt(2.0 * c * stats.times[-1])
+def marginal_normal_ks(stats: EnsembleStats, sim: SimConfig) -> tuple[float, float]:
+    """KS of the first coordinate at the last output time against N(m_1, 2 c t).
+
+    ``stats`` is a flat-chart run of ``sim``.  The mean m is that of the
+    finite-epsilon process, not x0: with h = group_process.poisson_h,
+    x_t - x0 = eps u0 (h(g_t) - h(g_0)) plus a martingale, and E h(g_t)
+    vanishes once g_t has mixed, so m = x0 - eps u0 h(I) = x0 + (4 eps/(n-1)) u0 e0.
+    """
+    n = stats.positions.shape[-1]
+    x0, u0, e0 = resolve_start(sim, chart_by_name(sim.chart))
+    h_start = np.array([poisson_h(np.eye(n), e0, i) for i in range(n)])
+    mean = x0 - sim.epsilon * (u0 @ h_start)
+    c = effective_diffusivity(n)
+    z = (stats.positions[-1, :, 0] - mean[0]) / np.sqrt(2.0 * c * stats.times[-1])
     return ks_vs_standard_normal(z)
 
 
@@ -345,7 +392,7 @@ def epsilon_sweep(spec: EnsembleSpec) -> list[SweepRow]:
         stats = run_ensemble(sub, record_frames=False)
         rel_err = abs(stats.msd[-1] / stats.times[-1] - target) / target
         if spec.resolved_oracle() == "euclidean":
-            ks_stat, ks_p = marginal_normal_ks(stats)
+            ks_stat, ks_p = marginal_normal_ks(stats, sim)
         else:
             ks_stat, ks_p = ks_two_sample(stats.sim_scalar[-1], stats.oracle_scalar[-1])
         rows.append(SweepRow(epsilon=float(eps), msd_rel_err=float(rel_err),

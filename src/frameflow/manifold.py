@@ -198,23 +198,38 @@ def gram_schmidt_metric(chart: Chart, x: np.ndarray, u: np.ndarray) -> np.ndarra
     """Re-orthonormalize frame columns in the G(x) inner product.
 
     Modified Gram-Schmidt; an already orthonormal frame passes through
-    unchanged up to rounding.  Works on stacked inputs (..., n, n).
-    Raises on (numerically) rank-deficient frames.
+    unchanged up to rounding.  Works on stacked inputs x (..., n) and
+    u (..., n, n) with the same leading axes.  Raises on (numerically)
+    rank-deficient frames.
     """
     g = np.asarray(chart.metric(x), dtype=float)
-    q = np.array(u, dtype=float, copy=True)
-    n = q.shape[-1]
-    for l in range(n):
-        col = q[..., :, l]
-        for m in range(l):
-            prev = q[..., :, m]
-            proj = np.einsum("...i,...ij,...j->...", col, g, prev)
-            col = col - proj[..., None] * prev
-        norm2 = np.einsum("...i,...ij,...j->...", col, g, col)
-        if np.any(norm2 <= 0.0) or not np.all(np.isfinite(norm2)):
+    # Component-major copies, so that every product below is one multiply
+    # over the stacked axes at unit stride: gt[i, j] = g_ij (G is
+    # symmetric) and ut[l, i] = u_il.
+    gt = np.ascontiguousarray(g.T)
+    ut = np.ascontiguousarray(np.asarray(u, dtype=float).T)
+    g_cols = []                        # G times each finished column
+    for l, col in enumerate(ut):
+        for m, g_prev in enumerate(g_cols):
+            col = col - _component_dot(col, g_prev) * ut[m]
+        g_col = gt[:, 0] * col[0]
+        for j in range(1, len(col)):
+            g_col += gt[:, j] * col[j]
+        norm2 = _component_dot(col, g_col)
+        if not (0.0 < norm2.min() and norm2.max() < np.inf):
             raise ValueError("frame columns are not linearly independent")
-        q[..., :, l] = col / np.sqrt(norm2)[..., None]
-    return q
+        inv = 1.0 / np.sqrt(norm2)
+        np.multiply(col, inv, out=ut[l])
+        g_cols.append(g_col * inv)
+    return np.ascontiguousarray(ut.T)
+
+
+def _component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i] b[i] over the leading (component) axis."""
+    total = a[0] * b[0]
+    for i in range(1, len(a)):
+        total = total + a[i] * b[i]
+    return total
 
 
 # Registry of charts reachable by name from configuration files and the CLI.

@@ -368,8 +368,9 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     Paths are independent; path ``p`` consumes the Philox stream keyed by
     (cfg.seed, p) in a fixed per-step order, so any partition of the index
     list over calls or processes reproduces the same numbers.  A path that
-    leaves the chart domain is recorded in ``aborts``, frozen at a dummy
-    in-domain state, and flagged dead in ``alive``.
+    leaves the chart domain is recorded in ``aborts`` and flagged dead in
+    ``alive``; from then on it is held at its start state (x0, u0), which
+    its later output rows show.
 
     ``rngs``, one generator per path, replaces the Philox streams (noise
     injection in the test-suite).  ``monitor(step_index, x, u, g, alive)``
@@ -393,7 +394,7 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     u = np.tile(eng.u0, (n_paths, 1, 1))
     alive = np.ones(n_paths, dtype=bool)
     aborts: list = []
-    safe_x = eng.x0
+    dead = None                       # ~alive once some path has aborted
 
     k_out = len(out_idx)
     xs = np.empty((k_out, n_paths, n))
@@ -463,8 +464,11 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                         for p in np.nonzero(newly_dead)[0]:
                             aborts.append((paths[p], t_now, x[p].copy()))
                         alive &= ok
-                        x[newly_dead] = safe_x
-                        u[newly_dead] = eng.u0
+                        dead = ~alive
+                    if dead is not None:
+                        # Still stepped with the batch, but put back every step.
+                        x[dead] = eng.x0
+                        u[dead] = eng.u0
                 if m % cfg.renorm_every == 0:
                     u = eng.renorm_frame(x, u)
                 if monitor is not None:

@@ -180,6 +180,17 @@ class TestHomogenizeCommand:
         assert summary["pass"] is True
         assert summary["criteria"]["msd_slope"]["pass"] is True
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_marginal_ks_centred_on_finite_epsilon_mean(self, seed, tmp_path):
+        # The mean along e0 is 4 eps / (n - 1) = 0.2 here, not 0; centred on
+        # x0 the marginal KS failed these seeds.
+        rc = main(["homogenize", "--manifold", "euclidean:2", "--epsilon", "0.05",
+                   "--paths", "2000", "--jobs", "1", "--seed", str(seed),
+                   "--output-dir", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["criteria"]["marginal_normal_ks"]["pass"] is True
+        assert rc == 0
+
     def test_config_file_driven_run(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         out_dir = tmp_path / "out"

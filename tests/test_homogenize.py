@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from frameflow import (
     ConfigError,
@@ -18,7 +19,12 @@ from frameflow import (
     philox_stream,
     run_ensemble,
 )
-from frameflow.homogenize import linear_fit, ks_vs_standard_normal
+from frameflow.homogenize import (
+    _advance_half_plane,
+    _radial_table,
+    ks_vs_standard_normal,
+    linear_fit,
+)
 
 
 def spec_for(chart="euclidean:2", epsilon=0.05, t_final=1.0, paths=400, seed=7, **kw):
@@ -69,47 +75,117 @@ class TestEuclideanOracle:
         assert np.max(np.abs(paths[:, 0, :] - x0)) < 1e-5
 
 
+def mckean_moment(t, f):
+    """E f(rho_t) from McKean's kernel in its original form, by nested quad.
+
+    p_t(rho) = sqrt(2) e^(-t/4) (4 pi t)^(-3/2)
+               * int_rho^inf s e^(-s^2/(4t)) / sqrt(cosh s - cosh rho) ds,
+    with area element 2 pi sinh(rho) d rho; s = rho + w^2 removes the
+    inverse square root at s = rho.
+    """
+    top = t + 12.0 * np.sqrt(t) + 1.0
+
+    def kernel(rho):
+        def inner(w):
+            s = rho + w * w
+            gap = 2.0 * np.sinh(0.5 * (s + rho)) * np.sinh(0.5 * w * w)  # cosh s - cosh rho
+            return s * np.exp(-s * s / (4.0 * t)) * 2.0 * w / np.sqrt(gap)
+        val = integrate.quad(inner, 0.0, np.sqrt(top), limit=200, epsrel=1e-12)[0]
+        return np.sqrt(2.0) * np.exp(-t / 4.0) * (4.0 * np.pi * t) ** -1.5 * val
+
+    return integrate.quad(lambda r: f(r) * 2.0 * np.pi * np.sinh(r) * kernel(r), 0.0, top,
+                          limit=200, epsrel=1e-10)[0]
+
+
+def table_moment(radius, survival, antiderivative):
+    """E f(rho) under the sampled law, which is uniform on each table cell."""
+    return float(np.sum(np.diff(survival) * np.diff(antiderivative(radius)) / np.diff(radius)))
+
+
+def advance(x, span, c, seed):
+    """One transition of every row of ``x`` (in place); returns (alive, rho drawn)."""
+    tables = {}
+    alive = np.ones(len(x), dtype=bool)
+    _advance_half_plane(x, alive, span, c, np.random.default_rng(seed), tables)
+    (radius, survival), = tables.values()
+    z = np.random.default_rng(seed).standard_normal((len(x), 2))
+    rho = np.interp(np.exp(-0.5 * np.sum(z * z, axis=1)), survival, radius)
+    return alive, rho
+
+
 class TestHyperbolicOracle:
-    def test_tiny_diffusivity_freezes(self):
-        rng = np.random.default_rng(4)
-        out, alive = oracle_hyperbolic_bm(1e-14, np.array([1.0]), 100, 1e-2, rng)
+    @pytest.mark.parametrize("t", [1e-6, 0.05, 1.0, 10.0, 2000.0])
+    def test_table_is_normalised(self, t):
+        radius, survival = _radial_table(t)
+        assert np.all(np.diff(survival) >= 0.0) and np.all(np.diff(radius) < 0.0)
+        assert survival[-1] == pytest.approx(1.0, abs=1e-12)
+        assert survival[0] < 1e-15
+
+    @pytest.mark.parametrize("t", [0.05, 1.0])
+    def test_table_moments_match_heat_kernel(self, t):
+        radius, survival = _radial_table(t)
+        # Laplacian(cosh rho) = 2 cosh rho, so E cosh rho_t = e^(2t).
+        assert table_moment(radius, survival, np.sinh) == pytest.approx(np.exp(2 * t), rel=1e-5)
+        assert table_moment(radius, survival, lambda r: r**3 / 3) == pytest.approx(
+            mckean_moment(t, np.square), rel=1e-5)
+        # The sampler draws from that law at heat time c dt: E cosh rho over 10^5 samples.
+        out, alive = oracle_hyperbolic_bm(2.0, np.array([t / 2]), 100_000, np.random.default_rng(4))
+        cosh = np.cosh(hyperbolic_distance(np.array([0.0, 1.0]), out[:, 0, :]))
         assert alive.all()
-        np.testing.assert_allclose(out[:, 0, 0], 0.0, atol=1e-5)
-        np.testing.assert_allclose(out[:, 0, 1], 1.0, atol=1e-5)
+        assert abs(cosh.mean() - np.exp(2 * t)) < 5 * cosh.std() / np.sqrt(cosh.size)
 
     def test_short_time_locally_euclidean(self):
-        # E rho^2 -> 2 * 2 * c * t as t -> 0; within 10% at t = 0.01, c = 2.
+        # As t -> 0 the law tends to the planar Rayleigh law, P(rho > r) = e^(-r^2/(4t)),
+        # with an O(t) correction.
+        for t in (1e-6, 1e-4, 1e-3):
+            radius, survival = _radial_table(t)
+            assert np.max(np.abs(survival - np.exp(-radius**2 / (4 * t)))) < 0.2 * t
+
+    def test_transition_moves_by_sampled_distance(self):
         rng = np.random.default_rng(5)
-        c, t = 2.0, 0.01
-        out, alive = oracle_hyperbolic_bm(c, np.array([t]), 20_000, 1e-4, rng)
-        rho = hyperbolic_distance(np.array([0.0, 1.0]), out[alive][:, 0, :])
-        assert abs((rho**2).mean() - 4 * c * t) / (4 * c * t) < 0.10
+        x = np.column_stack([rng.uniform(-5.0, 5.0, 5000), np.exp(rng.uniform(-5.0, 5.0, 5000))])
+        start = x.copy()
+        alive, rho = advance(x, 0.25, 2.0, seed=6)
+        assert alive.all() and np.all(x[:, 1] > 0.0)
+        np.testing.assert_allclose(hyperbolic_distance(start, x), rho, rtol=0, atol=1e-12)
+
+    def test_chapman_kolmogorov(self):
+        # 20 exact transitions of t/20 have the law of one transition of t.
+        c, t, m = 2.0, 0.5, 20_000
+        x0 = np.array([0.0, 1.0])
+        one, _ = oracle_hyperbolic_bm(c, np.array([t]), m, np.random.default_rng(7))
+        many, _ = oracle_hyperbolic_bm(c, np.linspace(t / 20, t, 20), m, np.random.default_rng(8))
+        _, p = ks_two_sample(hyperbolic_distance(x0, one[:, -1]), hyperbolic_distance(x0, many[:, -1]))
+        assert p > 0.01
 
     def test_law_invariant_under_isometries(self):
         # (0,1) -> (5,3) is an isometry image; the radial law is unchanged.
         rng = np.random.default_rng(6)
         c, t = 2.0, 0.25
-        a, alive_a = oracle_hyperbolic_bm(c, np.array([t]), 4000, 1e-3, rng)
-        b, alive_b = oracle_hyperbolic_bm(c, np.array([t]), 4000, 1e-3, rng,
-                                          x0=np.array([5.0, 3.0]))
+        a, alive_a = oracle_hyperbolic_bm(c, np.array([t]), 4000, rng)
+        b, alive_b = oracle_hyperbolic_bm(c, np.array([t]), 4000, rng, x0=np.array([5.0, 3.0]))
         rho_a = hyperbolic_distance(np.array([0.0, 1.0]), a[alive_a][:, 0, :])
         rho_b = hyperbolic_distance(np.array([5.0, 3.0]), b[alive_b][:, 0, :])
         stat, p = ks_two_sample(rho_a, rho_b)
         assert p > 0.01
 
-    def test_positivity_guard_aborts_unreachable_floor(self):
-        # floor above the start: every proposal violates it, halving bottoms
-        # out, and all paths abort.
-        rng = np.random.default_rng(7)
-        out, alive = oracle_hyperbolic_bm(2.0, np.array([1.0]), 50, 1e-2, rng,
-                                          x0=np.array([0.0, 1.0]), x2_floor=1.5)
-        assert not alive.any()
-
-    def test_positivity_guard_heals_large_steps(self):
-        # an oversized step triggers halving but paths stay positive.
-        rng = np.random.default_rng(17)
-        out, alive = oracle_hyperbolic_bm(2.0, np.array([5.0]), 200, 5.0, rng)
+    def test_tiny_diffusivity_freezes(self):
+        rng = np.random.default_rng(4)
+        out, alive = oracle_hyperbolic_bm(1e-14, np.array([1.0]), 100, rng)
         assert alive.all()
+        np.testing.assert_allclose(out[:, 0, 0], 0.0, atol=1e-5)
+        np.testing.assert_allclose(out[:, 0, 1], 1.0, atol=1e-5)
+
+    def test_huge_span_stays_on_half_plane(self):
+        # Heat time 10: distances near 10, every row on the half-plane.
+        out, alive = oracle_hyperbolic_bm(2.0, np.array([5.0]), 200, np.random.default_rng(17))
+        assert alive.all()
+        assert np.all(np.isfinite(out)) and np.all(out[:, 0, 1] > 0.0)
+        # Heat time 2000: e^rho overflows, so every row is dropped, and it
+        # keeps the last position it had.
+        out, alive = oracle_hyperbolic_bm(2.0, np.array([5.0, 1005.0]), 200, np.random.default_rng(17))
+        assert not alive.any()
+        np.testing.assert_array_equal(out[:, 1], out[:, 0])
         assert np.all(out[:, 0, 1] > 0.0)
 
 

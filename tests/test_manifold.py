@@ -198,6 +198,36 @@ class TestGramSchmidtMetric:
         fixed = gram_schmidt_metric(chart, x, noisy)
         assert frame_defect(chart, x, fixed) < 1e-12
 
+    @pytest.mark.parametrize("chart_name", ["hyperbolic2", "spd3"])
+    def test_matches_einsum_reference(self, chart_name):
+        # The modified Gram-Schmidt loop with einsum quadratic forms, as the
+        # reference for the component-wise products; on hyperbolic2 and on
+        # a chart with a full, point-dependent metric.
+        rng = np.random.default_rng(21)
+        if chart_name == "hyperbolic2":
+            chart, x = hyperbolic2_chart(), hyperbolic_points(rng, 500)
+        else:
+            a = rng.standard_normal((3, 3))
+
+            def metric(x):
+                s = 1.0 + np.sum(np.asarray(x) ** 2, axis=-1)[..., None, None]
+                return s * (a @ a.T + np.eye(3))
+
+            chart, x = dataclasses.replace(euclidean_chart(3), metric=metric), rng.standard_normal((500, 3))
+        u = rng.standard_normal((500, chart.dim, chart.dim))
+        g = chart.metric(x)
+        q = u.copy()
+        for l in range(chart.dim):
+            col = q[..., :, l]
+            for m in range(l):
+                prev = q[..., :, m]
+                col = col - np.einsum("...i,...ij,...j->...", col, g, prev)[..., None] * prev
+            q[..., :, l] = col / np.sqrt(np.einsum("...i,...ij,...j->...", col, g, col))[..., None]
+        out = gram_schmidt_metric(chart, x, u)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, q, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(gram_schmidt_metric(chart, x[7], u[7]), q[7], rtol=1e-10, atol=1e-12)
+
     def test_rank_deficient_rejected(self):
         chart = euclidean_chart(2)
         u = np.array([[1.0, 1.0], [0.0, 0.0]])

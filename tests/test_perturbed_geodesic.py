@@ -179,6 +179,16 @@ class TestSimulatePathsBatch:
             assert 0.0 < t <= 1.0
             assert abs(x[0]) >= 0.3
 
+    def test_aborted_path_held_at_start(self):
+        cfg = SimConfig(chart="strip-test", epsilon=0.2, t_final=1.0, seed=0)
+        out = simulate_paths(cfg, range(8))
+        assert {p: t for p, t, _ in out.aborts}[0] == pytest.approx(0.068)
+        for path_index, t, _ in out.aborts:
+            before, after = out.times < t, out.times >= t
+            assert np.all(np.abs(out.xs[before, path_index, 0]) < 0.3)
+            assert np.all(out.xs[after, path_index] == 0.0)
+            assert np.all(out.us[after, path_index] == np.eye(2))
+
 
 class TestHolderModulus:
     def test_straight_line_alpha_one_gives_speed(self):
