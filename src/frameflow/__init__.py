@@ -52,7 +52,6 @@ from .perturbed_geodesic import (
     EnsemblePaths,
     PathRecord,
     SimConfig,
-    holder_modulus,
     philox_stream,
     simulate_paths,
     simulate_rescaled_path,

@@ -10,10 +10,11 @@ position x at s = t/eps for slow times t in [0, T], so one path covers
 equation time T/eps with step h = h0 * eps (noise variance h0 per group
 step, uniformly in eps) and T/(h0 eps^2) steps in total.
 
-Each step is a Strang splitting: half a group step, a Heun (order 2) step
-of the frame ODE with the rotation frozen at its midpoint value g_mid,
-then the second half group step.  The group chain never reads the point
-or the frame; only the direction g_mid e0 reaches them.  So
+Each step is a Strang splitting: half a group step, a step of the frame
+ODE with the rotation frozen at its midpoint value g_mid (exact on
+``hyperbolic2``, Heun, of order 2, on other curved charts), then the
+second half group step.  The group chain never reads the point or the
+frame; only the direction g_mid e0 reaches them.  So
 :func:`simulate_paths`, the one stepping routine, takes each block of
 1024 steps in three stages, the last two in chunks of 128 steps:
 
@@ -27,18 +28,31 @@ or the frame; only the direction g_mid e0 reaches them.  So
    - n = 3: a unit quaternion, multiplied at each half-step by the
      closed-form quaternion exponential (a loop over half-steps of
      Hamilton products, vectorised over paths);
-   - otherwise (n >= 4, and curved n = 2 charts, whose per-step frame
-     loop costs more than the chain): rotation matrices, multiplied by
-     the matrix exponential of each half-step through ``_advance``.
+   - otherwise (n >= 4, and curved n = 2 charts): rotation matrices,
+     multiplied by the matrix exponential of each half-step through
+     ``_advance``.
 
    An angle is a rotation whatever its rounding, and a quaternion
    renormalised once per chunk gives a matrix orthogonal to the rounding
    of its norm, so only the matrix chain drifts off SO(n); it alone is
    re-projected (polar decomposition) every 1000 steps.
-3. Frame: on flat unbounded charts the frame stays u0 and the point is x0
-   plus a cumsum of h u0 g_mid e0.  Otherwise one loop over the steps does
-   the Heun frame step, on bounded charts the domain and finiteness check,
-   and the metric re-orthonormalization every ``renorm_every`` steps.
+3. Frame, in one of three ways:
+
+   - flat unbounded charts: the frame stays u0 and the point is x0 plus a
+     cumsum of h u0 g_mid e0;
+   - ``hyperbolic2``: the oriented orthonormal frame bundle of the
+     half-plane is PSL(2,R), a frame (x, u) being the Moebius map F with
+     F(i) = x and F'(i) = u, and geodesic motion along w = g_mid e0 with
+     parallel transport is right multiplication by exp(h X(w)),
+     X(w) = [[w2, w1], [w1, -w2]] / 2.  As X(w)^2 = I/4 the step is the
+     exact product F <- F [[C + S w2, S w1], [S w1, C - S w2]] with
+     C = cosh(h/2), S = sinh(h/2): no step error, no drift off the frame
+     constraint and no way off the half-plane, so ``renorm_every`` has
+     nothing to do.  F is rescaled to det 1 once per chunk, and x and u
+     are formed only where they are read;
+   - other charts: one loop over the steps does the Heun frame step, on
+     bounded charts the domain and finiteness check, and the metric
+     re-orthonormalization every ``renorm_every`` steps.
 
 :func:`simulate_rescaled_path` is the one-path view of the routine.
 
@@ -69,6 +83,8 @@ _NOISE_BLOCK = 1024
 _CHUNK = 128
 # Cadence, in steps, of the polar re-projection of the matrix chain.
 _GROUP_PROJECT_EVERY = 1000
+# Steps whose hyperbolic2 step matrices are formed at once.
+_MATS_STEPS = 16
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
@@ -89,8 +105,11 @@ class SimConfig:
     ``t_final`` is the horizon of the rescaled observation (slow clock);
     ``output_times`` defaults to 21 equispaced times in [0, t_final], and
     ``x0``/``u0``/``e0`` to the values :func:`resolve_start` fills in.
-    Every value is checked, finiteness included, when the config is built;
-    shapes, which depend on the chart, are checked when a run starts.
+    ``renorm_every`` is the cadence of the frame re-orthonormalization of
+    the Heun loop; it changes nothing on flat charts or on
+    ``hyperbolic2``, whose frames never leave the constraint.  Every value
+    is checked, finiteness included, when the config is built; shapes,
+    which depend on the chart, are checked when a run starts.
     """
 
     chart: str
@@ -359,6 +378,111 @@ def _group_chain(eng: _Engine, n_paths: int):
     return _MatrixChain(eng, n_paths)
 
 
+class _HalfPlaneFrame:
+    """hyperbolic2: the frame as a matrix F = [[a, b], [c, d]] of SL(2,R),
+    stored as (2, 2, P), stepped by the exact product of the module notes.
+
+    The start is F0 = [[sqrt(y), x/sqrt(y)], [0, 1/sqrt(y)]] K(theta/2)
+    for x0 = (x, y) and u0 = y R(theta), with K the rotation fixing i.
+    A u0 that reverses orientation is run through the mirror x1 -> -x1,
+    an isometry, and its states are mirrored back.
+    """
+
+    def __init__(self, eng: _Engine, n_paths: int):
+        (x, y), u = eng.x0, eng.u0 / eng.x0[1]
+        self.mirror = bool(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] < 0.0)
+        if self.mirror:
+            x, u = -x, u * [[-1.0], [1.0]]
+        half = 0.5 * np.arctan2(u[1, 0], u[0, 0])
+        r = np.sqrt(y)
+        cs, sn = np.cos(half), np.sin(half)
+        self.f0 = np.array([[r, x / r], [0.0, 1.0 / r]]) @ np.array([[cs, sn], [-sn, cs]])
+        self.F = np.repeat(self.f0[:, :, None], n_paths, axis=2)
+        self.cosh, self.sinh = np.cosh(0.5 * eng.h), np.sinh(0.5 * eng.h)
+        # Step matrices of a few steps at a time; a buffer kept for the whole
+        # run, so the chunk loop allocates nothing of the size of a chunk.
+        self.mats = np.empty((_MATS_STEPS, 3, n_paths))
+
+    def run(self, e_dir: np.ndarray, keep: np.ndarray, need_u: bool):
+        """Advance over a chunk of directions e_dir (P, 2, steps).
+
+        Returns x (len(keep), P, 2) and u (len(keep), P, 2, 2) (None
+        unless ``need_u``) after each chunk-local step in ``keep``, then
+        each path's first local step whose state is not finite or not above
+        the axis (``steps`` if none) and the position there.
+        """
+        n_paths, _, steps = e_dir.shape
+        fail = np.full(n_paths, steps)
+        x_fail = np.full((n_paths, 2), np.nan)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            end, kept = self.products(self.F, e_dir, keep)
+            ok = _sl2_valid(end, self.state(end, False)[0])
+            if not ok.all():
+                # Replay the failed paths step by step to find where they failed.
+                bad = np.nonzero(~ok)[0]
+                _, trail = self.products(self.F[..., bad], e_dir[bad], np.arange(steps))
+                x_trail = self.state(trail, False)[0]
+                fail[bad] = np.argmin(_sl2_valid(trail, x_trail), axis=0)
+                x_fail[bad] = x_trail[fail[bad], np.arange(bad.size)]
+            det = end[0, 0] * end[1, 1] - end[0, 1] * end[1, 0]
+            self.F = end / np.sqrt(det)
+            x, u = self.state(kept, need_u)
+        return x, u, fail, x_fail
+
+    def products(self, F: np.ndarray, e_dir: np.ndarray, keep: np.ndarray):
+        """F (2, 2, P) times the step matrix of each direction in e_dir (P, 2, steps) in turn.
+
+        Returns the final F and F after each step in ``keep``, as
+        (2, 2, len(keep), P).
+        """
+        n_paths, _, steps = e_dir.shape
+        kept = np.empty((2, 2, len(keep), n_paths))
+        # Entries [m00, m01, m11] of each symmetric step matrix, so that its
+        # rows are mat[:2] and mat[1:].
+        mats = self.mats[:, :, :n_paths]
+        i = 0
+        for j in range(steps):
+            if j % _MATS_STEPS == 0:
+                w = e_dir[:, :, j:j + _MATS_STEPS]
+                sub = mats[:w.shape[2]]
+                np.multiply(w[:, 1].T, self.sinh, out=sub[:, 0])
+                np.subtract(self.cosh, sub[:, 0], out=sub[:, 2])
+                sub[:, 0] += self.cosh
+                np.multiply(w[:, 0].T, self.sinh, out=sub[:, 1])
+            mat = mats[j % _MATS_STEPS]
+            F = F[:, :1] * mat[:2] + F[:, 1:] * mat[1:]
+            if i < len(keep) and keep[i] == j:
+                kept[:, :, i] = F
+                i += 1
+        return F, kept
+
+    def restart(self, dead: np.ndarray) -> None:
+        self.F[..., dead] = self.f0[:, :, None]
+
+    def state(self, F: np.ndarray, need_u: bool):
+        """Point F(i) (..., 2) and frame F'(i) (..., 2, 2) of F (2, 2, ...) with det 1."""
+        (a, b), (c, d) = F
+        r = 1.0 / (c * c + d * d)                       # x2
+        x = np.stack([(a * c + b * d) * r, r], axis=-1)
+        u = None
+        if need_u:
+            # F'(i) = 1/(ci + d)^2 = r (p + i s), as a conformal frame.
+            p = (d * d - c * c) * r
+            s = -2.0 * (c * d) * r
+            u = np.stack([np.stack([p, -s], axis=-1), np.stack([s, p], axis=-1)], axis=-2)
+            u *= r[..., None, None]
+        if self.mirror:
+            x[..., 0] *= -1.0
+            if u is not None:
+                u[..., 0, :] *= -1.0
+        return x, u
+
+
+def _sl2_valid(F: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Finite F (2, 2, ...) whose point x (..., 2) is finite and above the axis."""
+    return np.isfinite(F).all(axis=(0, 1)) & np.isfinite(x).all(axis=-1) & (x[..., 1] > 0.0)
+
+
 def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                    record_frames: bool = True, record_group: bool = False,
                    rngs: Sequence[np.random.Generator] | None = None,
@@ -368,7 +492,8 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     Paths are independent; path ``p`` consumes the Philox stream keyed by
     (cfg.seed, p) in a fixed per-step order, so any partition of the index
     list over calls or processes reproduces the same numbers.  A path that
-    leaves the chart domain is recorded in ``aborts`` and flagged dead in
+    leaves the chart domain, or whose state stops being finite, is recorded
+    in ``aborts`` (with the step at which it failed) and flagged dead in
     ``alive``; from then on it is held at its start state (x0, u0), which
     its later output rows show.
 
@@ -418,6 +543,7 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     # directions so far), formed only where it is read.
     cumsum_frame = eng.chart.flat and eng.chart.unbounded
     e_sum = np.zeros((n_paths, n))
+    plane = _HalfPlaneFrame(eng, n_paths) if eng.chart.name == "hyperbolic2" else None
 
     def position(total):
         return eng.x0 + eng.h * np.einsum("ij,pj->pi", eng.u0, total)
@@ -452,6 +578,32 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                     record(slot, position(sums[:, :, j + 1]), u, g_at.get(j))
                 m += steps
                 next_out = last
+                continue
+            if plane is not None:
+                wanted = keep if monitor is not None else np.unique(at)
+                xk, uk, fail, x_fail = plane.run(e_dir, wanted, us is not None or monitor is not None)
+                # Local step from which each path is held at (x0, u0).
+                dead_from = np.where(alive, fail, -1)
+                for p in np.nonzero(alive & (fail < steps))[0]:
+                    aborts.append((paths[p], (m + fail[p] + 1) * eng.slow_dt, x_fail[p]))
+                alive &= fail >= steps
+                if not alive.all():
+                    held = wanted[:, None] >= dead_from
+                    xk[held] = eng.x0
+                    if uk is not None:
+                        uk[held] = eng.u0
+                    plane.restart(~alive)
+                if monitor is not None:
+                    for j in range(steps):
+                        monitor(m + j + 1, xk[j], uk[j], g_at[j], j < dead_from)
+                for slot, j in zip(range(next_out, last), at):
+                    k = np.searchsorted(wanted, j)
+                    record(slot, xk[k], None if uk is None else uk[k], g_at.get(j))
+                m += steps
+                next_out = last
+                # Let these directions go before the next chunk's are made:
+                # holding both lifts the peak memory by a chunk of them.
+                e_dir = None
                 continue
             for j in range(steps):
                 x, u = eng.frame_step(x, u, e_dir[:, :, j])
@@ -498,29 +650,3 @@ def simulate_rescaled_path(cfg: SimConfig, path_index: int = 0,
         gs=None if out.gs is None else out.gs[:, 0, :, :],
     )
 
-
-def holder_modulus(times: np.ndarray, xs: np.ndarray, alpha: float,
-                   distance: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None) -> float:
-    """sup over sample pairs of d(x_s, x_t) / |t - s|^alpha.
-
-    ``distance`` defaults to the Euclidean norm of the chart coordinates;
-    pass the chart's model distance for curved charts.  Requires at least
-    two samples and alpha in (0, 1].
-    """
-    times = np.asarray(times, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if times.size < 2:
-        raise ConfigError("holder_modulus needs at least two samples")
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError("alpha must lie in (0, 1]")
-    if distance is None:
-        distance = lambda p, q: np.sqrt(np.sum((p - q) ** 2, axis=-1))
-    best = 0.0
-    for i in range(times.size - 1):
-        dt = times[i + 1:] - times[i]
-        good = dt > 0
-        if not np.any(good):
-            continue
-        d = np.asarray(distance(xs[i + 1:][good], xs[i][None, :]))
-        best = max(best, float(np.max(d / dt[good] ** alpha)))
-    return best

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from frameflow import (
     ConfigError,
@@ -8,8 +11,9 @@ from frameflow import (
     canonical_basis,
     chart_by_name,
     group_exp,
-    holder_modulus,
+    hyperbolic2_chart,
     hyperbolic_distance,
+    register_chart,
     simulate_paths,
     simulate_rescaled_path,
 )
@@ -190,34 +194,6 @@ class TestSimulatePathsBatch:
             assert np.all(out.us[after, path_index] == np.eye(2))
 
 
-class TestHolderModulus:
-    def test_straight_line_alpha_one_gives_speed(self):
-        times = np.linspace(0.0, 2.0, 9)
-        speed = 1.7
-        xs = np.outer(times, np.array([speed, 0.0]))
-        assert holder_modulus(times, xs, 1.0) == pytest.approx(speed, rel=1e-12)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ConfigError):
-            holder_modulus(np.array([0.0]), np.zeros((1, 2)), 0.5)
-
-    def test_refinement_diagnostics(self):
-        # One path, nested output grids (81 = 4-fold refinement of 21).
-        # Below 1/2 the modulus is stable under refinement; at 0.9 the
-        # diffusive roughness makes it grow.
-        fine_times = tuple(np.linspace(0.0, 1.0, 81))
-        cfg = SimConfig(chart="euclidean:2", epsilon=0.012, t_final=1.0, seed=9,
-                        output_times=fine_times)
-        rec = simulate_rescaled_path(cfg)
-        coarse_t, coarse_x = rec.times[::4], rec.xs[::4]
-        ratio_04 = (holder_modulus(rec.times, rec.xs, 0.4)
-                    / holder_modulus(coarse_t, coarse_x, 0.4))
-        ratio_09 = (holder_modulus(rec.times, rec.xs, 0.9)
-                    / holder_modulus(coarse_t, coarse_x, 0.9))
-        assert 0.5 <= ratio_04 <= 2.0
-        assert ratio_09 >= 2.0
-
-
 def test_h2_runs_are_conservative_at_desk_scale():
     # 1000 paths at eps = 0.05, T = 1: nobody leaves the chart and the
     # height coordinate stays bounded away from zero (numerical health
@@ -255,7 +231,10 @@ def strang_reference(cfg, path_indices):
 
     Draws each path's noise in 1024-step blocks, as the engine does, and
     records (x, u, g) at the output steps; the block engine must agree
-    with it up to rounding.
+    with it up to rounding.  The frame takes a Heun step, except on
+    hyperbolic2, where the Moebius matrix is multiplied by the
+    ``scipy.linalg.expm`` of h X(w) and x and u are read from the map and
+    its derivative at i.
     """
     chart = chart_by_name(cfg.chart)
     n = chart.dim
@@ -272,23 +251,52 @@ def strang_reference(cfg, path_indices):
     x = np.tile(x0, (len(path_indices), 1))
     u = np.tile(u0, (len(path_indices), 1, 1))
     g = np.tile(np.eye(n), (len(path_indices), 1, 1))
+    if cfg.chart == "hyperbolic2":
+        F = np.tile(moebius_from_frame(x0, u0), (len(path_indices), 1, 1))
     xs, us, gs = {}, {}, {}
     for m in range(steps + 1):
         if m > 0:
             g_mid = g @ group_exp(scale * np.einsum("pk,kij->pij", xi[:, m - 1, 0], mats) + drift)
             e_dir = g_mid @ e0
-            v1 = np.einsum("pij,pj->pi", u, e_dir)
-            udot1 = frame_transport(chart, x, v1) @ u
-            xp, up = x + h * v1, u + h * udot1
-            v2 = np.einsum("pij,pj->pi", up, e_dir)
-            udot2 = frame_transport(chart, xp, v2) @ up
-            x, u = x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
-            u = gram_schmidt_metric(chart, x, u)
+            if cfg.chart == "hyperbolic2":
+                w1, w2 = e_dir[:, 0], e_dir[:, 1]
+                F = F @ scipy.linalg.expm(0.5 * h * np.stack([np.stack([w2, w1], -1),
+                                                              np.stack([w1, -w2], -1)], -2))
+                x, u = moebius_point_and_frame(F)
+            else:
+                v1 = np.einsum("pij,pj->pi", u, e_dir)
+                udot1 = frame_transport(chart, x, v1) @ u
+                xp, up = x + h * v1, u + h * udot1
+                v2 = np.einsum("pij,pj->pi", up, e_dir)
+                udot2 = frame_transport(chart, xp, v2) @ up
+                x, u = x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
+                u = gram_schmidt_metric(chart, x, u)
             g = g_mid @ group_exp(scale * np.einsum("pk,kij->pij", xi[:, m - 1, 1], mats) + drift)
         if m in out_steps:
             xs[m], us[m], gs[m] = x, u, g
     return (np.array([xs[k] for k in out_steps]), np.array([us[k] for k in out_steps]),
             np.array([gs[k] for k in out_steps]))
+
+
+def moebius_from_frame(x0, u0):
+    """F in SL(2,R) whose Moebius map sends i to x0 with derivative u0 there.
+
+    F'(i) = 1/(ci + d)^2 fixes ci + d up to sign, and F(i) = x0 then fixes
+    ai + b = x0 (ci + d).
+    """
+    assert np.linalg.det(u0) > 0
+    zeta = 1.0 / np.sqrt(complex(u0[0, 0], u0[1, 0]))
+    omega = complex(*x0) * zeta
+    return np.array([[omega.imag, omega.real], [zeta.imag, zeta.real]])
+
+
+def moebius_point_and_frame(F):
+    """Point F(i) and frame F'(i) (as a conformal matrix) of stacked 2 x 2 matrices."""
+    a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
+    z = (a * 1j + b) / (c * 1j + d)
+    dz = (a * d - b * c) / (c * 1j + d) ** 2
+    return (np.stack([z.real, z.imag], -1),
+            np.stack([np.stack([dz.real, -dz.imag], -1), np.stack([dz.imag, dz.real], -1)], -2))
 
 
 def _rotation(n, angle):
@@ -345,3 +353,92 @@ def test_monitor_fires_every_step_on_flat_chart():
     np.testing.assert_array_equal([s[2] for s in seen], out.us[1:])
     np.testing.assert_array_equal([s[3] for s in seen], out.gs[1:])
     assert all(s[4].all() for s in seen)
+
+
+def _rk4_frame_step(chart, x, u, w, h, substeps=1000):
+    """The frame ODE x' = u w, u' = B(x, u w) u over time h by classical RK4."""
+    def rate(x, u):
+        v = u @ w
+        return v, frame_transport(chart, x, v) @ u
+
+    dt = h / substeps
+    for _ in range(substeps):
+        k1 = rate(x, u)
+        k2 = rate(x + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
+        k3 = rate(x + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
+        k4 = rate(x + dt * k3[0], u + dt * k3[1])
+        x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        u = u + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return x, u
+
+
+@pytest.mark.parametrize("x0,u0,angle", [
+    ([0.0, 1.0], np.eye(2), 0.0),
+    ([0.3, 1.5], 1.5 * _rotation(2, -0.4), 0.7),
+    ([-2.0, 0.2], 0.2 * np.array([[0.0, 1.0], [1.0, 0.0]]), 2.5),   # reverses orientation
+], ids=["base", "rotated", "reflected"])
+def test_exact_h2_step_matches_rk4(x0, u0, angle):
+    # Noise off, so one step runs the geodesic along w = e0 for time
+    # h = h0 eps = 0.1, where a Heun step is off by about 1e-4.
+    e0 = _rotation(2, angle)[:, 0]
+    cfg = every_step(1, chart="hyperbolic2", epsilon=1.0, e0=e0, x0=np.array(x0), u0=u0)
+    out = simulate_paths(cfg, [0], rngs=[ZeroNoise()])
+    x, u = _rk4_frame_step(chart_by_name("hyperbolic2"), np.array(x0, dtype=float), u0, e0, 0.1)
+    np.testing.assert_allclose(out.xs[-1, 0], x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.us[-1, 0], u, rtol=0, atol=1e-12)
+
+
+def test_h2_mirror_start_gives_mirrored_paths():
+    # x1 -> -x1 is an isometry: the run from the mirrored start is the
+    # mirror image of the run, whichever of the two frames reverses
+    # orientation.
+    mirror = np.diag([-1.0, 1.0])
+    kw = dict(chart="hyperbolic2", epsilon=0.1, t_final=0.3, seed=8, e0=_rotation(2, 0.3)[:, 0])
+    x0, u0 = np.array([0.4, 0.7]), 0.7 * _rotation(2, 1.1)
+    out = simulate_paths(SimConfig(x0=x0, u0=u0, **kw), range(4))
+    flip = simulate_paths(SimConfig(x0=mirror @ x0, u0=mirror @ u0, **kw), range(4))
+    np.testing.assert_allclose(flip.xs, out.xs @ mirror, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(flip.us, mirror @ out.us, rtol=0, atol=1e-12)
+
+
+def test_h2_overflow_aborts_at_the_failing_step():
+    # A geodesic straight down from x2 = 1e-150: at step m, c^2 + d^2 =
+    # e^(m h) / x2_0, which overflows at the step computed below (mid-chunk).
+    # The failing step's state is never shown as alive, and the path is then
+    # held at its start.
+    x0, h = np.array([0.0, 1e-150]), 0.1
+    fail = int(np.ceil(np.log(np.finfo(float).max * x0[1]) / h))
+    steps = fail + 100
+    cfg = every_step(steps, chart="hyperbolic2", epsilon=1.0, e0=np.array([0.0, -1.0]), x0=x0)
+    alive_rows = []
+
+    def monitor(m, x, u, g, alive):
+        alive_rows.append((x[alive].copy(), u[alive].copy()))
+
+    out = simulate_paths(cfg, [0], rngs=[ZeroNoise()], monitor=monitor)
+    assert not out.alive[0]
+    [(path, t, x_bad)] = out.aborts
+    assert path == 0 and abs(t / (cfg.h0 * cfg.epsilon**2) - fail) <= 1
+    assert not (np.all(np.isfinite(x_bad)) and x_bad[1] > 0.0)
+    step = int(round(t / (cfg.h0 * cfg.epsilon**2)))
+    shown = out.xs[:step, 0]
+    assert np.all(np.isfinite(shown)) and np.all(shown[:, 1] > 0.0)
+    assert np.all(np.isfinite(out.us[:step, 0]))
+    np.testing.assert_array_equal(out.xs[step:, 0], np.broadcast_to(x0, (steps + 1 - step, 2)))
+    assert len(alive_rows) == steps
+    for x, u in alive_rows:
+        assert np.all(np.isfinite(x)) and np.all(x[:, 1] > 0.0) and np.all(np.isfinite(u))
+
+
+def test_heun_loop_converges_to_exact_h2_step():
+    # A copy of the half-plane under another name runs the Heun loop; its
+    # gap to the exact step is the Heun error, which shrinks like eps^2.
+    register_chart("hyperbolic2-heun", dataclasses.replace(hyperbolic2_chart(), name="hyperbolic2-heun"))
+    gaps = {}
+    for eps in (0.1, 0.05):
+        kw = dict(epsilon=eps, t_final=0.5, seed=12, x0=np.array([0.0, 1.0]), output_times=(0.5,))
+        exact = simulate_paths(SimConfig(chart="hyperbolic2", **kw), range(20), record_frames=False)
+        heun = simulate_paths(SimConfig(chart="hyperbolic2-heun", **kw), range(20), record_frames=False)
+        gaps[eps] = float(np.median(hyperbolic_distance(exact.xs[-1], heun.xs[-1])))
+    assert gaps[0.05] < 1e-3
+    assert gaps[0.1] >= 3.0 * gaps[0.05]

@@ -39,3 +39,28 @@ def test_tracer_installs_runs_and_uninstalls():
     # One transition per row and interval, each kept.
     assert tracer.counts["homogenize.oracle.proposals"] == 100
     assert tracer.counts["homogenize.oracle.kept"] == 100
+
+
+def test_tracer_counts_two_group_half_steps_per_hyperbolic2_step():
+    # The benchmark's own tests count two traced `_advance` calls per
+    # hyperbolic2 step; the exact frame step must keep that chain and
+    # leave the traced results bitwise those of an untraced run.
+    pg = frameflow.perturbed_geodesic
+    make = lambda: frameflow.SimConfig(chart="hyperbolic2", epsilon=0.2, t_final=0.2, seed=9)  # noqa: E731
+    steps = 50                                  # t_final / (h0 eps^2)
+    plain = frameflow.simulate_paths(make(), range(3), record_group=True)
+    before = [dict(vars(m)) for m in (frameflow.homogenize, pg, frameflow.group_process,
+                                      frameflow.cli)]
+    tracer = load_tracer()
+    tracer.install(frameflow)
+    try:
+        traced = pg.simulate_paths(make(), range(3), record_group=True)
+    finally:
+        tracer.uninstall()
+    after = [dict(vars(m)) for m in (frameflow.homogenize, pg, frameflow.group_process,
+                                     frameflow.cli)]
+    assert all(a == b for a, b in zip(before, after))
+    for field in ("xs", "us", "gs", "alive"):
+        assert np.array_equal(getattr(plain, field), getattr(traced, field))
+    assert tracer.counts["perturbed_geodesic.path_steps"] == 3 * steps
+    assert tracer.self_times(0, tracer.mark())["group_process.advance"][0] == 2 * steps
