@@ -7,16 +7,20 @@ values; the library's config objects and check functions validate them,
 before any work starts.
 
 Exit codes: 0 success, 1 criterion failure, 2 configuration error,
-3 numerical abort.
+3 numerical abort.  Under ``-v`` each phase of a run logs one line with
+its seconds to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import logging
 import os
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +46,8 @@ from .homogenize import (
 from .lie_algebra import canonical_basis, casimir_sum
 from .manifold import chart_by_name
 from .perturbed_geodesic import SimConfig, philox_stream, simulate_rescaled_path
+
+_log = logging.getLogger(__name__)
 
 # Keys accepted in config files; anything else is rejected by name.
 CONFIG_KEYS = (
@@ -352,6 +358,7 @@ def cmd_ergodic(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    t_start = time.perf_counter()
     sim = cfg.sim_config()
     n_paths = cfg.paths if cfg.paths is not None else 1
     out_dir = Path(cfg.output_dir)
@@ -362,8 +369,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
         header += [f"u{i+1}{j+1}" for i in range(n) for j in range(n)]
     if cfg.with_group:
         header += [f"g{i+1}{j+1}" for i in range(n) for j in range(n)]
+    _log.info("set-up: %.3f s", time.perf_counter() - t_start)
+    simulate_s = write_s = 0.0
     for p in range(n_paths):
+        t0 = time.perf_counter()
         rec = simulate_rescaled_path(sim, path_index=p, record_group=cfg.with_group)
+        t1 = time.perf_counter()
         rows = []
         for k, t in enumerate(rec.times):
             row = [t] + list(rec.xs[k])
@@ -373,6 +384,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 row += list(rec.gs[k].reshape(-1))
             rows.append(row)
         _write_csv(out_dir / f"path_{p:04d}.csv", header, rows)
+        simulate_s += t1 - t0
+        write_s += time.perf_counter() - t1
+    _log.info("simulate: %d path(s), %.3f s", n_paths, simulate_s)
+    _log.info("write: %d path file(s), %.3f s", n_paths, write_s)
     print(f"wrote {n_paths} path file(s) to {out_dir}")
     return 0
 
@@ -380,6 +395,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_homogenize(cfg: RunConfig) -> int:
     spec = cfg.ensemble_spec()
     stats = run_ensemble(spec)
+    t_reduced = time.perf_counter()
     chart = chart_by_name(spec.sim.chart)
     n = chart.dim
     out_dir = Path(cfg.output_dir)
@@ -431,6 +447,7 @@ def cmd_homogenize(cfg: RunConfig) -> int:
         "pass": overall,
     }
     _write_json(out_dir / "summary.json", summary)
+    _log.info("write: criteria and output files, %.3f s", time.perf_counter() - t_reduced)
     for name, crit in criteria.items():
         print(f"{name}: {'PASS' if crit['pass'] else 'FAIL'}")
     print(f"wrote msd.csv, ks.csv, summary.json to {out_dir}")
@@ -442,6 +459,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep requires epsilon_list")
     spec = cfg.ensemble_spec()
     rows = epsilon_sweep(spec)
+    t_swept = time.perf_counter()
     out_dir = Path(cfg.output_dir)
     _write_csv(out_dir / "sweep.csv", ["epsilon", "msd_rel_err", "ks_stat", "ks_p"],
                ((r.epsilon, r.msd_rel_err, r.ks_stat, r.ks_p) for r in rows))
@@ -462,6 +480,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     }
     summary["pass"] = all(c["pass"] for c in summary["criteria"].values())
     _write_json(out_dir / "summary.json", summary)
+    _log.info("write: output files, %.3f s", time.perf_counter() - t_swept)
     for row in rows:
         print(f"epsilon={row.epsilon:g}  msd_rel_err={row.msd_rel_err:.4f}  "
               f"ks_stat={row.ks_stat:.4f}  ks_p={row.ks_p:.4f}")
@@ -535,6 +554,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _phase_log(verbose: int):
+    """Send frameflow's phase lines to stderr while a command runs, if ``verbose``."""
+    if not verbose:
+        yield
+        return
+    logger = logging.getLogger("frameflow")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("frameflow: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -542,7 +580,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(file=args.config, flags=flags)
         cfg.command = args.command
-        return dispatch(cfg)
+        with _phase_log(cfg.verbose):
+            return dispatch(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

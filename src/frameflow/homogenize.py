@@ -8,16 +8,21 @@ independent paths out over processes, reduces them to per-time marginal
 samples, and compares those against exact samples of the limiting
 Brownian motion (Gaussian increments on flat charts, heat-kernel
 transitions on the half-plane) with two-sample Kolmogorov-Smirnov tests.
+
+Only the KS tests need scipy, so ``scipy.stats`` is imported inside
+:func:`ks_two_sample` and :func:`ks_vs_standard_normal`: importing
+frameflow loads numpy and the standard library alone, and a process pays
+for scipy once, at its first KS test.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import ConfigError, NumericalAbort, require_finite
 from .group_process import poisson_h
@@ -29,6 +34,8 @@ from .perturbed_geodesic import (
     resolve_start,
     simulate_paths,
 )
+
+_log = logging.getLogger(__name__)
 
 MIN_ENSEMBLE_PATHS = 100
 ABORT_FRACTION_LIMIT = 0.01
@@ -117,13 +124,17 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     Deterministic given the config seed, and independent of ``jobs``:
     each path owns a counter-based stream keyed by its index.  Raises
     :class:`NumericalAbort` when more than 1% of paths leave the chart.
+    Logs the seconds of its two phases, simulate and KS reduction, at INFO.
     """
+    t_start = time.perf_counter()
     cfg = spec.sim
     chart = chart_by_name(cfg.chart)
     m_paths = spec.paths
 
     jobs = min(spec.jobs, m_paths)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, m_paths, jobs + 1).astype(int)
         tasks = [(cfg, int(lo), int(hi), record_frames)
                  for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
@@ -136,6 +147,8 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     else:
         out = simulate_paths(cfg, range(m_paths), record_frames=record_frames)
         xs, us, alive, aborts = out.xs, out.us, out.alive, out.aborts
+    t_simulated = time.perf_counter()
+    _log.info("simulate: %d paths, %.3f s", m_paths, t_simulated - t_start)
 
     if len(aborts) > ABORT_FRACTION_LIMIT * m_paths:
         raise NumericalAbort(
@@ -177,6 +190,7 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
         ks_p = np.empty(len(times))
         for k in range(len(times)):
             ks_stat[k], ks_p[k] = ks_two_sample(sim_scalar[k], oracle_scalar[k])
+    _log.info("KS reduction: %d output times, %.3f s", len(times), time.perf_counter() - t_simulated)
 
     return EnsembleStats(
         times=times,
@@ -327,13 +341,17 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     if np.ptp(a) == 0.0 and np.ptp(b) == 0.0 and a[0] == b[0]:
         # Degenerate but well-defined: identical point masses.
         return 0.0, 1.0
-    res = _scipy_stats.ks_2samp(a, b, method="asymp")
+    from scipy import stats
+
+    res = stats.ks_2samp(a, b, method="asymp")
     return float(res.statistic), float(res.pvalue)
 
 
 def ks_vs_standard_normal(z: np.ndarray) -> tuple[float, float]:
     """One-sample KS of a scalar sample against the standard normal law."""
-    res = _scipy_stats.kstest(np.asarray(z, dtype=float).ravel(), "norm")
+    from scipy import stats
+
+    res = stats.kstest(np.asarray(z, dtype=float).ravel(), "norm")
     return float(res.statistic), float(res.pvalue)
 
 

@@ -34,6 +34,12 @@ class Chart:
     ``flat`` marks charts with identically vanishing Christoffel symbols so
     integrators can skip the transport work.  ``distance``, when present,
     is the model-space distance function used for displacement statistics.
+    ``base_point`` is the default start x0 of a run, the origin when None.
+
+    The engine picks the exact half-plane frame step by ``name``, not by
+    these fields: only the chart named ``hyperbolic2`` runs it, and any
+    other curved chart, a renamed copy of :func:`hyperbolic2_chart`
+    included, runs the Heun loop.
     """
 
     name: str
@@ -47,6 +53,7 @@ class Chart:
     # Optional closed form of B[k, j] = -sum_i v_i Gamma[k, i, j]; lets the
     # integrator skip assembling the full Christoffel array per step.
     transport_rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    base_point: tuple[float, ...] | None = None
 
     def require_in_domain(self, x: np.ndarray, t: float = 0.0) -> None:
         ok = np.asarray(self.in_domain(np.asarray(x, dtype=float)))
@@ -140,6 +147,7 @@ def hyperbolic2_chart() -> Chart:
         unbounded=False,
         distance=hyperbolic_distance,
         transport_rate=transport_rate,
+        base_point=(0.0, 1.0),
     )
 
 

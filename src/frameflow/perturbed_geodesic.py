@@ -180,23 +180,19 @@ class EnsemblePaths:
 def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial point, frame and direction (x0, u0, e0) of ``cfg`` on ``chart``.
 
-    x0 defaults to the chart's base point (the origin; (0, 1) on
-    hyperbolic2), u0 to the identity, orthonormalized in the metric at x0,
-    and e0 to the first coordinate vector.  Raises :class:`ConfigError` on
+    x0 defaults to the chart's ``base_point`` (the origin unless the chart
+    sets one; (0, 1) on hyperbolic2), u0 to the identity, orthonormalized
+    in the metric at x0, and e0 to the first coordinate vector.  Raises :class:`ConfigError` on
     a shape mismatch and :class:`DomainExitError` when x0 is off the chart.
     """
     n = chart.dim
     e0 = np.eye(n)[0] if cfg.e0 is None else np.asarray(cfg.e0, dtype=float)
     if e0.shape != (n,):
         raise ConfigError(f"e0 must have shape ({n},)")
-    if cfg.x0 is None:
-        x0 = np.zeros(n)
-        if chart.name == "hyperbolic2":
-            x0[1] = 1.0
-    else:
-        x0 = np.asarray(cfg.x0, dtype=float)
-        if x0.shape != (n,):
-            raise ConfigError(f"x0 must have shape ({n},), got {x0.shape}")
+    x0 = chart.base_point if cfg.x0 is None else cfg.x0
+    x0 = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ConfigError(f"x0 must have shape ({n},), got {x0.shape}")
     chart.require_in_domain(x0)
     u0 = np.eye(n) if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
     if u0.shape != (n, n):

@@ -203,6 +203,30 @@ class TestHomogenizeCommand:
         assert (out_dir / "summary.json").exists()
 
 
+class TestVerbosePhases:
+    RUNS = {
+        "simulate": (["simulate", "--manifold", "hyperbolic2", "--epsilon", "0.1",
+                      "--t-final", "0.1", "--paths", "2"],
+                     ["set-up", "simulate", "write"]),
+        "homogenize": (["homogenize", "--manifold", "euclidean:2", "--epsilon", "0.1",
+                        "--t-final", "0.5", "--paths", "150", "--jobs", "1"],
+                       ["simulate", "KS reduction", "write"]),
+        "sweep": (["sweep", "--manifold", "hyperbolic2", "--epsilon-list", "0.2,0.1",
+                   "--t-final", "0.2", "--paths", "150", "--jobs", "1"],
+                  ["simulate", "KS reduction", "simulate", "KS reduction", "write"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_one_stderr_line_per_phase_only_under_v(self, command, tmp_path, capsys):
+        argv, phases = self.RUNS[command]
+        assert main(argv + ["--output-dir", str(tmp_path / "quiet")]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert main(argv + ["-v", "--output-dir", str(tmp_path / "verbose")]) in (0, 1)
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[1].strip() for line in lines] == phases
+        assert all(line.startswith("frameflow: ") and line.endswith(" s") for line in lines)
+
+
 class TestSweepCommand:
     def test_sweep_outputs(self, tmp_path):
         rc = main(["sweep", "--manifold", "euclidean:2",

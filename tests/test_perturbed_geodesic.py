@@ -442,3 +442,15 @@ def test_heun_loop_converges_to_exact_h2_step():
         gaps[eps] = float(np.median(hyperbolic_distance(exact.xs[-1], heun.xs[-1])))
     assert gaps[0.05] < 1e-3
     assert gaps[0.1] >= 3.0 * gaps[0.05]
+
+
+def test_renamed_chart_starts_at_its_base_point():
+    # The default x0 comes from the chart, not from its name: a renamed
+    # copy of the half-plane starts at (0, 1), on its own domain.
+    register_chart("h2copy", dataclasses.replace(hyperbolic2_chart(), name="h2copy"))
+    cfg = SimConfig(chart="h2copy", epsilon=0.1, t_final=0.01)
+    x0, _, _ = resolve_start(cfg, chart_by_name("h2copy"))
+    assert np.array_equal(x0, [0.0, 1.0])
+    out = simulate_paths(cfg, [0])
+    assert out.alive.all() and not out.aborts
+    assert np.array_equal(out.xs[0, 0], [0.0, 1.0])
