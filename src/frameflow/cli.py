@@ -41,6 +41,7 @@ from .homogenize import (
     linear_fit,
     marginal_normal_ks,
     msd_rate,
+    require_ks_reference,
     run_ensemble,
 )
 from .lie_algebra import canonical_basis, casimir_sum
@@ -124,13 +125,15 @@ class RunConfig:
         )
 
     def ensemble_spec(self, default_paths: int = 2000) -> EnsembleSpec:
-        return EnsembleSpec(
+        spec = EnsembleSpec(
             sim=self.sim_config(),
             paths=self.paths if self.paths is not None else default_paths,
             epsilon_list=self.epsilon_list,
             oracle=self.oracle,
             jobs=self.jobs if self.jobs is not None else (os.cpu_count() or 1),
         )
+        require_ks_reference(spec)
+        return spec
 
 
 def _parse_int(key: str, value, minimum: int | None = None) -> int:

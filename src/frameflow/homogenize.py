@@ -83,6 +83,14 @@ class EnsembleSpec:
         return None
 
 
+def require_ks_reference(spec: EnsembleSpec) -> None:
+    """Raise :class:`ConfigError` when ``spec``'s KS criterion has nothing to
+    test against: flat charts use the marginal normal law, curved ones an oracle."""
+    if spec.resolved_oracle() is None and not chart_by_name(spec.sim.chart).flat:
+        raise ConfigError(f"no oracle for the curved chart {spec.sim.chart!r}: "
+                          "set one (--oracle)")
+
+
 def check_epsilon_list(values) -> tuple[float, ...]:
     """``values`` as a tuple; raises :class:`ConfigError` unless finite, positive and strictly decreasing."""
     eps = tuple(float(e) for e in values)
@@ -402,14 +410,16 @@ def epsilon_sweep(spec: EnsembleSpec) -> list[SweepRow]:
     """
     if spec.epsilon_list is None:
         raise ConfigError("epsilon_sweep requires epsilon_list")
-    target = msd_rate(chart_by_name(spec.sim.chart).dim)
+    require_ks_reference(spec)
+    chart = chart_by_name(spec.sim.chart)
+    target = msd_rate(chart.dim)
     rows = []
     for eps in spec.epsilon_list:
         sim = dataclasses.replace(spec.sim, epsilon=eps)
         sub = dataclasses.replace(spec, sim=sim, epsilon_list=None)
         stats = run_ensemble(sub, record_frames=False)
         rel_err = abs(stats.msd[-1] / stats.times[-1] - target) / target
-        if spec.resolved_oracle() == "euclidean":
+        if chart.flat:
             ks_stat, ks_p = marginal_normal_ks(stats, sim)
         else:
             ks_stat, ks_p = ks_two_sample(stats.sim_scalar[-1], stats.oracle_scalar[-1])

@@ -15,10 +15,11 @@ ODE with the rotation frozen at its midpoint value g_mid (exact on
 ``hyperbolic2``, Heun, of order 2, on other curved charts), then the
 second half group step.  The group chain never reads the point or the
 frame; only the direction g_mid e0 reaches them.  So
-:func:`simulate_paths`, the one stepping routine, takes each block of
-1024 steps in three stages, the last two in chunks of 128 steps:
+:func:`simulate_paths`, the one stepping routine, takes the steps in
+chunks of 128, each in three stages:
 
-1. Draw: every path fills its row of the block from its own stream.
+1. Draw: every 256 steps, each path refills its row of the run's noise
+   buffer from its own stream.
 2. Group chain: the directions g_mid e0 of the chunk's steps, and g
    itself where an output or the ``monitor`` needs it, computed in a
    representation chosen by the dimension n and the chart:
@@ -54,14 +55,19 @@ frame; only the direction g_mid e0 reaches them.  So
      bounded charts the domain and finiteness check, and the metric
      re-orthonormalization every ``renorm_every`` steps.
 
+Every stage writes into arrays allocated once per run, so a run of P
+paths holds the noise buffer, P * 256 * 2N * 8 bytes, and a few arrays
+of a chunk's size, however many steps it takes.
+
 :func:`simulate_rescaled_path` is the one-path view of the routine.
 
 Randomness is counter-based: path p of a run with seed s draws from a
 Philox stream keyed by (s, p), consuming, per step, one vector of N
 standard normals for the first group half-step and one for the second.
-Every stage works on each path by itself, at block and chunk boundaries
-that depend on the step count alone, so results are identical however
-paths are batched or distributed.
+A stream yields the same normals however its draws are split, and every
+stage works on each path by itself, at chunk boundaries that depend on
+the step count alone, so results are identical however paths are batched
+or distributed.
 """
 
 from __future__ import annotations
@@ -76,15 +82,17 @@ from .lie_algebra import canonical_basis, project_rotation
 from .group_process import _advance, check_direction, check_drift, check_h0
 from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
 
-# Steps per noise block (per-path pre-draw granularity).  Fixed constant:
-# consumption order must not depend on batch composition.
-_NOISE_BLOCK = 1024
-# Steps per chunk of the chain and frame stages; bounds their temporaries.
+# Most steps per path per noise draw; sizes the run's noise buffer.
+_NOISE_BLOCK = 256
+# Steps per chunk of the chain and frame stages, the size of their
+# workspaces.  The quaternion renormalisation and the hyperbolic2 det
+# rescaling happen at chunk ends, so chunks start at multiples of it.
 _CHUNK = 128
 # Cadence, in steps, of the polar re-projection of the matrix chain.
 _GROUP_PROJECT_EVERY = 1000
-# Steps whose hyperbolic2 step matrices are formed at once.
-_MATS_STEPS = 16
+# Steps whose per-step factors (quaternion exponentials, hyperbolic2 step
+# matrices) are formed at once.
+_SUB = 16
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
@@ -234,10 +242,10 @@ class _Engine:
         return gram_schmidt_metric(self.chart, x, u)
 
 
-# Group chains.  ``run(xi, keep)`` advances every path over a chunk of
-# noise xi (P, steps, 2, N) and returns the midpoint directions g_mid e0 as
-# (P, n, steps), and g after each chunk-local step listed in ``keep`` as
-# (len(keep), P, n, n).
+# Group chains.  ``run(xi, keep, e_dir)`` advances every path over a chunk
+# of noise xi (P, steps, 2, N), writes the midpoint directions g_mid e0
+# into e_dir (P, n, steps) and returns g after each chunk-local step listed
+# in ``keep`` (sorted) as (len(keep), P, n, n).
 
 class _AngleChain:
     """n = 2: g = [[cos a, sin a], [-sin a, cos a]] and each half-step adds to the angle a."""
@@ -245,28 +253,31 @@ class _AngleChain:
     def __init__(self, eng: _Engine, n_paths: int):
         self.scale = eng.noise_scale * eng.basis.mats[0, 0, 1]
         self.drift = 0.0 if eng.drift_half is None else eng.drift_half[0, 1]
-        self.e0 = eng.e0
+        # g e0 = (cos(a - phi0), -sin(a - phi0)) for e0 = (cos phi0, sin phi0).
+        self.phi0 = float(np.arctan2(eng.e0[1], eng.e0[0]))
         self.angle = np.zeros(n_paths)
+        self.angles = np.empty((n_paths, 2 * _CHUNK + 1))
 
-    def run(self, xi: np.ndarray, keep: np.ndarray):
+    def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         n_paths, steps = xi.shape[:2]
         # Start angle, then the angle after each half-step.
-        angles = np.empty((n_paths, 2 * steps + 1))
+        angles = self.angles[:, :2 * steps + 1]
         angles[:, 0] = self.angle
         np.multiply(xi.reshape(n_paths, 2 * steps), self.scale, out=angles[:, 1:])
         if self.drift:
             angles[:, 1:] += self.drift
         np.cumsum(angles, axis=1, out=angles)
         # Carried modulo 2 pi, so its rounding does not grow with the walk.
-        self.angle = np.remainder(angles[:, -1], 2.0 * np.pi)
-        mid = angles[:, 1::2]
-        c, s = np.cos(mid), np.sin(mid)
-        e0 = self.e0
-        e_dir = np.stack([c * e0[0] + s * e0[1], c * e0[1] - s * e0[0]], axis=1)
+        np.remainder(angles[:, -1], 2.0 * np.pi, out=self.angle)
         full = angles[:, 2::2][:, keep].T
         ck, sk = np.cos(full), np.sin(full)
         g = np.stack([np.stack([ck, sk], axis=-1), np.stack([-sk, ck], axis=-1)], axis=-2)
-        return e_dir, g
+        mid = angles[:, 1::2]
+        mid -= self.phi0
+        np.cos(mid, out=e_dir[:, 0])
+        np.sin(mid, out=e_dir[:, 1])
+        np.negative(e_dir[:, 1], out=e_dir[:, 1])
+        return g
 
 
 def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -310,34 +321,50 @@ class _QuaternionChain:
         self.e0 = eng.e0
         self.q = np.zeros((4, n_paths))
         self.q[0] = 1.0
+        # Step-major: the product loop reads contiguous (4, P) rows.
+        self.w = np.empty((_SUB, 2, 3, n_paths))
+        self.angle = np.empty((_SUB, 2, n_paths))
+        self.ratio = np.empty((_SUB, 2, n_paths))
+        self.dq = np.empty((_SUB, 2, 4, n_paths))
+        self.qs = np.empty((_SUB, 2, 4, n_paths))
 
-    def run(self, xi: np.ndarray, keep: np.ndarray):
+    def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         n_paths, steps = xi.shape[:2]
-        # Step-major from here on: the product loop reads contiguous (4, P) rows.
-        w = np.empty((steps, 2, 3, n_paths))
-        for j in range(3):
-            np.multiply(xi[..., self.source[j]].transpose(1, 2, 0), self.coef[j], out=w[:, :, j])
-        if self.drift is not None:
-            w += self.drift[:, None]
-        angle = np.sqrt(np.sum(w * w, axis=2))
-        half = 0.5 * angle
-        dq = np.empty((steps, 2, 4, n_paths))
-        np.cos(half, out=dq[:, :, 0])
-        # sin(angle/2) / angle, which tends to 1/2 as the angle vanishes.
-        ratio = np.divide(np.sin(half), angle, out=np.full_like(angle, 0.5), where=angle > 0)
-        np.multiply(w, ratio[:, :, None], out=dq[:, :, 1:])
-        qs = np.empty_like(dq)
+        g = np.empty((len(keep), n_paths, 3, 3))
         q = self.q
-        for j in range(steps):
-            for k in (0, 1):
-                _hamilton(q, dq[j, k], qs[j, k])
-                q = qs[j, k]
+        for lo in range(0, steps, _SUB):
+            sub = min(_SUB, steps - lo)
+            w, angle, ratio, dq, qs = (a[:sub] for a in (self.w, self.angle, self.ratio,
+                                                         self.dq, self.qs))
+            for j in range(3):
+                np.multiply(xi[:, lo:lo + sub, :, self.source[j]].transpose(1, 2, 0),
+                            self.coef[j], out=w[:, :, j])
+            if self.drift is not None:
+                w += self.drift[:, None]
+            # The vector part of dq holds w * w until it is formed.
+            np.multiply(w, w, out=dq[:, :, 1:])
+            np.sqrt(np.sum(dq[:, :, 1:], axis=2, out=angle), out=angle)
+            half = np.multiply(angle, 0.5, out=dq[:, :, 0])
+            # sin(angle/2) / angle, which tends to 1/2 as the angle vanishes.
+            moving = angle > 0
+            np.divide(np.sin(half, out=ratio), angle, out=ratio, where=moving)
+            ratio[~moving] = 0.5
+            np.cos(half, out=half)
+            np.multiply(w, ratio[:, :, None], out=dq[:, :, 1:])
+            for j in range(sub):
+                for k in (0, 1):
+                    _hamilton(q, dq[j, k], qs[j, k])
+                    q = qs[j, k]
+            mid = np.moveaxis(qs[:, 0], 1, 0)
+            for i, c in enumerate(_quaternion_rotate(mid, self.e0)):
+                e_dir[:, i, lo:lo + sub] = c.T
+            first, last = np.searchsorted(keep, [lo, lo + sub])
+            if last > first:
+                full = np.moveaxis(qs[keep[first:last] - lo, 1], 1, 0)
+                g[first:last] = np.stack([np.stack(_quaternion_rotate(full, e), axis=-1)
+                                          for e in np.eye(3)], axis=-1)
         self.q = q / np.sqrt(np.sum(q * q, axis=0))
-        mid = np.moveaxis(qs[:, 0], 1, 0)
-        e_dir = np.stack([c.T for c in _quaternion_rotate(mid, self.e0)], axis=1)
-        full = np.moveaxis(qs[keep, 1], 1, 0)
-        g = np.stack([np.stack(_quaternion_rotate(full, e), axis=-1) for e in np.eye(3)], axis=-1)
-        return e_dir, g
+        return g
 
 
 class _MatrixChain:
@@ -347,11 +374,12 @@ class _MatrixChain:
         self.eng = eng
         self.g = np.tile(np.eye(eng.n), (n_paths, 1, 1))
         self.steps = 0
+        self.mids = np.empty((_CHUNK, n_paths, eng.n, eng.n))
 
-    def run(self, xi: np.ndarray, keep: np.ndarray):
+    def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         eng = self.eng
         n_paths, steps = xi.shape[:2]
-        mids = np.empty((steps, n_paths, eng.n, eng.n))
+        mids = self.mids[:steps]
         kept = np.empty((len(keep), n_paths, eng.n, eng.n))
         i = 0
         for j in range(steps):
@@ -363,7 +391,8 @@ class _MatrixChain:
             if i < len(keep) and keep[i] == j:
                 kept[i] = self.g
                 i += 1
-        return np.einsum("spij,j->pis", mids, eng.e0), kept
+        np.einsum("spij,j->pis", mids, eng.e0, out=e_dir)
+        return kept
 
 
 def _group_chain(eng: _Engine, n_paths: int):
@@ -395,9 +424,8 @@ class _HalfPlaneFrame:
         self.f0 = np.array([[r, x / r], [0.0, 1.0 / r]]) @ np.array([[cs, sn], [-sn, cs]])
         self.F = np.repeat(self.f0[:, :, None], n_paths, axis=2)
         self.cosh, self.sinh = np.cosh(0.5 * eng.h), np.sinh(0.5 * eng.h)
-        # Step matrices of a few steps at a time; a buffer kept for the whole
-        # run, so the chunk loop allocates nothing of the size of a chunk.
-        self.mats = np.empty((_MATS_STEPS, 3, n_paths))
+        # Step matrices of a few steps at a time, kept for the whole run.
+        self.mats = np.empty((_SUB, 3, n_paths))
 
     def run(self, e_dir: np.ndarray, keep: np.ndarray, need_u: bool):
         """Advance over a chunk of directions e_dir (P, 2, steps).
@@ -438,14 +466,14 @@ class _HalfPlaneFrame:
         mats = self.mats[:, :, :n_paths]
         i = 0
         for j in range(steps):
-            if j % _MATS_STEPS == 0:
-                w = e_dir[:, :, j:j + _MATS_STEPS]
+            if j % _SUB == 0:
+                w = e_dir[:, :, j:j + _SUB]
                 sub = mats[:w.shape[2]]
                 np.multiply(w[:, 1].T, self.sinh, out=sub[:, 0])
                 np.subtract(self.cosh, sub[:, 0], out=sub[:, 2])
                 sub[:, 0] += self.cosh
                 np.multiply(w[:, 0].T, self.sinh, out=sub[:, 1])
-            mat = mats[j % _MATS_STEPS]
+            mat = mats[j % _SUB]
             F = F[:, :1] * mat[:2] + F[:, 1:] * mat[1:]
             if i < len(keep) and keep[i] == j:
                 kept[:, :, i] = F
@@ -494,7 +522,10 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     its later output rows show.
 
     ``rngs``, one generator per path, replaces the Philox streams (noise
-    injection in the test-suite).  ``monitor(step_index, x, u, g, alive)``
+    injection in the test-suite).  Each is called as
+    ``standard_normal(size, out=...)``, with the size by position, and must
+    fill ``out`` with that many standard normals, as
+    :class:`numpy.random.Generator` does.  ``monitor(step_index, x, u, g, alive)``
     is invoked after every step when provided (constraint-defect tracking
     in the test-suite).
     """
@@ -535,23 +566,29 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
         next_out += 1
 
     chain = _group_chain(eng, n_paths)
+    # The chain writes a chunk's directions into columns 1.. of ``dirs``.
     # Flat and unbounded: u stays u0 and x is x0 + h u0 (sum of the
-    # directions so far), formed only where it is read.
+    # directions so far), formed only where it is read; column 0 carries
+    # that sum from chunk to chunk.
     cumsum_frame = eng.chart.flat and eng.chart.unbounded
-    e_sum = np.zeros((n_paths, n))
+    dirs = np.zeros((n_paths, n, _CHUNK + 1))
     plane = _HalfPlaneFrame(eng, n_paths) if eng.chart.name == "hyperbolic2" else None
 
     def position(total):
         return eng.x0 + eng.h * np.einsum("ij,pj->pi", eng.u0, total)
 
     check_domain = not eng.chart.unbounded
-    noise = np.empty((n_paths, min(_NOISE_BLOCK, n_steps), 2, n_noise))
+    # Whole chunks of noise per refill, so chunks start at multiples of _CHUNK.
+    span = min(n_steps, -(-_NOISE_BLOCK // _CHUNK) * _CHUNK)
+    noise = np.empty((n_paths, span, 2, n_noise))
     m = 0
     while m < n_steps:
-        block = min(_NOISE_BLOCK, n_steps - m)
-        # One draw per path per block keeps per-path stream order fixed.
+        block = min(span, n_steps - m)
         for row, r in zip(noise, rngs):
-            row[:block] = r.standard_normal((block, 2, n_noise))
+            for lo in range(0, block, _NOISE_BLOCK):
+                hi = min(lo + _NOISE_BLOCK, block)
+                # Shape passed by position: stand-in generators read it there.
+                r.standard_normal((hi - lo, 2, n_noise), out=row[lo:hi])
         for lo in range(0, block, _CHUNK):
             xi = noise[:, lo:min(lo + _CHUNK, block)]
             steps = xi.shape[1]
@@ -562,16 +599,18 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                 keep = np.arange(steps)
             else:
                 keep = np.unique(at) if record_group else at[:0]
-            e_dir, g_kept = chain.run(xi, keep)
+            e_dir = dirs[:, :, 1:steps + 1]
+            g_kept = chain.run(xi, keep, e_dir)
             g_at = dict(zip(keep.tolist(), g_kept))
             if cumsum_frame:
-                sums = np.cumsum(np.concatenate([e_sum[:, :, None], e_dir], axis=2), axis=2)
-                e_sum = sums[:, :, -1]
+                sums = dirs[:, :, :steps + 1]
+                np.cumsum(sums, axis=2, out=sums)
                 if monitor is not None:
                     for j in range(steps):
                         monitor(m + j + 1, position(sums[:, :, j + 1]), u, g_at[j], alive)
                 for slot, j in zip(range(next_out, last), at):
                     record(slot, position(sums[:, :, j + 1]), u, g_at.get(j))
+                dirs[:, :, 0] = sums[:, :, -1]
                 m += steps
                 next_out = last
                 continue
@@ -597,9 +636,6 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                     record(slot, xk[k], None if uk is None else uk[k], g_at.get(j))
                 m += steps
                 next_out = last
-                # Let these directions go before the next chunk's are made:
-                # holding both lifts the peak memory by a chunk of them.
-                e_dir = None
                 continue
             for j in range(steps):
                 x, u = eng.frame_step(x, u, e_dir[:, :, j])

@@ -1,5 +1,9 @@
+import dataclasses
+
 import pytest
 
+from frameflow import (ConfigError, EnsembleSpec, SimConfig, epsilon_sweep, euclidean_chart,
+                       hyperbolic2_chart, manifold)
 from frameflow.cli import main
 
 
@@ -16,3 +20,35 @@ def test_invalid_input_exits_2_with_reason(argv, message, tmp_path, capsys):
     # Checked by the library before any work starts: no traceback, exit 2.
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """Renamed copies of the built-in charts, registered for one test only."""
+    for name, chart in (("h2-copy", hyperbolic2_chart()), ("flat-copy", euclidean_chart(2))):
+        monkeypatch.setitem(manifold._CUSTOM_CHARTS, name, dataclasses.replace(chart, name=name))
+
+
+@pytest.mark.parametrize("command", [["homogenize", "--epsilon", "0.2"],
+                                     ["sweep", "--epsilon-list", "0.3,0.2"]])
+def test_curved_chart_without_oracle_exits_2(command, copies, tmp_path, capsys):
+    # Only the built-in half-plane has a default oracle: with none, the KS
+    # criterion of a curved chart has nothing to test against.
+    argv = command + ["--manifold", "h2-copy", "--t-final", "0.2", "--paths", "100",
+                      "--jobs", "1", "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "'h2-copy'" in capsys.readouterr().err
+
+
+def test_library_sweep_without_oracle_raises_config_error(copies):
+    sim = SimConfig(chart="h2-copy", epsilon=0.3, t_final=0.2)
+    with pytest.raises(ConfigError, match="'h2-copy'"):
+        epsilon_sweep(EnsembleSpec(sim=sim, paths=100, epsilon_list=(0.3, 0.2), jobs=1))
+
+
+def test_sweep_on_registered_flat_chart_runs_the_marginal_ks(copies, tmp_path):
+    assert main(["sweep", "--manifold", "flat-copy", "--epsilon-list", "0.3,0.2",
+                 "--t-final", "0.2", "--paths", "100", "--jobs", "1",
+                 "--output-dir", str(tmp_path)]) in (0, 1)
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "epsilon,msd_rel_err,ks_stat,ks_p" and len(rows) == 3

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from frameflow import (
     simulate_paths,
     simulate_rescaled_path,
 )
+from frameflow import perturbed_geodesic
 from frameflow.manifold import frame_transport, gram_schmidt_metric
 from frameflow.perturbed_geodesic import philox_stream, resolve_start
 
@@ -24,8 +26,11 @@ from frameflow.perturbed_geodesic import philox_stream, resolve_start
 class ZeroNoise:
     """Stand-in generator for ``simulate_paths(rngs=...)``: noise off."""
 
-    def standard_normal(self, shape):
-        return np.zeros(shape)
+    def standard_normal(self, shape, out=None):
+        if out is None:
+            return np.zeros(shape)
+        out.fill(0.0)
+        return out
 
 
 def every_step(steps, **kw):
@@ -229,9 +234,10 @@ def test_batch_invariance_n4():
 def strang_reference(cfg, path_indices):
     """The Strang step written out one step at a time with matrix exponentials.
 
-    Draws each path's noise in 1024-step blocks, as the engine does, and
-    records (x, u, g) at the output steps; the block engine must agree
-    with it up to rounding.  The frame takes a Heun step, except on
+    Draws each path's noise in one call, where the engine draws a few
+    hundred steps at a time (a Philox stream gives the same normals
+    however its draws are split), and records (x, u, g) at the output
+    steps; the block engine must agree with it up to rounding.  The frame takes a Heun step, except on
     hyperbolic2, where the Moebius matrix is multiplied by the
     ``scipy.linalg.expm`` of h X(w) and x and u are read from the map and
     its derivative at i.
@@ -245,9 +251,8 @@ def strang_reference(cfg, path_indices):
     x0, u0, e0 = resolve_start(cfg, chart)
     steps = int(round(cfg.t_final / (cfg.h0 * cfg.epsilon**2)))
     out_steps = np.rint(np.asarray(cfg.output_times) / (cfg.h0 * cfg.epsilon**2)).astype(int)
-    xi = np.stack([np.concatenate([rng.standard_normal((min(1024, steps - lo), 2, len(mats)))
-                                   for lo in range(0, steps, 1024)])
-                   for rng in (philox_stream(cfg.seed, p) for p in path_indices)])
+    xi = np.stack([philox_stream(cfg.seed, p).standard_normal((steps, 2, len(mats)))
+                   for p in path_indices])
     x = np.tile(x0, (len(path_indices), 1))
     u = np.tile(u0, (len(path_indices), 1, 1))
     g = np.tile(np.eye(n), (len(path_indices), 1, 1))
@@ -309,14 +314,16 @@ def _rotation(n, angle):
 
 @pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "hyperbolic2"])
 def test_block_engine_matches_per_step_reference(chart):
-    # 2,500 steps cross two noise-block edges; outputs fall mid-block,
-    # on chunk edges and exactly on both block edges.
+    # 2,500 steps cross several noise-draw edges; outputs fall mid-chunk,
+    # on both sides of the 16-step sub-chunk, 128-step chunk and 256-step
+    # draw edges, and on 1024-step edges.
     n = chart_by_name(chart).dim
     x0 = [0.3, 1.5] if chart == "hyperbolic2" else [0.3, -0.2, 0.1, 0.0][:n]
     e0 = _rotation(n, 0.7)[:, 0]
     abar = 0.8 * (_rotation(n, np.pi / 2) - _rotation(n, np.pi / 2).T)
     slow_dt = 0.1 * 0.05**2
-    out_steps = [0, 1, 128, 500, 1023, 1024, 1500, 2048, 2049, 2500]
+    out_steps = [0, 1, 15, 16, 17, 127, 128, 129, 255, 256, 257, 500, 1023, 1024, 1500, 2048,
+                 2049, 2500]
     cfg = SimConfig(chart=chart, epsilon=0.05, t_final=2500 * slow_dt, seed=21, e0=e0, abar=abar,
                     x0=np.array(x0), u0=_rotation(n, -0.4),
                     output_times=tuple(k * slow_dt for k in out_steps))
@@ -325,6 +332,40 @@ def test_block_engine_matches_per_step_reference(chart):
     np.testing.assert_allclose(out.xs, ref_x, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(out.us, ref_u, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(out.gs, ref_g, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [64, 1024])
+@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "hyperbolic2",
+                                   "strip-test"])
+def test_noise_draw_size_leaves_paths_bitwise_unchanged(chart, block, monkeypatch):
+    # 1,300 steps: the draws split a stream at other steps than the default
+    # 256 (below and above the 128-step chunk), and the workspaces are
+    # reused across a different number of chunks per draw.
+    n = chart_by_name(chart).dim
+    cfg = SimConfig(chart=chart, epsilon=0.05, t_final=1300 * 0.1 * 0.05**2, seed=4,
+                    e0=_rotation(n, 0.3)[:, 0], output_times=(0.1, 0.2, 0.3),
+                    x0=np.array([0.2, 1.0]) if chart == "hyperbolic2" else None)
+    default = simulate_paths(cfg, range(5), record_group=True)
+    monkeypatch.setattr(perturbed_geodesic, "_NOISE_BLOCK", block)
+    other = simulate_paths(cfg, range(5), record_group=True)
+    for field in ("xs", "us", "gs", "alive"):
+        np.testing.assert_array_equal(getattr(other, field), getattr(default, field))
+
+
+def test_simulate_paths_memory_is_bounded_by_its_workspaces():
+    # 500 paths of 1,200 steps on euclidean:3.  The workspaces (a 256-step
+    # noise buffer, the chunk's directions, the quaternion sub-chunk
+    # factors) peak at 11.4 MB; 1024-step noise blocks and chain
+    # temporaries made afresh for every chunk peaked at 47.6 MB.
+    cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=1.2, seed=2)
+    simulate_paths(cfg, range(2))
+    tracemalloc.start()
+    try:
+        simulate_paths(cfg, range(500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "hyperbolic2"])
