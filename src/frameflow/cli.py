@@ -41,7 +41,6 @@ from .homogenize import (
     linear_fit,
     marginal_normal_ks,
     msd_rate,
-    require_ks_reference,
     run_ensemble,
 )
 from .lie_algebra import canonical_basis, casimir_sum
@@ -53,7 +52,7 @@ _log = logging.getLogger(__name__)
 # Keys accepted in config files; anything else is rejected by name.
 CONFIG_KEYS = (
     "manifold", "dim", "epsilon", "epsilon_list", "e0", "abar", "t_final", "h0",
-    "renorm_every", "seed", "paths", "output_times", "output_dir", "oracle",
+    "seed", "paths", "output_times", "output_dir",
 )
 
 MSD_TOLERANCE = 0.10
@@ -74,12 +73,10 @@ class RunConfig:
     abar: str = "0"
     t_final: float | None = None
     h0: float = 0.1
-    renorm_every: int = 1
     seed: int = 0
     paths: int | None = None
     output_times: str | None = None
     output_dir: str = "out"
-    oracle: str | None = None
     jobs: int | None = None
     samples: int = 100_000
     reps: int = 16
@@ -119,21 +116,17 @@ class RunConfig:
             e0=self.e0_vector(n),
             abar=self.abar_matrix(n),
             h0=self.h0,
-            renorm_every=self.renorm_every,
             seed=self.seed,
             output_times=self.output_times_tuple(t_final),
         )
 
     def ensemble_spec(self, default_paths: int = 2000) -> EnsembleSpec:
-        spec = EnsembleSpec(
+        return EnsembleSpec(
             sim=self.sim_config(),
             paths=self.paths if self.paths is not None else default_paths,
             epsilon_list=self.epsilon_list,
-            oracle=self.oracle,
             jobs=self.jobs if self.jobs is not None else (os.cpu_count() or 1),
         )
-        require_ks_reference(spec)
-        return spec
 
 
 def _parse_int(key: str, value, minimum: int | None = None) -> int:
@@ -236,12 +229,10 @@ def parse_config(file: str | None = None, flags: dict | None = None,
         "abar": lambda v: str(v),
         "t_final": lambda v: _parse_float("t_final", v, positive=True),
         "h0": lambda v: check_h0(_parse_float("h0", v, positive=True)),
-        "renorm_every": lambda v: _parse_int("renorm_every", v, minimum=1),
         "seed": lambda v: _parse_int("seed", v),
         "paths": lambda v: _parse_int("paths", v, minimum=1),
         "output_times": lambda v: str(v),
         "output_dir": lambda v: str(v),
-        "oracle": _parse_oracle,
         "jobs": lambda v: _parse_int("jobs", v, minimum=1),
         "samples": lambda v: _parse_int("samples", v, minimum=1000),
         "reps": lambda v: _parse_int("reps", v, minimum=2),
@@ -256,15 +247,6 @@ def parse_config(file: str | None = None, flags: dict | None = None,
     # Chart name sanity (raises with the offending name).
     chart_by_name(cfg.manifold)
     return cfg
-
-
-def _parse_oracle(value) -> str | None:
-    text = str(value).strip().lower()
-    if text in ("", "none", "auto"):
-        return None
-    if text not in ("euclidean", "hyperbolic"):
-        raise ConfigError(f"oracle: expected euclidean, hyperbolic, or auto, got {value!r}")
-    return text
 
 
 def _parse_epsilon_list(value) -> tuple[float, ...]:
@@ -305,7 +287,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_verify_algebra(cfg: RunConfig) -> int:
-    n = cfg.dim if cfg.dim is not None else cfg.resolve_dim()
+    n = cfg.resolve_dim()
     basis = canonical_basis(n)
     gram_defect = basis.gram_defect()
     target = -((n - 1) / 2.0) * np.eye(n)
@@ -318,7 +300,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
 
 
 def cmd_haar(cfg: RunConfig) -> int:
-    n = cfg.dim if cfg.dim is not None else cfg.resolve_dim()
+    n = cfg.resolve_dim()
     e0 = cfg.e0_vector(n)
     rng = philox_stream(cfg.seed, 0)
     est, se = haar_moment_stats(n, e0, cfg.samples, rng)
@@ -332,12 +314,12 @@ def cmd_haar(cfg: RunConfig) -> int:
 
 
 def cmd_ergodic(cfg: RunConfig) -> int:
-    n = cfg.dim if cfg.dim is not None else cfg.resolve_dim()
+    n = cfg.resolve_dim()
     e0 = cfg.e0_vector(n)
     t_avg = 400.0 if cfg.t_final is None else cfg.t_final
     require_finite("t_final", t_avg)
     basis = canonical_basis(n)
-    gcfg = GroupSdeConfig(basis=basis, epsilon=1.0, abar=cfg.abar_matrix(n), h=cfg.h0)
+    gcfg = GroupSdeConfig(basis=basis, abar=cfg.abar_matrix(n), h=cfg.h0)
     rng = philox_stream(cfg.seed, 0)
 
     pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -403,12 +385,10 @@ def cmd_homogenize(cfg: RunConfig) -> int:
     n = chart.dim
     out_dir = Path(cfg.output_dir)
 
-    oracle_col = stats.oracle_msd if stats.oracle_msd is not None else np.full_like(stats.msd, np.nan)
     _write_csv(out_dir / "msd.csv", ["t", "msd", "stderr", "oracle_msd"],
-               zip(stats.times, stats.msd, stats.msd_stderr, oracle_col))
-    if stats.ks_stat is not None:
-        _write_csv(out_dir / "ks.csv", ["t", "statistic", "p"],
-                   zip(stats.times, stats.ks_stat, stats.ks_p))
+               zip(stats.times, stats.msd, stats.msd_stderr, stats.oracle_msd))
+    _write_csv(out_dir / "ks.csv", ["t", "statistic", "p"],
+               zip(stats.times, stats.ks_stat, stats.ks_p))
 
     criteria: dict = {}
     positive = stats.times > 0
@@ -527,13 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abar", help="drift: 0, canonical:<k>, or basis coefficients")
         p.add_argument("--t-final", dest="t_final", type=float, help="slow-clock horizon")
         p.add_argument("--h0", type=float, help="fast-clock step factor in (0, 0.1]")
-        p.add_argument("--renorm-every", dest="renorm_every", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--paths", type=int)
         p.add_argument("--output-times", dest="output_times",
                        help="count or comma list of times in [0, t_final]")
         p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--oracle", help="euclidean, hyperbolic, or auto")
         p.add_argument("--jobs", type=int, help="parallel workers (results identical)")
         p.add_argument("--samples", type=int, help="sample count for haar")
         p.add_argument("--reps", type=int, help="repetition count for ergodic")

@@ -4,9 +4,12 @@ The noise process solves the Stratonovich equation
 
     dg = (1/sqrt(eps)) sum_k g A_k o dw^k + g Abar dt,   g(0) = I,
 
-for an orthonormal skew basis {A_k}.  One integrator step multiplies g by
-the exponential of the sampled increment, so every iterate is a rotation
-matrix by construction (geometric exponential Euler, weak order 1).
+for an orthonormal skew basis {A_k}.  :class:`GroupSdeConfig` runs it at
+eps = 1, the equation clock; the rescaled simulation of
+:mod:`perturbed_geodesic` runs it at the eps of its paths.  One
+integrator step multiplies g by the exponential of the sampled increment,
+so every iterate is a rotation matrix by construction (geometric
+exponential Euler, weak order 1).
 
 The companion functions expose the identities that pin down the effective
 diffusion constant: the linear statistic alpha_i(g) = <g e0, e_i> is an
@@ -17,7 +20,6 @@ delta_ij / n.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,34 +63,25 @@ def check_drift(abar, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupSdeConfig:
-    """Parameters of the group diffusion and its integrator.
+    """Parameters of the group diffusion at epsilon = 1 and its integrator.
 
-    ``h`` is the integration step in the equation's own time variable; the
-    per-step noise variance h/epsilon is the fast-clock step, which MAX_H0
-    bounds so that the single-exponential step stays accurate.
+    ``h`` is the integration step and so the noise variance of one step;
+    :func:`check_h0` bounds it by MAX_H0 so that the single-exponential
+    step stays accurate.
     """
 
     basis: SkewBasis
-    epsilon: float = 1.0
     abar: np.ndarray | None = None
     h: float = 0.1
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ConfigError("epsilon must be positive")
-        require_finite("epsilon", self.epsilon)
-        if not self.h > 0.0:
-            raise ConfigError("step h must be positive")
-        # h/epsilon is a computed ratio: allow it a rounding error over MAX_H0.
-        if self.h / self.epsilon > MAX_H0 * (1.0 + 1e-12):
-            raise ConfigError(
-                f"fast-clock step h/epsilon = {self.h / self.epsilon:g} exceeds MAX_H0 = {MAX_H0:g}")
+        check_h0(self.h)
         if self.abar is not None:
             object.__setattr__(self, "abar", check_drift(self.abar, self.basis.dim))
 
     @property
     def noise_scale(self) -> float:
-        return float(np.sqrt(self.h / self.epsilon))
+        return float(np.sqrt(self.h))
 
     def drift_term(self) -> np.ndarray | None:
         """h * Abar, the deterministic part of the per-step exponent."""
@@ -98,7 +91,7 @@ class GroupSdeConfig:
 
 
 def step_group(g: np.ndarray, cfg: GroupSdeConfig, xi: np.ndarray) -> np.ndarray:
-    """One geometric integrator step: g <- g exp(sqrt(h/eps) sum xi_k A_k + h Abar).
+    """One geometric integrator step: g <- g exp(sqrt(h) sum xi_k A_k + h Abar).
 
     ``g`` may be a stack (..., n, n) with matching leading axes on ``xi``
     (..., N); standard normals in ``xi`` are the caller's responsibility.
@@ -144,26 +137,25 @@ def ergodic_average_repetitions(f: Callable[[np.ndarray], np.ndarray], cfg: Grou
     ``f`` receives the (reps, n, n) stack and returns a (..., reps) array;
     the result has shape (len(checkpoints), ..., reps) and row j holds the
     averages (1/t_j) int_0^{t_j} f(g_s) ds.  Checkpoints must sit on the
-    step grid.  The paths run at epsilon = 1 (the equation clock, in which
-    the law-of-large-numbers bound is stated); cfg supplies the basis, the
-    drift and the step size.
+    step grid.  Like every :class:`GroupSdeConfig` run, the paths run at
+    epsilon = 1, the equation clock in which the law-of-large-numbers
+    bound is stated.
     """
     checkpoints = require_finite("checkpoints", np.atleast_1d(checkpoints))
     if np.any(checkpoints <= 0) or np.any(np.diff(checkpoints) <= 0):
         raise ConfigError("checkpoints must be positive and strictly increasing")
-    cfg1 = dataclasses.replace(cfg, epsilon=1.0)
     n = cfg.basis.dim
     n_basis = len(cfg.basis)
 
-    marks = np.rint(checkpoints / cfg1.h).astype(int)
-    if np.max(np.abs(marks * cfg1.h - checkpoints)) > 1e-9 * max(1.0, checkpoints[-1]):
+    marks = np.rint(checkpoints / cfg.h).astype(int)
+    if np.max(np.abs(marks * cfg.h - checkpoints)) > 1e-9 * max(1.0, checkpoints[-1]):
         raise ConfigError("checkpoints must sit on the step grid")
     g = np.broadcast_to(np.eye(n), (reps, n, n)).copy()
     acc = 0.0
     out = []
     for m in range(marks[-1]):
-        acc = acc + f(g) * cfg1.h
-        g = step_group(g, cfg1, rng.standard_normal((reps, n_basis)))
+        acc = acc + f(g) * cfg.h
+        g = step_group(g, cfg, rng.standard_normal((reps, n_basis)))
         while len(out) < len(marks) and m + 1 == marks[len(out)]:
             out.append(acc / checkpoints[len(out)])
     return np.array(out)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalAbort, require_finite
 from .group_process import poisson_h
-from .manifold import chart_by_name
+from .manifold import Chart, chart_by_name
 from .perturbed_geodesic import (
     ORACLE_STREAM_BASE,
     SimConfig,
@@ -39,7 +39,6 @@ _log = logging.getLogger(__name__)
 
 MIN_ENSEMBLE_PATHS = 100
 ABORT_FRACTION_LIMIT = 0.01
-_ORACLES = ("euclidean", "hyperbolic")
 
 
 def effective_diffusivity(n: int) -> float:
@@ -54,12 +53,15 @@ def msd_rate(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
-    """An ensemble experiment: a base path config plus statistical knobs."""
+    """An ensemble experiment: a base path config plus statistical knobs.
+
+    The reference law its KS rows test against is not a setting: it
+    follows from the chart, see :func:`reference_law`.
+    """
 
     sim: SimConfig
     paths: int
     epsilon_list: tuple[float, ...] | None = None
-    oracle: str | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -67,28 +69,24 @@ class EnsembleSpec:
             raise ConfigError(f"statistical runs need at least {MIN_ENSEMBLE_PATHS} paths")
         if self.jobs < 1:
             raise ConfigError("jobs must be a positive integer")
-        if self.oracle is not None and self.oracle not in _ORACLES:
-            raise ConfigError(f"oracle must be one of {_ORACLES}")
         if self.epsilon_list is not None:
             object.__setattr__(self, "epsilon_list", check_epsilon_list(self.epsilon_list))
 
-    def resolved_oracle(self) -> str | None:
-        if self.oracle is not None:
-            return self.oracle
-        name = self.sim.chart
-        if name.startswith("euclidean"):
-            return "euclidean"
-        if name == "hyperbolic2":
-            return "hyperbolic"
-        return None
 
+def reference_law(chart: Chart) -> str:
+    """The limiting Brownian motion whose exact samples a run on ``chart`` is
+    tested against: "euclidean" on flat charts and "hyperbolic" on the chart
+    named ``hyperbolic2``, the name by which the engine picks its exact step.
 
-def require_ks_reference(spec: EnsembleSpec) -> None:
-    """Raise :class:`ConfigError` when ``spec``'s KS criterion has nothing to
-    test against: flat charts use the marginal normal law, curved ones an oracle."""
-    if spec.resolved_oracle() is None and not chart_by_name(spec.sim.chart).flat:
-        raise ConfigError(f"no oracle for the curved chart {spec.sim.chart!r}: "
-                          "set one (--oracle)")
+    Raises :class:`ConfigError` on any other chart, whose KS criterion
+    would have nothing to test against.
+    """
+    if chart.flat:
+        return "euclidean"
+    if chart.name == "hyperbolic2":
+        return "hyperbolic"
+    raise ConfigError(f"no reference law for the curved chart {chart.name!r}: "
+                      "only flat charts and hyperbolic2 have one")
 
 
 def check_epsilon_list(values) -> tuple[float, ...]:
@@ -111,11 +109,11 @@ class EnsembleStats:
     frames: np.ndarray | None           # (K, M, n, n)
     msd: np.ndarray                     # (K,)
     msd_stderr: np.ndarray              # (K,)
-    oracle_msd: np.ndarray | None
-    sim_scalar: np.ndarray | None       # (K, M) scalar used in the KS rows
-    oracle_scalar: np.ndarray | None    # (K, M_oracle)
-    ks_stat: np.ndarray | None
-    ks_p: np.ndarray | None
+    oracle_msd: np.ndarray              # (K,)
+    sim_scalar: np.ndarray              # (K, M) scalar used in the KS rows
+    oracle_scalar: np.ndarray           # (K, M_oracle)
+    ks_stat: np.ndarray                 # (K,)
+    ks_p: np.ndarray                    # (K,)
     paths: int
     aborts: list
 
@@ -131,12 +129,15 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
 
     Deterministic given the config seed, and independent of ``jobs``:
     each path owns a counter-based stream keyed by its index.  Raises
-    :class:`NumericalAbort` when more than 1% of paths leave the chart.
-    Logs the seconds of its two phases, simulate and KS reduction, at INFO.
+    :class:`ConfigError`, before any step, on a chart with no
+    :func:`reference_law`, and :class:`NumericalAbort` when more than 1% of
+    paths leave the chart.  Logs the seconds of its two phases, simulate
+    and KS reduction, at INFO.
     """
     t_start = time.perf_counter()
     cfg = spec.sim
     chart = chart_by_name(cfg.chart)
+    reference = reference_law(chart)
     m_paths = spec.paths
 
     jobs = min(spec.jobs, m_paths)
@@ -176,28 +177,25 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     msd = d2.mean(axis=1)
     msd_stderr = d2.std(axis=1, ddof=1) / np.sqrt(survivors)
 
-    oracle_name = spec.resolved_oracle()
-    oracle_msd = sim_scalar = oracle_scalar = ks_stat = ks_p = None
-    if oracle_name is not None:
-        n = chart.dim
-        c = effective_diffusivity(n)
-        rng = philox_stream(cfg.seed, ORACLE_STREAM_BASE)
-        if oracle_name == "euclidean":
-            ref = oracle_euclidean_bm(n, c, times, m_paths, rng, x0=x0)
-            oracle_msd = 2.0 * n * c * times
-            sim_scalar = xs[:, :, 0]
-            oracle_scalar = ref[:, :, 0].T
-        else:
-            ref, ref_alive = oracle_hyperbolic_bm(c, times, m_paths, rng, x0=x0)
-            ref = ref[ref_alive]
-            rho_ref = chart.distance(ref, x0)
-            oracle_msd = (rho_ref**2).mean(axis=0)
-            sim_scalar = d
-            oracle_scalar = rho_ref.T
-        ks_stat = np.empty(len(times))
-        ks_p = np.empty(len(times))
-        for k in range(len(times)):
-            ks_stat[k], ks_p[k] = ks_two_sample(sim_scalar[k], oracle_scalar[k])
+    n = chart.dim
+    c = effective_diffusivity(n)
+    rng = philox_stream(cfg.seed, ORACLE_STREAM_BASE)
+    if reference == "euclidean":
+        ref = oracle_euclidean_bm(n, c, times, m_paths, rng, x0=x0)
+        oracle_msd = 2.0 * n * c * times
+        sim_scalar = xs[:, :, 0]
+        oracle_scalar = ref[:, :, 0].T
+    else:
+        ref, ref_alive = oracle_hyperbolic_bm(c, times, m_paths, rng, x0=x0)
+        ref = ref[ref_alive]
+        rho_ref = chart.distance(ref, x0)
+        oracle_msd = (rho_ref**2).mean(axis=0)
+        sim_scalar = d
+        oracle_scalar = rho_ref.T
+    ks_stat = np.empty(len(times))
+    ks_p = np.empty(len(times))
+    for k in range(len(times)):
+        ks_stat[k], ks_p[k] = ks_two_sample(sim_scalar[k], oracle_scalar[k])
     _log.info("KS reduction: %d output times, %.3f s", len(times), time.perf_counter() - t_simulated)
 
     return EnsembleStats(
@@ -410,7 +408,6 @@ def epsilon_sweep(spec: EnsembleSpec) -> list[SweepRow]:
     """
     if spec.epsilon_list is None:
         raise ConfigError("epsilon_sweep requires epsilon_list")
-    require_ks_reference(spec)
     chart = chart_by_name(spec.sim.chart)
     target = msd_rate(chart.dim)
     rows = []

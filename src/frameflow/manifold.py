@@ -36,10 +36,12 @@ class Chart:
     is the model-space distance function used for displacement statistics.
     ``base_point`` is the default start x0 of a run, the origin when None.
 
-    The engine picks the exact half-plane frame step by ``name``, not by
-    these fields: only the chart named ``hyperbolic2`` runs it, and any
-    other curved chart, a renamed copy of :func:`hyperbolic2_chart`
-    included, runs the Heun loop.
+    The exact half-plane frame step and the half-plane reference law of
+    the ensemble harness are picked by ``name``, not by these fields: only
+    the chart named ``hyperbolic2`` has them, whatever name it is
+    registered under.  Any other curved chart, a renamed copy of
+    :func:`hyperbolic2_chart` included, runs the Heun loop and has no
+    reference law; a flat chart has the flat one under any name.
     """
 
     name: str

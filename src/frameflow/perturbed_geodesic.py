@@ -37,7 +37,8 @@ chunks of 128, each in three stages:
    renormalised once per chunk gives a matrix orthogonal to the rounding
    of its norm, so only the matrix chain drifts off SO(n); it alone is
    re-projected (polar decomposition) every 1000 steps.
-3. Frame, in one of three ways:
+3. Frame, by one of three stages that share one contract (see
+   :func:`_frame_stage`):
 
    - flat unbounded charts: the frame stays u0 and the point is x0 plus a
      cumsum of h u0 g_mid e0;
@@ -48,12 +49,16 @@ chunks of 128, each in three stages:
      X(w) = [[w2, w1], [w1, -w2]] / 2.  As X(w)^2 = I/4 the step is the
      exact product F <- F [[C + S w2, S w1], [S w1, C - S w2]] with
      C = cosh(h/2), S = sinh(h/2): no step error, no drift off the frame
-     constraint and no way off the half-plane, so ``renorm_every`` has
-     nothing to do.  F is rescaled to det 1 once per chunk, and x and u
-     are formed only where they are read;
+     constraint and no way off the half-plane.  F is rescaled to det 1
+     once per chunk, and x and u are formed only where they are read;
    - other charts: one loop over the steps does the Heun frame step, on
-     bounded charts the domain and finiteness check, and the metric
-     re-orthonormalization every ``renorm_every`` steps.
+     bounded charts the domain and finiteness check, and on curved charts
+     the metric re-orthonormalization of the frame, every step.
+
+   Every stage dates a path's failure (its state off the chart or not
+   finite) to the step and restarts the path at (x0, u0); from that step
+   on the path is recorded as aborted and shown at (x0, u0), whichever
+   stage ran it.
 
 Every stage writes into arrays allocated once per run, so a run of P
 paths holds the noise buffer, P * 256 * 2N * 8 bytes, and a few arrays
@@ -113,11 +118,10 @@ class SimConfig:
     ``t_final`` is the horizon of the rescaled observation (slow clock);
     ``output_times`` defaults to 21 equispaced times in [0, t_final], and
     ``x0``/``u0``/``e0`` to the values :func:`resolve_start` fills in.
-    ``renorm_every`` is the cadence of the frame re-orthonormalization of
-    the Heun loop; it changes nothing on flat charts or on
-    ``hyperbolic2``, whose frames never leave the constraint.  Every value
-    is checked, finiteness included, when the config is built; shapes,
-    which depend on the chart, are checked when a run starts.
+    Which frame step runs follows from the chart alone (see the module
+    notes).  Every value is checked, finiteness included, when the config
+    is built; shapes, which depend on the chart, are checked when a run
+    starts.
     """
 
     chart: str
@@ -126,7 +130,6 @@ class SimConfig:
     e0: np.ndarray | None = None
     abar: np.ndarray | None = None
     h0: float = 0.1
-    renorm_every: int = 1
     seed: int = 0
     output_times: tuple[float, ...] | None = None
     x0: np.ndarray | None = None
@@ -143,8 +146,6 @@ class SimConfig:
         check_h0(self.h0)
         if self.e0 is not None:
             check_direction(self.e0)
-        if self.renorm_every < 1:
-            raise ConfigError("renorm_every must be a positive integer")
         times = self.output_times
         if times is not None:
             times = tuple(float(t) for t in times)
@@ -222,24 +223,6 @@ class _Engine:
         self.noise_scale = float(np.sqrt(0.5 * self.h / cfg.epsilon))
         self.drift_half = None if cfg.abar is None else 0.5 * self.h * check_drift(cfg.abar, n)
         self.x0, self.u0, self.e0 = resolve_start(cfg, self.chart)
-
-    def frame_step(self, x: np.ndarray, u: np.ndarray, e_dir: np.ndarray):
-        """Heun step of (x, u) along the midpoint direction e_dir = g_mid e0."""
-        h = self.h
-        v1 = np.einsum("...ij,...j->...i", u, e_dir)
-        if self.chart.flat:
-            return x + h * v1, u
-        udot1 = frame_transport(self.chart, x, v1) @ u
-        xp = x + h * v1
-        up = u + h * udot1
-        v2 = np.einsum("...ij,...j->...i", up, e_dir)
-        udot2 = frame_transport(self.chart, xp, v2) @ up
-        return x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
-
-    def renorm_frame(self, x, u):
-        if self.chart.flat:
-            return u
-        return gram_schmidt_metric(self.chart, x, u)
 
 
 # Group chains.  ``run(xi, keep, e_dir)`` advances every path over a chunk
@@ -403,6 +386,43 @@ def _group_chain(eng: _Engine, n_paths: int):
     return _MatrixChain(eng, n_paths)
 
 
+# Frame stages.  ``run(dirs, wanted, need_u)`` advances every path over the
+# chunk's directions, columns 1.. of dirs (P, n, steps + 1), and returns x
+# (len(wanted), P, n) and u (len(wanted), P, n, n) (None unless ``need_u``)
+# after each chunk-local step in ``wanted`` (sorted), then each path's
+# first local step whose state is off the chart or not finite (``steps``
+# if none) and its position there.  A stage restarts a failed path at
+# (x0, u0) itself; what it returns for that path from then on is not read.
+
+def _frame_stage(eng: _Engine, n_paths: int):
+    if eng.chart.flat and eng.chart.unbounded:
+        return _CumsumFrame(eng)
+    if eng.chart.name == "hyperbolic2":
+        return _HalfPlaneFrame(eng, n_paths)
+    return _HeunFrame(eng, n_paths)
+
+
+class _CumsumFrame:
+    """Flat unbounded charts: u stays u0 and x is x0 + h u0 (sum of the
+    directions so far), formed only where it is read; column 0 of ``dirs``
+    carries that sum from chunk to chunk.  No path can fail here, so u is
+    a read-only view of u0."""
+
+    def __init__(self, eng: _Engine):
+        self.eng = eng
+
+    def run(self, dirs: np.ndarray, wanted: np.ndarray, need_u: bool):
+        eng = self.eng
+        n_paths, n, width = dirs.shape
+        np.cumsum(dirs, axis=2, out=dirs)
+        x = np.empty((len(wanted), n_paths, n))
+        for k, j in enumerate(wanted):
+            x[k] = eng.x0 + eng.h * np.einsum("ij,pj->pi", eng.u0, dirs[:, :, j + 1])
+        dirs[:, :, 0] = dirs[:, :, -1]
+        u = np.broadcast_to(eng.u0, (len(wanted), n_paths, n, n)) if need_u else None
+        return x, u, np.full(n_paths, width - 1), np.full((n_paths, n), np.nan)
+
+
 class _HalfPlaneFrame:
     """hyperbolic2: the frame as a matrix F = [[a, b], [c, d]] of SL(2,R),
     stored as (2, 2, P), stepped by the exact product of the module notes.
@@ -427,29 +447,24 @@ class _HalfPlaneFrame:
         # Step matrices of a few steps at a time, kept for the whole run.
         self.mats = np.empty((_SUB, 3, n_paths))
 
-    def run(self, e_dir: np.ndarray, keep: np.ndarray, need_u: bool):
-        """Advance over a chunk of directions e_dir (P, 2, steps).
-
-        Returns x (len(keep), P, 2) and u (len(keep), P, 2, 2) (None
-        unless ``need_u``) after each chunk-local step in ``keep``, then
-        each path's first local step whose state is not finite or not above
-        the axis (``steps`` if none) and the position there.
-        """
+    def run(self, dirs: np.ndarray, wanted: np.ndarray, need_u: bool):
+        e_dir = dirs[:, :, 1:]
         n_paths, _, steps = e_dir.shape
         fail = np.full(n_paths, steps)
         x_fail = np.full((n_paths, 2), np.nan)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            end, kept = self.products(self.F, e_dir, keep)
+            end, kept = self.products(self.F, e_dir, wanted)
             ok = _sl2_valid(end, self.state(end, False)[0])
-            if not ok.all():
+            bad = np.nonzero(~ok)[0]
+            if bad.size:
                 # Replay the failed paths step by step to find where they failed.
-                bad = np.nonzero(~ok)[0]
                 _, trail = self.products(self.F[..., bad], e_dir[bad], np.arange(steps))
                 x_trail = self.state(trail, False)[0]
                 fail[bad] = np.argmin(_sl2_valid(trail, x_trail), axis=0)
                 x_fail[bad] = x_trail[fail[bad], np.arange(bad.size)]
             det = end[0, 0] * end[1, 1] - end[0, 1] * end[1, 0]
             self.F = end / np.sqrt(det)
+            self.F[..., bad] = self.f0[:, :, None]
             x, u = self.state(kept, need_u)
         return x, u, fail, x_fail
 
@@ -480,9 +495,6 @@ class _HalfPlaneFrame:
                 i += 1
         return F, kept
 
-    def restart(self, dead: np.ndarray) -> None:
-        self.F[..., dead] = self.f0[:, :, None]
-
     def state(self, F: np.ndarray, need_u: bool):
         """Point F(i) (..., 2) and frame F'(i) (..., 2, 2) of F (2, 2, ...) with det 1."""
         (a, b), (c, d) = F
@@ -507,6 +519,56 @@ def _sl2_valid(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.isfinite(F).all(axis=(0, 1)) & np.isfinite(x).all(axis=-1) & (x[..., 1] > 0.0)
 
 
+class _HeunFrame:
+    """Other charts: (x, u) as arrays, advanced by a Heun step of the frame
+    ODE, checked on bounded charts and, on curved charts, re-orthonormalized
+    in the metric, every step."""
+
+    def __init__(self, eng: _Engine, n_paths: int):
+        self.eng = eng
+        self.x = np.tile(eng.x0, (n_paths, 1))
+        self.u = np.tile(eng.u0, (n_paths, 1, 1))
+
+    def run(self, dirs: np.ndarray, wanted: np.ndarray, need_u: bool):
+        eng, chart, h = self.eng, self.eng.chart, self.eng.h
+        n_paths, n, width = dirs.shape
+        fail = np.full(n_paths, width - 1)
+        x_fail = np.full((n_paths, n), np.nan)
+        xk = np.empty((len(wanted), n_paths, n))
+        uk = np.empty((len(wanted), n_paths, n, n)) if need_u else None
+        x, u = self.x, self.u
+        i = 0
+        for j in range(width - 1):
+            e_dir = dirs[:, :, j + 1]
+            v1 = np.einsum("...ij,...j->...i", u, e_dir)
+            if chart.flat:
+                x = x + h * v1
+            else:
+                udot1 = frame_transport(chart, x, v1) @ u
+                xp = x + h * v1
+                up = u + h * udot1
+                v2 = np.einsum("...ij,...j->...i", up, e_dir)
+                udot2 = frame_transport(chart, xp, v2) @ up
+                x, u = x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
+            if not chart.unbounded:
+                bad = ~(chart.in_domain(x) & np.all(np.isfinite(x), axis=-1))
+                if bad.any():
+                    first = bad & (fail == width - 1)
+                    fail[first] = j
+                    x_fail[first] = x[first]
+                    x[bad] = eng.x0
+                    u[bad] = eng.u0
+            if not chart.flat:
+                u = gram_schmidt_metric(chart, x, u)
+            if i < len(wanted) and wanted[i] == j:
+                xk[i] = x
+                if uk is not None:
+                    uk[i] = u
+                i += 1
+        self.x, self.u = x, u
+        return xk, uk, fail, x_fail
+
+
 def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                    record_frames: bool = True, record_group: bool = False,
                    rngs: Sequence[np.random.Generator] | None = None,
@@ -517,9 +579,10 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     (cfg.seed, p) in a fixed per-step order, so any partition of the index
     list over calls or processes reproduces the same numbers.  A path that
     leaves the chart domain, or whose state stops being finite, is recorded
-    in ``aborts`` (with the step at which it failed) and flagged dead in
-    ``alive``; from then on it is held at its start state (x0, u0), which
-    its later output rows show.
+    in ``aborts`` (with the time of the step at which it failed; records
+    in step order, then path order) and flagged dead in ``alive``; from
+    that step on it is held at its start state (x0, u0), which its output
+    and ``monitor`` rows show exactly.
 
     ``rngs``, one generator per path, replaces the Philox streams (noise
     injection in the test-suite).  Each is called as
@@ -542,42 +605,28 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     out_idx = np.clip(np.rint(cfg.resolved_output_times() / eng.slow_dt).astype(int), 0, n_steps)
     grid_times = out_idx * eng.slow_dt
 
-    x = np.tile(eng.x0, (n_paths, 1))
-    u = np.tile(eng.u0, (n_paths, 1, 1))
     alive = np.ones(n_paths, dtype=bool)
     aborts: list = []
-    dead = None                       # ~alive once some path has aborted
 
     k_out = len(out_idx)
     xs = np.empty((k_out, n_paths, n))
     us = np.empty((k_out, n_paths, n, n)) if record_frames else None
     gs = np.empty((k_out, n_paths, n, n)) if record_group else None
+    need_u = us is not None or monitor is not None
 
-    def record(slot: int, x, u, g):
-        xs[slot] = x
-        if us is not None:
-            us[slot] = u
-        if gs is not None:
-            gs[slot] = g
-
-    next_out = 0
-    while next_out < k_out and out_idx[next_out] == 0:
-        record(next_out, x, u, np.eye(n))
-        next_out += 1
+    # Output slots at step 0 show the start.
+    next_out = int(np.searchsorted(out_idx, 0, side="right"))
+    xs[:next_out] = eng.x0
+    if us is not None:
+        us[:next_out] = eng.u0
+    if gs is not None:
+        gs[:next_out] = np.eye(n)
 
     chain = _group_chain(eng, n_paths)
-    # The chain writes a chunk's directions into columns 1.. of ``dirs``.
-    # Flat and unbounded: u stays u0 and x is x0 + h u0 (sum of the
-    # directions so far), formed only where it is read; column 0 carries
-    # that sum from chunk to chunk.
-    cumsum_frame = eng.chart.flat and eng.chart.unbounded
+    stage = _frame_stage(eng, n_paths)
+    # The chain writes a chunk's directions into columns 1.. of ``dirs``;
+    # column 0 belongs to the frame stage.
     dirs = np.zeros((n_paths, n, _CHUNK + 1))
-    plane = _HalfPlaneFrame(eng, n_paths) if eng.chart.name == "hyperbolic2" else None
-
-    def position(total):
-        return eng.x0 + eng.h * np.einsum("ij,pj->pi", eng.u0, total)
-
-    check_domain = not eng.chart.unbounded
     # Whole chunks of noise per refill, so chunks start at multiples of _CHUNK.
     span = min(n_steps, -(-_NOISE_BLOCK // _CHUNK) * _CHUNK)
     noise = np.empty((n_paths, span, 2, n_noise))
@@ -595,71 +644,33 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
             # Output slots next_out..last-1 fall in this chunk, at local steps `at`.
             last = int(np.searchsorted(out_idx, m + steps, side="right"))
             at = out_idx[next_out:last] - m - 1
+            wanted = np.arange(steps) if monitor is not None else np.unique(at)
+            keep = wanted if monitor is not None or record_group else wanted[:0]
+            g_at = dict(zip(keep.tolist(), chain.run(xi, keep, dirs[:, :, 1:steps + 1])))
+            xk, uk, fail, x_fail = stage.run(dirs[:, :, :steps + 1], wanted, need_u)
+            # Local step from which each path is held at (x0, u0).
+            dead_from = np.where(alive, fail, -1)
+            failed = np.nonzero(alive & (fail < steps))[0]
+            for p in failed[np.argsort(fail[failed], kind="stable")]:
+                aborts.append((paths[p], float((m + fail[p] + 1) * eng.slow_dt), x_fail[p]))
+            alive &= fail >= steps
+            if not alive.all():
+                held = wanted[:, None] >= dead_from
+                xk[held] = eng.x0
+                if uk is not None:
+                    uk[held] = eng.u0
             if monitor is not None:
-                keep = np.arange(steps)
-            else:
-                keep = np.unique(at) if record_group else at[:0]
-            e_dir = dirs[:, :, 1:steps + 1]
-            g_kept = chain.run(xi, keep, e_dir)
-            g_at = dict(zip(keep.tolist(), g_kept))
-            if cumsum_frame:
-                sums = dirs[:, :, :steps + 1]
-                np.cumsum(sums, axis=2, out=sums)
-                if monitor is not None:
-                    for j in range(steps):
-                        monitor(m + j + 1, position(sums[:, :, j + 1]), u, g_at[j], alive)
-                for slot, j in zip(range(next_out, last), at):
-                    record(slot, position(sums[:, :, j + 1]), u, g_at.get(j))
-                dirs[:, :, 0] = sums[:, :, -1]
-                m += steps
-                next_out = last
-                continue
-            if plane is not None:
-                wanted = keep if monitor is not None else np.unique(at)
-                xk, uk, fail, x_fail = plane.run(e_dir, wanted, us is not None or monitor is not None)
-                # Local step from which each path is held at (x0, u0).
-                dead_from = np.where(alive, fail, -1)
-                for p in np.nonzero(alive & (fail < steps))[0]:
-                    aborts.append((paths[p], (m + fail[p] + 1) * eng.slow_dt, x_fail[p]))
-                alive &= fail >= steps
-                if not alive.all():
-                    held = wanted[:, None] >= dead_from
-                    xk[held] = eng.x0
-                    if uk is not None:
-                        uk[held] = eng.u0
-                    plane.restart(~alive)
-                if monitor is not None:
-                    for j in range(steps):
-                        monitor(m + j + 1, xk[j], uk[j], g_at[j], j < dead_from)
-                for slot, j in zip(range(next_out, last), at):
-                    k = np.searchsorted(wanted, j)
-                    record(slot, xk[k], None if uk is None else uk[k], g_at.get(j))
-                m += steps
-                next_out = last
-                continue
-            for j in range(steps):
-                x, u = eng.frame_step(x, u, e_dir[:, :, j])
-                m += 1
-                if check_domain:
-                    ok = eng.chart.in_domain(x) & np.all(np.isfinite(x), axis=-1)
-                    newly_dead = alive & ~ok
-                    if np.any(newly_dead):
-                        t_now = m * eng.slow_dt
-                        for p in np.nonzero(newly_dead)[0]:
-                            aborts.append((paths[p], t_now, x[p].copy()))
-                        alive &= ok
-                        dead = ~alive
-                    if dead is not None:
-                        # Still stepped with the batch, but put back every step.
-                        x[dead] = eng.x0
-                        u[dead] = eng.u0
-                if m % cfg.renorm_every == 0:
-                    u = eng.renorm_frame(x, u)
-                if monitor is not None:
-                    monitor(m, x, u, g_at[j], alive)
-                while next_out < last and out_idx[next_out] == m:
-                    record(next_out, x, u, g_at.get(j))
-                    next_out += 1
+                for j in range(steps):
+                    monitor(m + j + 1, xk[j], uk[j], g_at[j], j < dead_from)
+            for slot, j in zip(range(next_out, last), at):
+                k = np.searchsorted(wanted, j)
+                xs[slot] = xk[k]
+                if us is not None:
+                    us[slot] = uk[k]
+                if gs is not None:
+                    gs[slot] = g_at[j]
+            m += steps
+            next_out = last
 
     return EnsemblePaths(times=grid_times, xs=xs, us=us, gs=gs, alive=alive, aborts=aborts)
 

@@ -57,8 +57,7 @@ def flat_ensemble_n3():
 @pytest.fixture(scope="module")
 def hyperbolic_ensemble():
     sim = SimConfig(chart="hyperbolic2", epsilon=0.01, t_final=0.5, seed=BASE_SEED)
-    return run_ensemble(EnsembleSpec(sim=sim, paths=2000, oracle="hyperbolic"),
-                        record_frames=False)
+    return run_ensemble(EnsembleSpec(sim=sim, paths=2000), record_frames=False)
 
 
 def test_criterion_1_algebraic_identities():
@@ -125,7 +124,7 @@ def test_criterion_4_ergodic_rate_bound():
     ok = True
     details = []
     for n in (2, 3):
-        cfg = GroupSdeConfig(basis=canonical_basis(n), epsilon=1.0, h=0.1)
+        cfg = GroupSdeConfig(basis=canonical_basis(n), h=0.1)
         avgs = ergodic_average_repetitions(lambda gs: gs[:, 0, 0], cfg, times,
                                            reps=200, rng=rng)
         n_basis = n * (n - 1) // 2

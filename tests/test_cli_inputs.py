@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from frameflow import (ConfigError, EnsembleSpec, SimConfig, epsilon_sweep, euclidean_chart,
-                       hyperbolic2_chart, manifold)
-from frameflow.cli import main
+                       hyperbolic2_chart, manifold, run_ensemble)
+from frameflow.cli import CONFIG_KEYS, RunConfig, build_parser, main
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -24,20 +24,40 @@ def test_invalid_input_exits_2_with_reason(argv, message, tmp_path, capsys):
 
 @pytest.fixture
 def copies(monkeypatch):
-    """Renamed copies of the built-in charts, registered for one test only."""
-    for name, chart in (("h2-copy", hyperbolic2_chart()), ("flat-copy", euclidean_chart(2))):
+    """Renamed copies of the built-in charts, registered for one test only.
+
+    ``euclidean-curved`` is the half-plane under a name that starts like
+    the flat charts' names.
+    """
+    for name, chart in (("h2-copy", hyperbolic2_chart()), ("flat-copy", euclidean_chart(2)),
+                        ("euclidean-curved", hyperbolic2_chart())):
         monkeypatch.setitem(manifold._CUSTOM_CHARTS, name, dataclasses.replace(chart, name=name))
 
 
 @pytest.mark.parametrize("command", [["homogenize", "--epsilon", "0.2"],
                                      ["sweep", "--epsilon-list", "0.3,0.2"]])
 def test_curved_chart_without_oracle_exits_2(command, copies, tmp_path, capsys):
-    # Only the built-in half-plane has a default oracle: with none, the KS
-    # criterion of a curved chart has nothing to test against.
+    # Only the built-in half-plane has a reference law among curved charts:
+    # without one, the KS criterion has nothing to test against.
     argv = command + ["--manifold", "h2-copy", "--t-final", "0.2", "--paths", "100",
                       "--jobs", "1", "--output-dir", str(tmp_path)]
     assert main(argv) == 2
     assert "'h2-copy'" in capsys.readouterr().err
+
+
+def test_curved_chart_named_like_a_flat_one_exits_2(copies, tmp_path, capsys):
+    argv = ["homogenize", "--manifold", "euclidean-curved", "--epsilon", "0.2", "--t-final", "0.2",
+            "--paths", "100", "--jobs", "1", "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "'euclidean-curved'" in capsys.readouterr().err
+
+
+def test_reference_law_follows_the_chart_not_its_name(copies):
+    # A flat chart under any name is tested against the flat law.
+    sim = SimConfig(chart="flat-copy", epsilon=0.1, t_final=0.2, seed=1)
+    stats = run_ensemble(EnsembleSpec(sim=sim, paths=100, jobs=1))
+    assert stats.ks_p is not None and len(stats.ks_p) == len(stats.times)
+    assert stats.ks_p[0] == 1.0  # identical point masses at t = 0
 
 
 def test_library_sweep_without_oracle_raises_config_error(copies):
@@ -52,3 +72,21 @@ def test_sweep_on_registered_flat_chart_runs_the_marginal_ks(copies, tmp_path):
                  "--output-dir", str(tmp_path)]) in (0, 1)
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[0] == "epsilon,msd_rel_err,ks_stat,ks_p" and len(rows) == 3
+
+
+def test_every_config_key_is_a_field_and_a_flag():
+    # A knob removed from one of the three places must go from all of them.
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for command in ("verify-algebra", "haar", "ergodic", "simulate", "homogenize", "sweep"):
+        dests = set(vars(build_parser().parse_args([command])))
+        assert set(CONFIG_KEYS) <= fields & dests, command
+
+
+@pytest.mark.parametrize("line", ["renorm_every = 1", "oracle = auto"])
+def test_removed_config_keys_are_rejected(line, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    assert main(["simulate", "--config", str(config), "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    key = line.split("=")[0].strip()
+    assert "unknown key" in err and repr(key) in err

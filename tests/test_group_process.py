@@ -16,24 +16,24 @@ from frameflow import (
 from frameflow.group_process import haar_moment_stats
 
 
-def cfg_for(n, epsilon=1.0, h=0.1, abar=None):
-    return GroupSdeConfig(basis=canonical_basis(n), epsilon=epsilon, abar=abar, h=h)
+def cfg_for(n, h=0.1, abar=None):
+    return GroupSdeConfig(basis=canonical_basis(n), abar=abar, h=h)
 
 
 class TestGroupSdeConfig:
     def test_cfl_violation_rejected(self):
-        with pytest.raises(ConfigError):
-            GroupSdeConfig(basis=canonical_basis(2), epsilon=0.1, h=0.05)
+        with pytest.raises(ConfigError, match=r"h0 must lie in \(0, 0.1\]"):
+            GroupSdeConfig(basis=canonical_basis(2), h=0.5)
 
-    def test_nonpositive_epsilon_rejected(self):
+    def test_nonpositive_step_rejected(self):
         with pytest.raises(ConfigError):
-            GroupSdeConfig(basis=canonical_basis(2), epsilon=0.0, h=0.0)
+            GroupSdeConfig(basis=canonical_basis(2), h=0.0)
 
     def test_non_skew_drift_rejected(self):
         with pytest.raises(ConfigError):
             GroupSdeConfig(basis=canonical_basis(2), abar=np.eye(2), h=0.1)
 
-    @pytest.mark.parametrize("kw", [{"epsilon": np.inf, "h": 0.1},
+    @pytest.mark.parametrize("kw", [{"h": np.inf},
                                     {"abar": np.array([[0.0, np.nan], [np.nan, 0.0]])}])
     def test_non_finite_inputs_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -83,7 +83,7 @@ class TestStepGroup:
     def test_drift_only_rotates_deterministically(self):
         basis = canonical_basis(2)
         abar = np.sqrt(2.0) * basis.mats[0]  # angle rate 1
-        cfg = GroupSdeConfig(basis=basis, epsilon=1.0, abar=abar, h=0.1)
+        cfg = GroupSdeConfig(basis=basis, abar=abar, h=0.1)
         g = np.eye(2)
         for _ in range(10):
             g = step_group(g, cfg, np.zeros(1))

@@ -12,6 +12,7 @@ from frameflow import (
     gram_schmidt_metric,
     hyperbolic2_chart,
     hyperbolic_distance,
+    manifold,
     numeric_christoffel,
     register_chart,
 )
@@ -276,8 +277,10 @@ class TestChartRegistry:
         with pytest.raises(ConfigError):
             chart_by_name("euclidean:x")
 
-    def test_custom_registration(self):
+    def test_custom_registration(self, monkeypatch):
         chart = euclidean_chart(2)
+        # Mark the key as patched so that it is removed after the test.
+        monkeypatch.setitem(manifold._CUSTOM_CHARTS, "my-flat", None)
         register_chart("my-flat", chart)
         assert chart_by_name("my-flat") is chart
 

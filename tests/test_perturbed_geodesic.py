@@ -14,11 +14,10 @@ from frameflow import (
     group_exp,
     hyperbolic2_chart,
     hyperbolic_distance,
-    register_chart,
     simulate_paths,
     simulate_rescaled_path,
 )
-from frameflow import perturbed_geodesic
+from frameflow import manifold, perturbed_geodesic
 from frameflow.manifold import frame_transport, gram_schmidt_metric
 from frameflow.perturbed_geodesic import philox_stream, resolve_start
 
@@ -471,10 +470,11 @@ def test_h2_overflow_aborts_at_the_failing_step():
         assert np.all(np.isfinite(x)) and np.all(x[:, 1] > 0.0) and np.all(np.isfinite(u))
 
 
-def test_heun_loop_converges_to_exact_h2_step():
+def test_heun_loop_converges_to_exact_h2_step(monkeypatch):
     # A copy of the half-plane under another name runs the Heun loop; its
     # gap to the exact step is the Heun error, which shrinks like eps^2.
-    register_chart("hyperbolic2-heun", dataclasses.replace(hyperbolic2_chart(), name="hyperbolic2-heun"))
+    monkeypatch.setitem(manifold._CUSTOM_CHARTS, "hyperbolic2-heun",
+                        dataclasses.replace(hyperbolic2_chart(), name="hyperbolic2-heun"))
     gaps = {}
     for eps in (0.1, 0.05):
         kw = dict(epsilon=eps, t_final=0.5, seed=12, x0=np.array([0.0, 1.0]), output_times=(0.5,))
@@ -485,13 +485,50 @@ def test_heun_loop_converges_to_exact_h2_step():
     assert gaps[0.1] >= 3.0 * gaps[0.05]
 
 
-def test_renamed_chart_starts_at_its_base_point():
+def test_renamed_chart_starts_at_its_base_point(monkeypatch):
     # The default x0 comes from the chart, not from its name: a renamed
     # copy of the half-plane starts at (0, 1), on its own domain.
-    register_chart("h2copy", dataclasses.replace(hyperbolic2_chart(), name="h2copy"))
+    monkeypatch.setitem(manifold._CUSTOM_CHARTS, "h2copy",
+                        dataclasses.replace(hyperbolic2_chart(), name="h2copy"))
     cfg = SimConfig(chart="h2copy", epsilon=0.1, t_final=0.01)
     x0, _, _ = resolve_start(cfg, chart_by_name("h2copy"))
     assert np.array_equal(x0, [0.0, 1.0])
     out = simulate_paths(cfg, [0])
     assert out.alive.all() and not out.aborts
     assert np.array_equal(out.xs[0, 0], [0.0, 1.0])
+
+
+@pytest.fixture
+def h2_strip(monkeypatch):
+    """The half-plane cut to the strip |x1| < 0.3, registered for one test only."""
+    chart = dataclasses.replace(hyperbolic2_chart(), name="h2-strip", unbounded=False,
+                                in_domain=lambda x: np.abs(np.asarray(x)[..., 0]) < 0.3)
+    monkeypatch.setitem(manifold._CUSTOM_CHARTS, "h2-strip", chart)
+
+
+@pytest.mark.parametrize("chart", ["strip-test", "h2-strip"])
+def test_heun_frame_holds_aborted_paths_at_their_start(chart, h2_strip):
+    # Both charts run the Heun loop, flat and curved, and most paths leave
+    # the strip within 250 steps.  At this x0 the metric Gram-Schmidt moves
+    # u0 by rounding, so a held frame must be put back, not re-orthonormalized.
+    cfg = every_step(250, chart=chart, epsilon=0.2, seed=0, x0=np.array([0.1, 1.2]))
+    seen = []
+
+    def monitor(m, x, u, g, alive):
+        seen.append((x.copy(), u.copy(), alive.copy()))
+
+    out = simulate_paths(cfg, range(8), monitor=monitor)
+    in_domain = chart_by_name(chart).in_domain
+    x0, u0, _ = resolve_start(cfg, chart_by_name(chart))
+    steps = [int(round(t / (cfg.h0 * cfg.epsilon**2))) for _, t, _ in out.aborts]
+    assert len(steps) >= 3 and steps == sorted(steps)
+    assert sorted(p for p, _, _ in out.aborts) == list(np.nonzero(~out.alive)[0])
+    for x, u, alive in seen:
+        assert np.all(in_domain(x[alive]))
+    for (p, _, x_bad), step in zip(out.aborts, steps):
+        assert not in_domain(x_bad)
+        # Output row k is step k; monitor call k is step k + 1.
+        assert np.all(out.xs[step:, p] == x0) and np.all(out.us[step:, p] == u0)
+        assert [alive[p] for _, _, alive in seen] == [k + 1 < step for k in range(len(seen))]
+        for x, u, _ in seen[step - 1:]:
+            assert np.all(x[p] == x0) and np.all(u[p] == u0)
