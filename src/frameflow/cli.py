@@ -43,9 +43,12 @@ from .homogenize import (
     msd_rate,
     run_ensemble,
 )
+from . import perturbed_geodesic
 from .lie_algebra import canonical_basis, casimir_sum
 from .manifold import chart_by_name
-from .perturbed_geodesic import SimConfig, philox_stream, simulate_rescaled_path
+from .perturbed_geodesic import SimConfig, philox_stream
+# Unused here; bench/tracing.py wraps it under this module's name.
+from .perturbed_geodesic import simulate_rescaled_path  # noqa: F401
 
 _log = logging.getLogger(__name__)
 
@@ -58,6 +61,10 @@ CONFIG_KEYS = (
 MSD_TOLERANCE = 0.10
 KS_P_FLOOR = 0.01
 R2_THRESHOLD = 0.99
+
+# Bytes that one engine call of `simulate` may hold per batch: its recorded
+# outputs and its noise buffer.  Every call holds at least one path.
+SIMULATE_BATCH_BYTES = 16 << 20
 
 
 @dataclass
@@ -270,11 +277,14 @@ def _cell(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """``rows``: a 2-D float array (the path files) or rows of :func:`_cell` values."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    for row in rows:
-        # Floats (np.float64 included), the bulk of every path file, first.
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else _cell(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        # repr of a Python float is what _fmt writes, without the per-value checks.
+        lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    else:
+        lines += [",".join(map(_cell, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -354,24 +364,35 @@ def cmd_simulate(cfg: RunConfig) -> int:
         header += [f"u{i+1}{j+1}" for i in range(n) for j in range(n)]
     if cfg.with_group:
         header += [f"g{i+1}{j+1}" for i in range(n) for j in range(n)]
+    # The numbers do not depend on how paths are batched.
+    batch = max(1, SIMULATE_BATCH_BYTES // perturbed_geodesic.path_bytes(
+        sim, cfg.with_frames, cfg.with_group))
     _log.info("set-up: %.3f s", time.perf_counter() - t_start)
     simulate_s = write_s = 0.0
-    for p in range(n_paths):
+    calls = path_steps = 0
+    for lo in range(0, n_paths, batch):
         t0 = time.perf_counter()
-        rec = simulate_rescaled_path(sim, path_index=p, record_group=cfg.with_group)
+        out = perturbed_geodesic.simulate_paths(
+            sim, range(lo, min(lo + batch, n_paths)),
+            record_frames=cfg.with_frames, record_group=cfg.with_group)
         t1 = time.perf_counter()
-        rows = []
-        for k, t in enumerate(rec.times):
-            row = [t] + list(rec.xs[k])
-            if cfg.with_frames:
-                row += list(rec.us[k].reshape(-1))
-            if cfg.with_group:
-                row += list(rec.gs[k].reshape(-1))
-            rows.append(row)
-        _write_csv(out_dir / f"path_{p:04d}.csv", header, rows)
+        calls += 1
+        path_steps += out.steps * len(out.alive)
         simulate_s += t1 - t0
+        fields = [out.xs] + [f.reshape(f.shape[:2] + (-1,)) for f in (out.us, out.gs)
+                             if f is not None]
+        table = np.empty((len(out.times), len(header)))
+        table[:, 0] = out.times
+        for i, alive in enumerate(out.alive):
+            if not alive:
+                # As one path per call would: the files before it, then its abort.
+                _, t, xbad = next(rec for rec in out.aborts if rec[0] == lo + i)
+                raise DomainExitError(t, xbad, lo + i)
+            np.concatenate([f[:, i] for f in fields], axis=1, out=table[:, 1:])
+            _write_csv(out_dir / f"path_{lo + i:04d}.csv", header, table)
         write_s += time.perf_counter() - t1
-    _log.info("simulate: %d path(s), %.3f s", n_paths, simulate_s)
+    _log.info("simulate: %d path(s) in %d engine call(s), %.0f path-steps/s, %.3f s",
+              n_paths, calls, path_steps / max(simulate_s, 1e-9), simulate_s)
     _log.info("write: %d path file(s), %.3f s", n_paths, write_s)
     print(f"wrote {n_paths} path file(s) to {out_dir}")
     return 0

@@ -49,8 +49,9 @@ chunks of 128, each in three stages:
      X(w) = [[w2, w1], [w1, -w2]] / 2.  As X(w)^2 = I/4 the step is the
      exact product F <- F [[C + S w2, S w1], [S w1, C - S w2]] with
      C = cosh(h/2), S = sinh(h/2): no step error, no drift off the frame
-     constraint and no way off the half-plane.  F is rescaled to det 1
-     once per chunk, and x and u are formed only where they are read;
+     constraint and no way off the half-plane.  F is brought back to
+     det 1 once per chunk by rebuilding its top row from its bottom row
+     and x1, and x and u are formed only where they are read;
    - other charts: one loop over the steps does the Heun frame step, on
      bounded charts the domain and finiteness check, and on curved charts
      the metric re-orthonormalization of the frame, every step.
@@ -90,8 +91,8 @@ from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
 # Most steps per path per noise draw; sizes the run's noise buffer.
 _NOISE_BLOCK = 256
 # Steps per chunk of the chain and frame stages, the size of their
-# workspaces.  The quaternion renormalisation and the hyperbolic2 det
-# rescaling happen at chunk ends, so chunks start at multiples of it.
+# workspaces.  The quaternion renormalisation and the hyperbolic2 return
+# to det 1 happen at chunk ends, so chunks start at multiples of it.
 _CHUNK = 128
 # Cadence, in steps, of the polar re-projection of the matrix chain.
 _GROUP_PROJECT_EVERY = 1000
@@ -184,6 +185,7 @@ class EnsemblePaths:
     gs: np.ndarray | None             # (K, P, n, n)
     alive: np.ndarray                 # (P,) bool
     aborts: list                      # (path_index, t, x) records
+    steps: int                        # integrator steps taken by each path
 
 
 def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,7 +194,9 @@ def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray,
     x0 defaults to the chart's ``base_point`` (the origin unless the chart
     sets one; (0, 1) on hyperbolic2), u0 to the identity, orthonormalized
     in the metric at x0, and e0 to the first coordinate vector.  Raises :class:`ConfigError` on
-    a shape mismatch and :class:`DomainExitError` when x0 is off the chart.
+    a shape mismatch, on a metric at x0 that is not finite and on a u0 that
+    cannot be orthonormalized there, and :class:`DomainExitError` when x0 is
+    off the chart.
     """
     n = chart.dim
     e0 = np.eye(n)[0] if cfg.e0 is None else np.asarray(cfg.e0, dtype=float)
@@ -206,7 +210,18 @@ def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray,
     u0 = np.eye(n) if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
     if u0.shape != (n, n):
         raise ConfigError(f"u0 must have shape {(n, n)}, got {u0.shape}")
-    return x0, gram_schmidt_metric(chart, x0, u0), e0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        metric = chart.metric(x0)
+    if not np.all(np.isfinite(metric)):
+        raise ConfigError(f"the metric at x0 = {x0} is not finite")
+    try:
+        u0 = gram_schmidt_metric(chart, x0, u0)
+    except ValueError:
+        u0 = None
+    # A rank-deficient u0 can pass Gram-Schmidt on a rounding residue.
+    if u0 is None or np.max(np.abs(u0.T @ metric @ u0 - np.eye(n))) > 1e-8:
+        raise ConfigError(f"u0 cannot be orthonormalized in the metric at x0 = {x0}")
+    return x0, u0, e0
 
 
 class _Engine:
@@ -462,8 +477,13 @@ class _HalfPlaneFrame:
                 x_trail = self.state(trail, False)[0]
                 fail[bad] = np.argmin(_sl2_valid(trail, x_trail), axis=0)
                 x_fail[bad] = x_trail[fail[bad], np.arange(bad.size)]
-            det = end[0, 0] * end[1, 1] - end[0, 1] * end[1, 0]
-            self.F = end / np.sqrt(det)
+            # Back to det 1 by rebuilding the top row from the bottom row
+            # (c, d), which alone gives x2 and the frame, and from x1.  A det
+            # formed as ad - bc cancels to 0 as a path nears the axis.
+            (a, b), (c, d) = end
+            r2 = c * c + d * d
+            x1 = (a * c + b * d) / r2
+            self.F = np.stack([np.stack([x1 * c + d / r2, x1 * d - c / r2]), end[1]])
             self.F[..., bad] = self.f0[:, :, None]
             x, u = self.state(kept, need_u)
         return x, u, fail, x_fail
@@ -672,7 +692,16 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
             m += steps
             next_out = last
 
-    return EnsemblePaths(times=grid_times, xs=xs, us=us, gs=gs, alive=alive, aborts=aborts)
+    return EnsemblePaths(times=grid_times, xs=xs, us=us, gs=gs, alive=alive, aborts=aborts,
+                         steps=n_steps)
+
+
+def path_bytes(cfg: SimConfig, record_frames: bool = True, record_group: bool = False) -> int:
+    """Bytes one path adds to a :func:`simulate_paths` call of ``cfg``: its
+    recorded outputs and its row of the noise buffer."""
+    n = chart_by_name(cfg.chart).dim
+    fields = n + n * n * (int(record_frames) + int(record_group))
+    return 8 * (len(cfg.resolved_output_times()) * fields + _NOISE_BLOCK * n * (n - 1))
 
 
 def simulate_rescaled_path(cfg: SimConfig, path_index: int = 0,

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameflow import ConfigError
-from frameflow.cli import main, parse_config, read_config_file
+from frameflow import ConfigError, DomainExitError, chart_by_name, cli, perturbed_geodesic
+from frameflow.cli import build_parser, main, parse_config, read_config_file
+from frameflow.perturbed_geodesic import simulate_rescaled_path
 
 
 class TestParseConfig:
@@ -161,6 +162,98 @@ class TestSimulateCommand:
         assert main(args + ["--output-dir", str(d1)]) == 0
         assert main(args + ["--output-dir", str(d2)]) == 0
         assert (d1 / "path_0000.csv").read_bytes() == (d2 / "path_0000.csv").read_bytes()
+
+
+def _sim_config(argv):
+    """The SimConfig that ``main(argv)`` runs."""
+    args = build_parser().parse_args(argv)
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    return parse_config(flags=flags, env={}).sim_config(), args
+
+
+def per_path_files(argv, paths):
+    """Path files made one engine call per path, each value written as repr(float(v))."""
+    sim, args = _sim_config(argv)
+    n = chart_by_name(sim.chart).dim
+    header = ["t"] + [f"x{i+1}" for i in range(n)]
+    header += [f"u{i+1}{j+1}" for i in range(n) for j in range(n)] if args.with_frames else []
+    header += [f"g{i+1}{j+1}" for i in range(n) for j in range(n)] if args.with_group else []
+    files = {}
+    for p in paths:
+        rec = simulate_rescaled_path(sim, path_index=p, record_group=bool(args.with_group))
+        lines = [",".join(header)]
+        for k, t in enumerate(rec.times):
+            row = [t, *rec.xs[k]]
+            if args.with_frames:
+                row += list(rec.us[k].reshape(-1))
+            if args.with_group:
+                row += list(rec.gs[k].reshape(-1))
+            lines.append(",".join(repr(float(v)) for v in row))
+        files[f"path_{p:04d}.csv"] = ("\n".join(lines) + "\n").encode()
+    return files
+
+
+def written_files(out_dir):
+    return {f.name: f.read_bytes() for f in sorted(out_dir.glob("path_*.csv"))}
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Path counts of each simulate_paths call made through the module attribute."""
+    calls = []
+    engine = perturbed_geodesic.simulate_paths
+
+    def counting(cfg, path_indices, *args, **kwargs):
+        calls.append(len(path_indices))
+        return engine(cfg, path_indices, *args, **kwargs)
+
+    monkeypatch.setattr(perturbed_geodesic, "simulate_paths", counting)
+    return calls
+
+
+BATCHED_RUNS = {
+    "hyperbolic2-frames-group": ["simulate", "--manifold", "hyperbolic2", "--epsilon", "0.1",
+                                 "--t-final", "0.3", "--seed", "9", "--paths", "3", "--frames",
+                                 "--group", "--output-times", "301"],
+    "euclidean3": ["simulate", "--manifold", "euclidean:3", "--epsilon", "0.1",
+                   "--t-final", "1", "--seed", "4", "--paths", "3"],
+}
+
+
+class TestBatchedSimulate:
+    @pytest.mark.parametrize("run", sorted(BATCHED_RUNS))
+    def test_files_equal_one_engine_call_per_path(self, run, tmp_path, engine_calls):
+        argv = BATCHED_RUNS[run]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+        assert engine_calls == [3]
+        assert written_files(tmp_path) == per_path_files(argv, range(3))
+
+    def test_small_budget_splits_the_run_and_keeps_the_bytes(self, tmp_path, monkeypatch,
+                                                             engine_calls, capsys):
+        argv = BATCHED_RUNS["hyperbolic2-frames-group"]
+        assert main(argv + ["--output-dir", str(tmp_path / "one")]) == 0
+        sim, _ = _sim_config(argv)
+        two_paths = 2 * perturbed_geodesic.path_bytes(sim, True, True)
+        monkeypatch.setattr(cli, "SIMULATE_BATCH_BYTES", two_paths)
+        assert main(argv + ["-v", "--output-dir", str(tmp_path / "split")]) == 0
+        assert engine_calls == [3, 2, 1]
+        assert written_files(tmp_path / "split") == written_files(tmp_path / "one")
+        err = capsys.readouterr().err.splitlines()
+        [line] = [x for x in err if x.startswith("frameflow: simulate:")]
+        assert "3 path(s) in 2 engine call(s)" in line and "path-steps/s" in line
+
+    def test_abort_writes_the_earlier_paths_then_exits_3(self, tmp_path, capsys, engine_calls):
+        # Seed 78: path 0 stays on the strip, path 1 leaves it at t = 0.072,
+        # and path 2 leaves it earlier, at t = 0.064, in the same batch.
+        argv = ["simulate", "--manifold", "strip-test", "--epsilon", "0.2", "--t-final", "0.3",
+                "--seed", "78", "--paths", "4"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 3
+        assert engine_calls == [4]
+        assert written_files(tmp_path) == per_path_files(argv, [0])
+        with pytest.raises(DomainExitError) as one_path:
+            simulate_rescaled_path(_sim_config(argv)[0], path_index=1)
+        assert one_path.value.t == pytest.approx(0.072)
+        assert capsys.readouterr().err == f"numerical abort: {one_path.value}\n"
 
 
 class TestHomogenizeCommand:

@@ -80,6 +80,19 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match=message):
             simulate_paths(cfg, [0])
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("x0", np.array([0.0, 1e-300]), "the metric at x0 = .* is not finite"),
+        ("u0", np.zeros((2, 2)), "u0 cannot be orthonormalized in the metric at x0 = "),
+        ("u0", np.ones((2, 2)), "u0 cannot be orthonormalized in the metric at x0 = "),
+    ], ids=["metric-overflow", "zero-u0", "rank-one-u0"])
+    def test_start_frame_that_cannot_be_built_rejected(self, field, value, message):
+        # The first two used to end in a ValueError traceback from
+        # gram_schmidt_metric; the rank-one u0 passed it on a rounding
+        # residue and ran with both frame columns equal.
+        cfg = SimConfig(chart="hyperbolic2", epsilon=1.0, t_final=400.0, **{field: value})
+        with pytest.raises(ConfigError, match=message):
+            simulate_paths(cfg, range(20))
+
     def test_default_output_grid(self):
         cfg = SimConfig(chart="euclidean:2", epsilon=0.1, t_final=2.0)
         times = cfg.resolved_output_times()
@@ -468,6 +481,35 @@ def test_h2_overflow_aborts_at_the_failing_step():
     assert len(alive_rows) == steps
     for x, u in alive_rows:
         assert np.all(np.isfinite(x)) and np.all(x[:, 1] > 0.0) and np.all(np.isfinite(u))
+
+
+class ScaledNoise:
+    """A generator's standard normals multiplied by ``scale``."""
+
+    def __init__(self, gen, scale):
+        self.gen, self.scale = gen, scale
+
+    def standard_normal(self, shape, out=None):
+        out = self.gen.standard_normal(shape, out=out)
+        out *= self.scale
+        return out
+
+
+def test_h2_paths_near_the_axis_stay_alive():
+    # Heading down from x2 = 1e-150, the paths pass x2 ~ 1e-173 by t = 51,
+    # where F's rows are ~1e86 and ~1e-66: a det formed there as ad - bc
+    # cancels to 0, and F rescaled by it made every path abort at a chunk
+    # start with x1 = nan although its state was finite and above the axis.
+    t_final = 100.0
+    cfg = SimConfig(chart="hyperbolic2", epsilon=1.0, t_final=t_final, x0=np.array([0.0, 1e-150]),
+                    e0=np.array([0.0, -1.0]), output_times=tuple(np.linspace(0.0, t_final, 101)))
+    rngs = [ScaledNoise(philox_stream(0, p), 0.3) for p in range(8)]
+    out = simulate_paths(cfg, range(8), rngs=rngs)
+    assert out.aborts == [] and out.alive.all()
+    x2 = out.xs[..., 1]
+    assert np.all(np.isfinite(out.xs)) and np.all(x2 > 0.0) and x2.min() < 1e-173
+    v = out.us / x2[..., None, None]                 # orthonormal in the Euclidean sense
+    assert np.max(np.abs(np.einsum("...ji,...jk->...ik", v, v) - np.eye(2))) < 1e-8
 
 
 def test_heun_loop_converges_to_exact_h2_step(monkeypatch):

@@ -64,3 +64,27 @@ def test_tracer_counts_two_group_half_steps_per_hyperbolic2_step():
         assert np.array_equal(getattr(plain, field), getattr(traced, field))
     assert tracer.counts["perturbed_geodesic.path_steps"] == 3 * steps
     assert tracer.self_times(0, tracer.mark())["group_process.advance"][0] == 2 * steps
+
+
+def test_tracer_sees_the_batched_simulate_command(tmp_path, capsys):
+    # `frameflow simulate` reaches the engine through the module attribute
+    # the tracer wraps: one simulate_paths span for all three paths, every
+    # path-step counted, and files byte-identical to an untraced run.
+    argv = ["simulate", "--manifold", "hyperbolic2", "--epsilon", "0.2", "--t-final", "0.2",
+            "--seed", "9", "--frames", "--group", "--output-times", "51", "--paths", "3"]
+    steps = 50                                  # t_final / (h0 eps^2)
+    assert frameflow.cli.main(argv + ["--output-dir", str(tmp_path / "plain")]) == 0
+    tracer = load_tracer()
+    tracer.install(frameflow)
+    try:
+        code = frameflow.cli.main(argv + ["--output-dir", str(tmp_path / "traced")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    spans = tracer.self_times(0, tracer.mark())
+    assert tracer.counts["perturbed_geodesic.path_steps"] == 3 * steps
+    assert spans["perturbed_geodesic.simulate_paths"][0] == 1
+    assert spans["cli.write"][0] == 3 and len(tracer.written) == 3
+    names = [f"path_{p:04d}.csv" for p in range(3)]
+    for name in names:
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
