@@ -39,8 +39,8 @@ from .homogenize import (
     check_epsilon_list,
     epsilon_sweep,
     linear_fit,
-    marginal_normal_ks,
     msd_rate,
+    reference_law,
     run_ensemble,
 )
 from . import perturbed_geodesic
@@ -60,6 +60,8 @@ CONFIG_KEYS = (
 
 MSD_TOLERANCE = 0.10
 KS_P_FLOOR = 0.01
+# summary.json name of the KS criterion, by reference law; both read the last KS row.
+KS_CRITERION = {"euclidean": "marginal_normal_ks", "hyperbolic": "distance_oracle_ks"}
 R2_THRESHOLD = 0.99
 
 # Bytes that one engine call of `simulate` may hold per batch: its recorded
@@ -131,7 +133,6 @@ class RunConfig:
         return EnsembleSpec(
             sim=self.sim_config(),
             paths=self.paths if self.paths is not None else default_paths,
-            epsilon_list=self.epsilon_list,
             jobs=self.jobs if self.jobs is not None else (os.cpu_count() or 1),
         )
 
@@ -424,18 +425,11 @@ def cmd_homogenize(cfg: RunConfig) -> int:
         criteria["msd_linearity"] = {
             "r2": r2, "threshold": R2_THRESHOLD, "pass": bool(r2 > R2_THRESHOLD),
         }
-        ks_stat, ks_p = marginal_normal_ks(stats, spec.sim)
-        criteria["marginal_normal_ks"] = {
-            "statistic": ks_stat, "p_value": ks_p, "floor": KS_P_FLOOR,
-            "pass": bool(ks_p > KS_P_FLOOR),
-        }
-    else:
-        ks_stat = float(stats.ks_stat[-1])
-        ks_p = float(stats.ks_p[-1])
-        criteria["distance_oracle_ks"] = {
-            "statistic": ks_stat, "p_value": ks_p, "floor": KS_P_FLOOR,
-            "pass": bool(ks_p > KS_P_FLOOR),
-        }
+    ks_p = float(stats.ks_p[-1])
+    criteria[KS_CRITERION[reference_law(chart)]] = {
+        "statistic": float(stats.ks_stat[-1]), "p_value": ks_p, "floor": KS_P_FLOOR,
+        "pass": bool(ks_p > KS_P_FLOOR),
+    }
     criteria["aborts"] = {
         "count": len(stats.aborts), "paths": spec.paths,
         "pass": bool(len(stats.aborts) == 0),
@@ -462,7 +456,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.epsilon_list is None:
         raise ConfigError("sweep requires epsilon_list")
     spec = cfg.ensemble_spec()
-    rows = epsilon_sweep(spec)
+    rows = epsilon_sweep(spec, cfg.epsilon_list)
     t_swept = time.perf_counter()
     out_dir = Path(cfg.output_dir)
     _write_csv(out_dir / "sweep.csv", ["epsilon", "msd_rel_err", "ks_stat", "ks_p"],
@@ -471,7 +465,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     summary = {
         "command": "sweep",
         "chart": spec.sim.chart,
-        "epsilon_list": list(spec.epsilon_list),
+        "epsilon_list": list(cfg.epsilon_list),
         "paths": spec.paths,
         "seed": spec.sim.seed,
         "final_row": dataclasses.asdict(final),

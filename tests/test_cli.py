@@ -283,6 +283,10 @@ class TestHomogenizeCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["criteria"]["marginal_normal_ks"]["pass"] is True
         assert rc == 0
+        # The criterion is the last ks.csv row, not a second test.
+        crit = summary["criteria"]["marginal_normal_ks"]
+        last = (tmp_path / "ks.csv").read_text().splitlines()[-1].split(",")
+        assert [float(v) for v in last] == [1.0, crit["statistic"], crit["p_value"]]
 
     def test_config_file_driven_run(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -63,7 +63,7 @@ def test_reference_law_follows_the_chart_not_its_name(copies):
 def test_library_sweep_without_oracle_raises_config_error(copies):
     sim = SimConfig(chart="h2-copy", epsilon=0.3, t_final=0.2)
     with pytest.raises(ConfigError, match="'h2-copy'"):
-        epsilon_sweep(EnsembleSpec(sim=sim, paths=100, epsilon_list=(0.3, 0.2), jobs=1))
+        epsilon_sweep(EnsembleSpec(sim=sim, paths=100, jobs=1), (0.3, 0.2))
 
 
 def test_sweep_on_registered_flat_chart_runs_the_marginal_ks(copies, tmp_path):

@@ -241,6 +241,21 @@ class TestRunEnsemble:
         assert stats.ks_p is not None and len(stats.ks_p) == len(stats.times)
         assert stats.ks_p[0] == 1.0  # identical point masses at t = 0
 
+    def test_flat_ks_rows_are_one_sample_against_the_finite_epsilon_mean(self):
+        # Against oracle samples centred on x0, the last row read p = 7.0e-7.
+        eps, n, t = 0.05, 3, 0.5
+        stats = run_ensemble(spec_for(chart="euclidean:3", epsilon=eps, t_final=t,
+                                      paths=2000, seed=2, jobs=1), record_frames=False)
+        assert stats.ks_p[-1] > 0.01
+        # x0 = 0, u0 = I, e0 = e1: the mean is (4 eps/(n-1)) e1.
+        z = (stats.positions[-1, :, 0] - 4.0 * eps / (n - 1)) / np.sqrt(
+            2.0 * effective_diffusivity(n) * t)
+        stat, p = ks_vs_standard_normal(z)
+        assert stats.ks_stat[-1] == pytest.approx(stat, rel=1e-12)
+        assert stats.ks_p[-1] == pytest.approx(p, rel=1e-9)
+        assert (stats.ks_stat[0], stats.ks_p[0]) == (0.0, 1.0)
+        assert stats.oracle_scalar is None
+
     def test_jobs_do_not_change_results(self):
         spec1 = spec_for(paths=120, epsilon=0.1, seed=3, jobs=1)
         spec2 = spec_for(paths=120, epsilon=0.1, seed=3, jobs=3)
@@ -264,20 +279,20 @@ class TestRunEnsemble:
 class TestEpsilonSweep:
     def test_requires_epsilon_list(self):
         with pytest.raises(ConfigError):
-            epsilon_sweep(spec_for(paths=150))
+            epsilon_sweep(spec_for(paths=150), ())
 
     def test_monotone_validation(self):
         with pytest.raises(ConfigError):
-            spec_for(paths=150, epsilon_list=(0.05, 0.1))
+            epsilon_sweep(spec_for(paths=150), (0.05, 0.1))
 
     def test_non_finite_epsilon_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
-            spec_for(paths=150, epsilon_list=(np.inf, 0.1))
+            epsilon_sweep(spec_for(paths=150), (np.inf, 0.1))
 
     def test_reproducible_table(self):
-        spec = spec_for(paths=150, seed=12, epsilon_list=(0.2, 0.1))
-        rows_a = epsilon_sweep(spec)
-        rows_b = epsilon_sweep(spec)
+        spec = spec_for(paths=150, seed=12)
+        rows_a = epsilon_sweep(spec, (0.2, 0.1))
+        rows_b = epsilon_sweep(spec, (0.2, 0.1))
         assert [dataclasses.asdict(r) for r in rows_a] == \
                [dataclasses.asdict(r) for r in rows_b]
         assert [r.epsilon for r in rows_a] == [0.2, 0.1]
@@ -288,11 +303,23 @@ class TestEpsilonSweep:
     def test_final_row_within_tolerances(self):
         # Discrepancies shrink toward the limit; only the smallest-epsilon
         # row is gated (no rate asserted).
-        spec = spec_for(paths=800, seed=6, epsilon_list=(0.2, 0.1, 0.05, 0.02))
-        rows = epsilon_sweep(spec)
+        spec = spec_for(paths=800, seed=6)
+        rows = epsilon_sweep(spec, (0.2, 0.1, 0.05, 0.02))
         final = rows[-1]
         assert final.msd_rel_err < 0.10
         assert final.ks_p > 0.01
+
+    @pytest.mark.parametrize("chart", ["euclidean:2", "hyperbolic2"])
+    def test_row_reads_the_last_output_time_of_its_run(self, chart):
+        # Against the flat rate 8/(n-1), the hyperbolic2 row read 0.2545:
+        # E rho^2 at c T = 1 is 5.23, not 4.
+        spec = spec_for(chart=chart, epsilon=0.05, t_final=0.5, paths=1000, seed=1)
+        row, = epsilon_sweep(spec, (0.05,))
+        stats = run_ensemble(spec, record_frames=False)
+        target = stats.oracle_msd[-1]
+        assert row.msd_rel_err == abs(stats.msd[-1] - target) / target
+        assert (row.ks_stat, row.ks_p) == (stats.ks_stat[-1], stats.ks_p[-1])
+        assert row.msd_rel_err < 0.10
 
 
 def test_linear_fit_recovers_line():
