@@ -8,7 +8,8 @@ before any work starts.
 
 Exit codes: 0 success, 1 criterion failure, 2 configuration error,
 3 numerical abort.  Under ``-v`` each phase of a run logs one line with
-its seconds to stderr.
+its seconds to stderr.  ``simulate``, ``homogenize`` and ``sweep`` split
+their paths into engine calls by ``perturbed_geodesic.path_batches``.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ KS_P_FLOOR = 0.01
 # summary.json name of the KS criterion, by reference law; both read the last KS row.
 KS_CRITERION = {"euclidean": "marginal_normal_ks", "hyperbolic": "distance_oracle_ks"}
 R2_THRESHOLD = 0.99
-
-# Bytes that one engine call of `simulate` may hold per batch: its recorded
-# outputs and its noise buffer.  Every call holds at least one path.
-SIMULATE_BATCH_BYTES = 16 << 20
 
 
 @dataclass
@@ -366,34 +363,29 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.with_group:
         header += [f"g{i+1}{j+1}" for i in range(n) for j in range(n)]
     # The numbers do not depend on how paths are batched.
-    batch = max(1, SIMULATE_BATCH_BYTES // perturbed_geodesic.path_bytes(
-        sim, cfg.with_frames, cfg.with_group))
+    batches = perturbed_geodesic.path_batches(sim, n_paths, cfg.with_frames, cfg.with_group)
     _log.info("set-up: %.3f s", time.perf_counter() - t_start)
     simulate_s = write_s = 0.0
-    calls = path_steps = 0
-    for lo in range(0, n_paths, batch):
+    for batch in batches:
         t0 = time.perf_counter()
         out = perturbed_geodesic.simulate_paths(
-            sim, range(lo, min(lo + batch, n_paths)),
-            record_frames=cfg.with_frames, record_group=cfg.with_group)
+            sim, batch, record_frames=cfg.with_frames, record_group=cfg.with_group)
         t1 = time.perf_counter()
-        calls += 1
-        path_steps += out.steps * len(out.alive)
         simulate_s += t1 - t0
         fields = [out.xs] + [f.reshape(f.shape[:2] + (-1,)) for f in (out.us, out.gs)
                              if f is not None]
         table = np.empty((len(out.times), len(header)))
         table[:, 0] = out.times
-        for i, alive in enumerate(out.alive):
-            if not alive:
+        for i, p in enumerate(batch):
+            if not out.alive[i]:
                 # As one path per call would: the files before it, then its abort.
-                _, t, xbad = next(rec for rec in out.aborts if rec[0] == lo + i)
-                raise DomainExitError(t, xbad, lo + i)
+                _, t, xbad = next(rec for rec in out.aborts if rec[0] == p)
+                raise DomainExitError(t, xbad, p)
             np.concatenate([f[:, i] for f in fields], axis=1, out=table[:, 1:])
-            _write_csv(out_dir / f"path_{lo + i:04d}.csv", header, table)
+            _write_csv(out_dir / f"path_{p:04d}.csv", header, table)
         write_s += time.perf_counter() - t1
     _log.info("simulate: %d path(s) in %d engine call(s), %.0f path-steps/s, %.3f s",
-              n_paths, calls, path_steps / max(simulate_s, 1e-9), simulate_s)
+              n_paths, len(batches), out.steps * n_paths / max(simulate_s, 1e-9), simulate_s)
     _log.info("write: %d path file(s), %.3f s", n_paths, write_s)
     print(f"wrote {n_paths} path file(s) to {out_dir}")
     return 0
@@ -401,10 +393,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_homogenize(cfg: RunConfig) -> int:
     spec = cfg.ensemble_spec()
-    stats = run_ensemble(spec)
-    t_reduced = time.perf_counter()
     chart = chart_by_name(spec.sim.chart)
     n = chart.dim
+    if chart.flat:
+        # The msd_slope fit runs through the positive output times, as reached on the step grid.
+        out_idx = perturbed_geodesic.output_steps(spec.sim)[1]
+        if len(np.unique(out_idx[out_idx > 0])) < 2:
+            raise ConfigError("the msd_slope fit needs at least two distinct positive output "
+                              "times on the step grid")
+    stats = run_ensemble(spec, record_frames=False)
+    t_reduced = time.perf_counter()
     out_dir = Path(cfg.output_dir)
 
     _write_csv(out_dir / "msd.csv", ["t", "msd", "stderr", "oracle_msd"],
@@ -413,9 +411,9 @@ def cmd_homogenize(cfg: RunConfig) -> int:
                zip(stats.times, stats.ks_stat, stats.ks_p))
 
     criteria: dict = {}
-    positive = stats.times > 0
-    slope, _, r2 = linear_fit(stats.times[positive], stats.msd[positive])
     if chart.flat:
+        positive = stats.times > 0
+        slope, _, r2 = linear_fit(stats.times[positive], stats.msd[positive])
         target = msd_rate(n)
         rel_err = abs(slope - target) / target
         criteria["msd_slope"] = {

@@ -3,10 +3,12 @@
 The rescaled position process has limiting generator c * Laplacian with
 c = 4 / (n (n-1)), so its mean squared displacement grows like 2 n c t =
 8 t / (n - 1) on flat charts and its law matches a Brownian motion run at
-diffusivity c on curved model charts.  This module fans an ensemble of
-independent paths out over processes, reduces them to per-time marginal
-samples, and runs one Kolmogorov-Smirnov test per output time against the
-law of the limit.  On flat charts that test is one-sample: the first
+diffusivity c on curved model charts.  This module runs an ensemble of
+independent paths in the engine calls ``path_batches`` sizes (one code
+path for every job count: in process, or over a process pool), reduces
+them to marginal samples at the step-grid times the paths reached, and
+runs one Kolmogorov-Smirnov test per output time against the law of the
+limit there.  On flat charts that test is one-sample: the first
 coordinate against the exact normal law N(m_1, 2 c t), centred on the
 finite-epsilon mean m.  On the half-plane it is two-sample: the distance
 from x0 against exact samples of the limiting Brownian motion
@@ -22,6 +24,7 @@ for scipy once, at its first KS test.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -34,6 +37,7 @@ from .manifold import Chart, chart_by_name
 from .perturbed_geodesic import (
     ORACLE_STREAM_BASE,
     SimConfig,
+    path_batches,
     philox_stream,
     resolve_start,
     simulate_paths,
@@ -106,7 +110,7 @@ def check_epsilon_list(values) -> tuple[float, ...]:
 class EnsembleStats:
     """Marginal samples and derived statistics at each output time."""
 
-    times: np.ndarray
+    times: np.ndarray                   # (K,) the step-grid times the paths reached
     positions: np.ndarray               # (K, M, n), surviving paths only
     frames: np.ndarray | None           # (K, M, n, n)
     msd: np.ndarray                     # (K,)
@@ -122,21 +126,21 @@ class EnsembleStats:
     aborts: list
 
 
-def _simulate_chunk(args):
-    cfg, lo, hi, record_frames = args
-    out = simulate_paths(cfg, range(lo, hi), record_frames=record_frames)
-    return out.xs, out.us, out.alive, out.aborts
+def _simulate_batch(cfg: SimConfig, record_frames: bool, batch: range):
+    # simulate_paths by name when run: a pool never pickles a patched wrapper.
+    return simulate_paths(cfg, batch, record_frames=record_frames)
 
 
 def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStats:
     """Simulate the ensemble and reduce it to per-time statistics.
 
-    Deterministic given the config seed, and independent of ``jobs``:
-    each path owns a counter-based stream keyed by its index.  Raises
-    :class:`ConfigError`, before any step, on a chart with no
+    Deterministic given the config seed, and independent of ``jobs`` and
+    of the :func:`path_batches` calls: each path owns a counter-based
+    stream keyed by its index, and aborts are listed by step, then path.
+    Raises :class:`ConfigError`, before any step, on a chart with no
     :func:`reference_law`, and :class:`NumericalAbort` when more than 1% of
-    paths leave the chart.  Logs the seconds of its two phases, simulate
-    and KS reduction, at INFO.
+    paths leave the chart.  Logs its two phases, simulate and KS
+    reduction, at INFO.
     """
     t_start = time.perf_counter()
     cfg = spec.sim
@@ -144,24 +148,25 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     reference = reference_law(chart)
     m_paths = spec.paths
 
-    jobs = min(spec.jobs, m_paths)
-    if jobs > 1:
+    batches = path_batches(cfg, m_paths, record_frames, record_group=False, parts=spec.jobs)
+    engine = functools.partial(_simulate_batch, cfg, record_frames)
+    if spec.jobs == 1:
+        outs = list(map(engine, batches))
+    else:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, m_paths, jobs + 1).astype(int)
-        tasks = [(cfg, int(lo), int(hi), record_frames)
-                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_simulate_chunk, tasks))
-        xs = np.concatenate([p[0] for p in parts], axis=1)
-        us = None if parts[0][1] is None else np.concatenate([p[1] for p in parts], axis=1)
-        alive = np.concatenate([p[2] for p in parts])
-        aborts = [rec for p in parts for rec in p[3]]
-    else:
-        out = simulate_paths(cfg, range(m_paths), record_frames=record_frames)
-        xs, us, alive, aborts = out.xs, out.us, out.alive, out.aborts
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(batches))) as pool:
+            outs = list(pool.map(engine, batches))
+    xs = np.concatenate([out.xs for out in outs], axis=1)
+    us = np.concatenate([out.us for out in outs], axis=1) if record_frames else None
+    alive = np.concatenate([out.alive for out in outs])
+    aborts = sorted((rec for out in outs for rec in out.aborts), key=lambda rec: (rec[1], rec[0]))
+    times = outs[0].times
     t_simulated = time.perf_counter()
-    _log.info("simulate: %d paths, %.3f s", m_paths, t_simulated - t_start)
+    seconds = t_simulated - t_start
+    _log.info("simulate: %d path(s) in %d engine call(s), %.0f path-steps/s, %.3f s",
+              m_paths, len(outs), outs[0].steps * m_paths / max(seconds, 1e-9), seconds)
+    del outs  # the calls' own copies of the outputs
 
     if len(aborts) > ABORT_FRACTION_LIMIT * m_paths:
         raise NumericalAbort(
@@ -173,7 +178,6 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
         us = us[:, alive, :, :]
     survivors = int(alive.sum())
 
-    times = cfg.resolved_output_times()
     x0 = resolve_start(cfg, chart)[0]
     d = chart.distance(xs, x0) if chart.distance is not None else np.sqrt(
         np.sum((xs - x0) ** 2, axis=-1))

@@ -63,7 +63,9 @@ chunks of 128, each in three stages:
 
 Every stage writes into arrays allocated once per run, so a run of P
 paths holds the noise buffer, P * 256 * 2N * 8 bytes, and a few arrays
-of a chunk's size, however many steps it takes.
+of a chunk's size, however many steps it takes.  :func:`path_batches`
+splits the paths of a command into calls that each hold at most
+``BATCH_BYTES`` of outputs and noise.
 
 :func:`simulate_rescaled_path` is the one-path view of the routine.
 
@@ -99,6 +101,8 @@ _GROUP_PROJECT_EVERY = 1000
 # Steps whose per-step factors (quaternion exponentials, hyperbolic2 step
 # matrices) are formed at once.
 _SUB = 16
+# Bytes of outputs and noise one engine call may hold (see path_batches).
+BATCH_BYTES = 16 << 20
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
@@ -621,8 +625,7 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     elif len(rngs) != n_paths:
         raise ConfigError("rngs must match path_indices in length")
 
-    n_steps = max(1, int(round(cfg.t_final / eng.slow_dt)))
-    out_idx = np.clip(np.rint(cfg.resolved_output_times() / eng.slow_dt).astype(int), 0, n_steps)
+    n_steps, out_idx = output_steps(cfg)
     grid_times = out_idx * eng.slow_dt
 
     alive = np.ones(n_paths, dtype=bool)
@@ -696,12 +699,27 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                          steps=n_steps)
 
 
-def path_bytes(cfg: SimConfig, record_frames: bool = True, record_group: bool = False) -> int:
-    """Bytes one path adds to a :func:`simulate_paths` call of ``cfg``: its
-    recorded outputs and its row of the noise buffer."""
+def output_steps(cfg: SimConfig) -> tuple[int, np.ndarray]:
+    """Steps a path of ``cfg`` takes, and the step at which each output time
+    is recorded: the time rounded to the step grid of slow_dt = h0 eps^2."""
+    slow_dt = cfg.h0 * cfg.epsilon**2
+    n_steps = max(1, int(round(cfg.t_final / slow_dt)))
+    return n_steps, np.clip(np.rint(cfg.resolved_output_times() / slow_dt).astype(int), 0, n_steps)
+
+
+def path_batches(cfg: SimConfig, n_paths: int, record_frames: bool, record_group: bool,
+                 parts: int = 1) -> list[range]:
+    """Consecutive ranges of paths 0..n_paths-1, one per engine call: ``parts``
+    near-equal parts (fewer if paths run out), each cut into ranges that fit
+    in ``BATCH_BYTES``, the largest first.  A path holds its recorded
+    outputs and its row of the noise buffer, 256 * 2N * 8 bytes."""
     n = chart_by_name(cfg.chart).dim
     fields = n + n * n * (int(record_frames) + int(record_group))
-    return 8 * (len(cfg.resolved_output_times()) * fields + _NOISE_BLOCK * n * (n - 1))
+    per_path = 8 * (len(cfg.resolved_output_times()) * fields + _NOISE_BLOCK * n * (n - 1))
+    width = max(1, BATCH_BYTES // per_path)
+    bounds = [n_paths * i // parts for i in range(parts + 1)]
+    return [range(lo, min(lo + width, hi))
+            for start, hi in zip(bounds, bounds[1:]) for lo in range(start, hi, width)]
 
 
 def simulate_rescaled_path(cfg: SimConfig, path_index: int = 0,

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from frameflow import euclidean_chart, register_chart
+from frameflow import euclidean_chart, homogenize, perturbed_geodesic, register_chart
 from frameflow.manifold import Chart
 
 
@@ -20,3 +21,19 @@ def strip_chart(half_width=0.3):
 
 
 register_chart("strip-test", strip_chart())
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Path counts of each simulate_paths call made through the module
+    attributes the CLI and run_ensemble call it by."""
+    calls = []
+    engine = perturbed_geodesic.simulate_paths
+
+    def counting(cfg, path_indices, *args, **kwargs):
+        calls.append(len(path_indices))
+        return engine(cfg, path_indices, *args, **kwargs)
+
+    for module in (perturbed_geodesic, homogenize):
+        monkeypatch.setattr(module, "simulate_paths", counting)
+    return calls

@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frameflow import ConfigError, DomainExitError, chart_by_name, cli, perturbed_geodesic
+from frameflow import ConfigError, DomainExitError, chart_by_name, perturbed_geodesic
 from frameflow.cli import build_parser, main, parse_config, read_config_file
 from frameflow.perturbed_geodesic import simulate_rescaled_path
 
@@ -197,20 +198,6 @@ def written_files(out_dir):
     return {f.name: f.read_bytes() for f in sorted(out_dir.glob("path_*.csv"))}
 
 
-@pytest.fixture
-def engine_calls(monkeypatch):
-    """Path counts of each simulate_paths call made through the module attribute."""
-    calls = []
-    engine = perturbed_geodesic.simulate_paths
-
-    def counting(cfg, path_indices, *args, **kwargs):
-        calls.append(len(path_indices))
-        return engine(cfg, path_indices, *args, **kwargs)
-
-    monkeypatch.setattr(perturbed_geodesic, "simulate_paths", counting)
-    return calls
-
-
 BATCHED_RUNS = {
     "hyperbolic2-frames-group": ["simulate", "--manifold", "hyperbolic2", "--epsilon", "0.1",
                                  "--t-final", "0.3", "--seed", "9", "--paths", "3", "--frames",
@@ -232,9 +219,10 @@ class TestBatchedSimulate:
                                                              engine_calls, capsys):
         argv = BATCHED_RUNS["hyperbolic2-frames-group"]
         assert main(argv + ["--output-dir", str(tmp_path / "one")]) == 0
-        sim, _ = _sim_config(argv)
-        two_paths = 2 * perturbed_geodesic.path_bytes(sim, True, True)
-        monkeypatch.setattr(cli, "SIMULATE_BATCH_BYTES", two_paths)
+        # A path holds 301 output rows of t, x, u and g (10 values) and one
+        # noise row of 256 steps of 2 normals, 8 bytes each.
+        two_paths = 2 * 8 * (301 * 10 + 256 * 2)
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", two_paths)
         assert main(argv + ["-v", "--output-dir", str(tmp_path / "split")]) == 0
         assert engine_calls == [3, 2, 1]
         assert written_files(tmp_path / "split") == written_files(tmp_path / "one")
@@ -286,7 +274,28 @@ class TestHomogenizeCommand:
         # The criterion is the last ks.csv row, not a second test.
         crit = summary["criteria"]["marginal_normal_ks"]
         last = (tmp_path / "ks.csv").read_text().splitlines()[-1].split(",")
-        assert [float(v) for v in last] == [1.0, crit["statistic"], crit["p_value"]]
+        # t is the step-grid time of T = 1: 4000 steps of h0 eps^2.
+        t_grid = 4000 * (0.1 * 0.05**2)
+        assert [float(v) for v in last] == [t_grid, crit["statistic"], crit["p_value"]]
+
+    @pytest.mark.parametrize("times", ["2", "0.5"])
+    def test_slope_needs_two_positive_output_times(self, times, tmp_path, capsys, engine_calls):
+        # A fit through one point read slope 3.88 against 8 (msd/T was 7.76)
+        # with R^2 = 1, and exited 1.
+        rc = main(["homogenize", "--manifold", "euclidean:2", "--epsilon", "0.05",
+                   "--paths", "2000", "--jobs", "1", "--seed", "1", "--output-times", times,
+                   "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert "two distinct positive output times" in capsys.readouterr().err
+        assert engine_calls == [] and not (tmp_path / "summary.json").exists()
+
+    def test_two_positive_output_times_run(self, tmp_path):
+        rc = main(["homogenize", "--manifold", "euclidean:2", "--epsilon", "0.05",
+                   "--paths", "2000", "--jobs", "1", "--seed", "1", "--output-times", "0.5,1",
+                   "--output-dir", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert rc == 0 and summary["criteria"]["msd_slope"]["pass"] is True
+        assert len((tmp_path / "msd.csv").read_text().splitlines()) == 1 + 2
 
     def test_config_file_driven_run(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -304,24 +313,33 @@ class TestVerbosePhases:
     RUNS = {
         "simulate": (["simulate", "--manifold", "hyperbolic2", "--epsilon", "0.1",
                       "--t-final", "0.1", "--paths", "2"],
-                     ["set-up", "simulate", "write"]),
+                     ["set-up", "simulate", "write"], ["2 path(s) in 1 engine call(s)"]),
         "homogenize": (["homogenize", "--manifold", "euclidean:2", "--epsilon", "0.1",
                         "--t-final", "0.5", "--paths", "150", "--jobs", "1"],
-                       ["simulate", "KS reduction", "write"]),
+                       ["simulate", "KS reduction", "write"], ["150 path(s) in 1 engine call(s)"]),
+        "homogenize-jobs": (["homogenize", "--manifold", "euclidean:2", "--epsilon", "0.1",
+                             "--t-final", "0.5", "--paths", "150", "--jobs", "2"],
+                            ["simulate", "KS reduction", "write"],
+                            ["150 path(s) in 2 engine call(s)"]),
         "sweep": (["sweep", "--manifold", "hyperbolic2", "--epsilon-list", "0.2,0.1",
                    "--t-final", "0.2", "--paths", "150", "--jobs", "1"],
-                  ["simulate", "KS reduction", "simulate", "KS reduction", "write"]),
+                  ["simulate", "KS reduction", "simulate", "KS reduction", "write"],
+                  ["150 path(s) in 1 engine call(s)"] * 2),
     }
 
     @pytest.mark.parametrize("command", sorted(RUNS))
     def test_one_stderr_line_per_phase_only_under_v(self, command, tmp_path, capsys):
-        argv, phases = self.RUNS[command]
+        argv, phases, counts = self.RUNS[command]
         assert main(argv + ["--output-dir", str(tmp_path / "quiet")]) in (0, 1)
         assert capsys.readouterr().err == ""
         assert main(argv + ["-v", "--output-dir", str(tmp_path / "verbose")]) in (0, 1)
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(":")[1].strip() for line in lines] == phases
         assert all(line.startswith("frameflow: ") and line.endswith(" s") for line in lines)
+        # Every simulate line gives its engine calls and throughput, in one form.
+        simulated = [line for line in lines if line.startswith("frameflow: simulate: ")]
+        assert [line.split(": ")[2].split(",")[0] for line in simulated] == counts
+        assert all(re.search(r", \d+ path-steps/s, \d+\.\d{3} s$", line) for line in simulated)
 
 
 class TestSweepCommand:

@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from frameflow import (
     msd_rate,
     oracle_euclidean_bm,
     oracle_hyperbolic_bm,
+    perturbed_geodesic,
     philox_stream,
     run_ensemble,
+    simulate_paths,
 )
 from frameflow.homogenize import (
     _advance_half_plane,
@@ -274,6 +278,91 @@ class TestRunEnsemble:
         stats = run_ensemble(spec_for(paths=120, epsilon=0.1, seed=9))
         # trivial transport: every recorded frame equals u0 = I
         assert np.max(np.abs(stats.frames - np.eye(2))) < 1e-6
+
+
+def run_logged(spec, caplog, **kw):
+    """run_ensemble(spec) and the engine calls its simulate line reports."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="frameflow"):
+        stats = run_ensemble(spec, **kw)
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("simulate:")]
+    return stats, int(re.search(r"in (\d+) engine call\(s\)", line).group(1))
+
+
+# A flat n = 2 path with frames holds 21 rows of x and u (6 values) and 256
+# noise steps of 2 normals, 8 bytes each.
+FLAT2_PATH_BYTES = 8 * (21 * 6 + 256 * 2)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("chart", ["euclidean:2", "hyperbolic2"])
+    def test_batches_and_jobs_leave_results_bitwise_unchanged(self, chart, monkeypatch, caplog):
+        spec = spec_for(chart=chart, epsilon=0.1, t_final=0.5, paths=120, seed=5)
+        one, calls = run_logged(spec, caplog)
+        assert calls == 1
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", 30 * FLAT2_PATH_BYTES)
+        # 30 paths a call: 4 calls, or 3 parts of 40 paths cut 30 + 10.
+        for jobs, expected_calls in ((1, 4), (3, 6)):
+            stats, calls = run_logged(dataclasses.replace(spec, jobs=jobs), caplog)
+            assert calls == expected_calls
+            for field in ("times", "positions", "frames", "msd", "msd_stderr", "oracle_msd",
+                          "ks_stat", "ks_p"):
+                np.testing.assert_array_equal(getattr(stats, field), getattr(one, field))
+            assert (stats.oracle_scalar is None) == (chart == "euclidean:2")
+            if stats.oracle_scalar is not None:
+                np.testing.assert_array_equal(stats.oracle_scalar, one.oracle_scalar)
+
+    def test_engine_calls_follow_the_byte_budget(self, monkeypatch, engine_calls):
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", 30 * FLAT2_PATH_BYTES)
+        spec = spec_for(epsilon=0.1, t_final=0.5, paths=120, seed=5)
+        run_ensemble(spec)
+        assert engine_calls == [30, 30, 30, 30]
+        batches = perturbed_geodesic.path_batches(spec.sim, 120, True, False, parts=3)
+        assert [len(b) for b in batches] == [30, 10, 30, 10, 30, 10]
+
+    def test_pool_runs_under_a_patched_engine(self, engine_calls):
+        # A pool pickles its task function; a partial of the patched
+        # simulate_paths (this fixture's, or the bench tracer's wrapper)
+        # raised "Can't pickle local object".
+        spec = spec_for(epsilon=0.2, t_final=0.5, paths=120, seed=5)
+        one = run_ensemble(spec)
+        assert engine_calls == [120]
+        two = run_ensemble(dataclasses.replace(spec, jobs=2))
+        np.testing.assert_array_equal(two.positions, one.positions)
+
+    def test_abort_record_does_not_depend_on_batches_or_jobs(self, monkeypatch):
+        # Path 72 leaves the strip first, at t = 0.031.  One call lists the
+        # aborts in step order; three calls concatenated listed path 6 first.
+        sim = SimConfig(chart="strip-test", epsilon=0.1, t_final=0.2, seed=2)
+        first = simulate_paths(sim, range(100)).aborts[0]
+        messages = []
+        for jobs, budget in ((1, None), (1, 7 * FLAT2_PATH_BYTES), (3, None)):
+            if budget is not None:
+                monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", budget)
+            with pytest.raises(NumericalAbort) as abort:
+                run_ensemble(EnsembleSpec(sim=sim, paths=100, jobs=jobs))
+            messages.append(str(abort.value))
+        assert messages == [messages[0]] * 3
+        assert first[0] == 72 and messages[0].endswith(f"first record: {first}")
+
+    def test_stats_read_the_step_grid_times(self):
+        # At eps = 0.2 the t = 0.05 row is reached at step 12, t = 0.048; the
+        # oracle MSD and the KS variance 2ct used 0.05, 4% off.
+        eps = 0.2
+        sim = SimConfig(chart="euclidean:2", epsilon=eps, t_final=1.0, seed=3,
+                        output_times=(0.0, 0.05, 0.5, 1.0))
+        stats = run_ensemble(EnsembleSpec(sim=sim, paths=400), record_frames=False)
+        grid = simulate_paths(sim, [0], record_frames=False).times
+        np.testing.assert_array_equal(stats.times, grid)
+        assert stats.times[1] == pytest.approx(0.048, rel=1e-12)
+        c = effective_diffusivity(2)
+        np.testing.assert_array_equal(stats.oracle_msd, 2.0 * 2 * c * grid)
+        # x0 = 0, u0 = I, e0 = e1: the mean is (4 eps/(n-1)) e1.
+        for k in (1, 2, 3):
+            z = (stats.positions[k, :, 0] - 4.0 * eps) / np.sqrt(2.0 * c * grid[k])
+            stat, p = ks_vs_standard_normal(z)
+            assert stats.ks_stat[k] == pytest.approx(stat, rel=1e-12)
+            assert stats.ks_p[k] == pytest.approx(p, rel=1e-9)
 
 
 class TestEpsilonSweep:

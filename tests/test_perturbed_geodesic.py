@@ -211,6 +211,36 @@ class TestSimulatePathsBatch:
             assert np.all(out.us[after, path_index] == np.eye(2))
 
 
+class TestPathBatches:
+    @pytest.mark.parametrize("paths, parts, width", [
+        (10, 1, 3), (10, 3, 3), (10, 3, 100), (5, 4, 2), (3, 5, 1), (2000, 2, 1172), (1, 1, 1)])
+    def test_ranges_are_contiguous_and_cover_every_path(self, paths, parts, width, monkeypatch):
+        cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=0.5)
+        # A path of euclidean:3 holds 21 rows of x and u (12 values) and 256
+        # steps of 2 x 3 normals, 8 bytes each.
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", width * 8 * (21 * 12 + 256 * 6))
+        batches = perturbed_geodesic.path_batches(cfg, paths, True, False, parts=parts)
+        assert [p for b in batches for p in b] == list(range(paths))
+        assert all(b.step == 1 and 1 <= len(b) <= width for b in batches)
+        assert len(batches) >= min(parts, paths)
+        assert len(batches) == sum(-(-len(part) // width) for part in np.array_split(
+            np.arange(paths), min(parts, paths)))
+
+    @pytest.mark.parametrize("chart, eps, t_final, times, frames, group, paths, sizes", [
+        ("euclidean:2", 0.05, 1.0, None, True, False, 2000, [2000]),     # flat2-ensemble
+        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1172, 828]),  # flat3-ensemble
+        ("hyperbolic2", 0.05, 0.5, None, True, False, 2000, [2000]),     # hyp2-ensemble
+        ("hyperbolic2", 0.05, 1.0, 4001, True, True, 6, [6]),             # hyp2-simulate
+        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1311, 689]),  # no frames
+    ])
+    def test_sizes_of_the_bench_configs(self, chart, eps, t_final, times, frames, group, paths,
+                                        sizes):
+        out_times = None if times is None else tuple(np.linspace(0.0, t_final, times))
+        cfg = SimConfig(chart=chart, epsilon=eps, t_final=t_final, output_times=out_times)
+        batches = perturbed_geodesic.path_batches(cfg, paths, frames, group)
+        assert [len(b) for b in batches] == sizes
+
+
 def test_h2_runs_are_conservative_at_desk_scale():
     # 1000 paths at eps = 0.05, T = 1: nobody leaves the chart and the
     # height coordinate stays bounded away from zero (numerical health
