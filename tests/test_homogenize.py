@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from frameflow import (
     ConfigError,
@@ -25,6 +25,7 @@ from frameflow import (
 )
 from frameflow.homogenize import (
     _advance_half_plane,
+    _kolmogorov_sf,
     _radial_table,
     ks_vs_standard_normal,
     linear_fit,
@@ -222,6 +223,62 @@ class TestKsTwoSample:
     def test_constant_equal_samples(self):
         stat, p = ks_two_sample(np.zeros(100), np.zeros(100))
         assert stat == 0.0 and p == 1.0
+
+
+def kolmogorov_edges(n):
+    """d at each threshold where _kolmogorov_sf changes method, with its two
+    float neighbours: n d = 0.5, 1 and n - 1; n d^2 = 0.754693, 2.2 and 4;
+    n d^1.5 = 1.4; d = 0.5 and 1."""
+    edges = [0.5 / n, 1.0 / n, (n - 1.0) / n, np.sqrt(0.754693 / n), np.sqrt(2.2 / n),
+             np.sqrt(4.0 / n), (1.4 / n) ** (2.0 / 3.0), 0.5, 1.0]
+    return [x for d in edges for x in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0))]
+
+
+class TestKolmogorovTail:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 25, 140, 141, 1000, 2000, 10_000, 100_000, 100_001])
+    def test_matches_scipy_kstwo_at_every_branch_edge(self, n):
+        # Past n = 10^4 the edges alone: scipy's Durbin loop is per point there.
+        grid = 41 if n <= 10_000 else 0
+        ds = kolmogorov_edges(n) + list(np.linspace(0.0, 1.0, grid)) + \
+            list(np.sqrt(np.linspace(0.01, 30.0, grid) / n))
+        for d in ds:
+            ref = stats.kstwo.sf(d, n)
+            got = _kolmogorov_sf(n, float(d))
+            assert 0.0 <= got <= 1.0
+            if ref >= 1e-12:
+                assert got == pytest.approx(ref, rel=1e-9), (n, d)
+            else:
+                assert got < 2e-12, (n, d)
+
+    def test_pelz_good_below_q_underflow(self):
+        # n > 100000 and sqrt(n) d < 0.0418: exp(-pi^2 / (8 n d^2)) underflows.
+        n = 10**7
+        assert _kolmogorov_sf(n, 0.04 / np.sqrt(n)) == stats.kstwo.sf(0.04 / np.sqrt(n), n) == 1.0
+
+
+class TestKsInputs:
+    # Both helpers read their samples through one check; before it, an empty
+    # or NaN sample returned (nan, nan), with a scipy warning for kstest.
+    @pytest.mark.parametrize("bad", [[], [0.1, np.nan, 0.3], [np.inf, 0.0]])
+    def test_one_sample_rejects_empty_and_non_finite(self, bad):
+        with pytest.raises(ConfigError):
+            ks_vs_standard_normal(np.array(bad, dtype=float))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_two_sample_rejects_non_finite(self, side):
+        good = np.linspace(-1.0, 1.0, 100)
+        bad = good.copy()
+        bad[17] = np.nan
+        with pytest.raises(ConfigError):
+            ks_two_sample(*((bad, good) if side == 0 else (good, bad)))
+
+    def test_one_sample_is_scipy_kstest(self):
+        z = np.random.default_rng(4).normal(0.05, 1.0, size=2000)
+        res = stats.kstest(z, "norm")
+        stat, p = ks_vs_standard_normal(z)
+        # The normal CDF is math.erfc's, scipy's is its own: D agrees to an ulp of the CDF.
+        assert stat == pytest.approx(res.statistic, abs=4.5e-16)
+        assert p == pytest.approx(res.pvalue, rel=1e-9)
 
 
 class TestRunEnsemble:
