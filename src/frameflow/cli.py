@@ -149,6 +149,7 @@ def _parse_float(key: str, value, positive: bool = False) -> float:
         out = float(str(value).strip())
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    require_finite(key, out)
     if positive and not out > 0:
         raise ConfigError(f"{key} must be positive")
     return out
@@ -325,7 +326,6 @@ def cmd_ergodic(cfg: RunConfig) -> int:
     n = cfg.resolve_dim()
     e0 = cfg.e0_vector(n)
     t_avg = 400.0 if cfg.t_final is None else cfg.t_final
-    require_finite("t_final", t_avg)
     basis = canonical_basis(n)
     gcfg = GroupSdeConfig(basis=basis, abar=cfg.abar_matrix(n), h=cfg.h0)
     rng = philox_stream(cfg.seed, 0)

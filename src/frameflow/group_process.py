@@ -137,9 +137,9 @@ def ergodic_average_repetitions(f: Callable[[np.ndarray], np.ndarray], cfg: Grou
     ``f`` receives the (reps, n, n) stack and returns a (..., reps) array;
     the result has shape (len(checkpoints), ..., reps) and row j holds the
     averages (1/t_j) int_0^{t_j} f(g_s) ds.  Checkpoints must sit on the
-    step grid.  Like every :class:`GroupSdeConfig` run, the paths run at
-    epsilon = 1, the equation clock in which the law-of-large-numbers
-    bound is stated.
+    step grid, fewer than 2**63 steps out.  Like every
+    :class:`GroupSdeConfig` run, the paths run at epsilon = 1, the
+    equation clock in which the law-of-large-numbers bound is stated.
     """
     checkpoints = require_finite("checkpoints", np.atleast_1d(checkpoints))
     if np.any(checkpoints <= 0) or np.any(np.diff(checkpoints) <= 0):
@@ -147,7 +147,11 @@ def ergodic_average_repetitions(f: Callable[[np.ndarray], np.ndarray], cfg: Grou
     n = cfg.basis.dim
     n_basis = len(cfg.basis)
 
-    marks = np.rint(checkpoints / cfg.h).astype(int)
+    marks = np.rint(checkpoints / cfg.h)
+    if not marks[-1] < 2.0**63:
+        raise ConfigError(f"checkpoints need {marks[-1]:.3g} steps of h = {cfg.h:g}; "
+                          f"a step count must be below 2**63")
+    marks = marks.astype(int)
     if np.max(np.abs(marks * cfg.h - checkpoints)) > 1e-9 * max(1.0, checkpoints[-1]):
         raise ConfigError("checkpoints must sit on the step grid")
     g = np.broadcast_to(np.eye(n), (reps, n, n)).copy()

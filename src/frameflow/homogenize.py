@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -161,7 +162,8 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(batches))) as pool:
+        workers = min(spec.jobs, len(batches), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(engine, batches))
     xs = np.concatenate([out.xs for out in outs], axis=1)
     us = np.concatenate([out.us for out in outs], axis=1) if record_frames else None

@@ -16,13 +16,13 @@ ODE with the rotation frozen at its midpoint value g_mid (exact on
 second half group step.  The group chain never reads the point or the
 frame; only the direction g_mid e0 reaches them.  So
 :func:`simulate_paths`, the one stepping routine, takes the steps in
-chunks of 128, each in three stages:
+chunks of 128, each in four stages:
 
-1. Draw: every 256 steps, each path refills its row of the run's noise
-   buffer from its own stream.
+1. Draw: each path fills its row of the run's noise buffer with the
+   chunk's normals from its own stream, in one call.
 2. Group chain: the directions g_mid e0 of the chunk's steps, and g
-   itself where an output or the ``monitor`` needs it, computed in a
-   representation chosen by the dimension n and the chart:
+   itself where an output needs it, computed in a representation chosen
+   by the dimension n and the chart:
 
    - n = 2 on flat charts: g is a rotation by an angle and half-steps add
      angles, so one cumsum gives every angle and cos/sin every direction;
@@ -60,12 +60,13 @@ chunks of 128, each in three stages:
    finite) to the step and restarts the path at (x0, u0); from that step
    on the path is recorded as aborted and shown at (x0, u0), whichever
    stage ran it.
+4. Record: the states at the chunk's output steps go to the outputs.
 
 Every stage writes into arrays allocated once per run, so a run of P
-paths holds the noise buffer, P * 256 * 2N * 8 bytes, and a few arrays
+paths holds the noise buffer, P * 128 * 2N * 8 bytes, and a few arrays
 of a chunk's size, however many steps it takes.  :func:`path_batches`
 splits the paths of a command into calls that each hold at most
-``BATCH_BYTES`` of outputs and noise.
+``BATCH_BYTES`` of outputs, noise and chunk directions.
 
 :func:`simulate_rescaled_path` is the one-path view of the routine.
 
@@ -81,7 +82,7 @@ or distributed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,18 +91,18 @@ from .lie_algebra import canonical_basis, project_rotation
 from .group_process import _advance, check_direction, check_drift, check_h0
 from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
 
-# Most steps per path per noise draw; sizes the run's noise buffer.
-_NOISE_BLOCK = 256
-# Steps per chunk of the chain and frame stages, the size of their
-# workspaces.  The quaternion renormalisation and the hyperbolic2 return
-# to det 1 happen at chunk ends, so chunks start at multiples of it.
+# Steps per chunk: each path draws a chunk's noise at once, and the chain
+# and frame stages take a chunk at a time, so it sizes the noise buffer and
+# the workspaces.  The quaternion renormalisation and the hyperbolic2
+# return to det 1 happen at chunk ends, so chunks start at multiples of it.
 _CHUNK = 128
 # Cadence, in steps, of the polar re-projection of the matrix chain.
 _GROUP_PROJECT_EVERY = 1000
 # Steps whose per-step factors (quaternion exponentials, hyperbolic2 step
 # matrices) are formed at once.
 _SUB = 16
-# Bytes of outputs and noise one engine call may hold (see path_batches).
+# Bytes of outputs, noise and chunk directions one engine call may hold
+# (see path_batches).
 BATCH_BYTES = 16 << 20
 
 
@@ -595,8 +596,7 @@ class _HeunFrame:
 
 def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                    record_frames: bool = True, record_group: bool = False,
-                   rngs: Sequence[np.random.Generator] | None = None,
-                   monitor: Callable | None = None) -> EnsemblePaths:
+                   rngs: Sequence[np.random.Generator] | None = None) -> EnsemblePaths:
     """Integrate a batch of paths and snapshot them at the output times.
 
     Paths are independent; path ``p`` consumes the Philox stream keyed by
@@ -606,15 +606,13 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     in ``aborts`` (with the time of the step at which it failed; records
     in step order, then path order) and flagged dead in ``alive``; from
     that step on it is held at its start state (x0, u0), which its output
-    and ``monitor`` rows show exactly.
+    rows show exactly.
 
     ``rngs``, one generator per path, replaces the Philox streams (noise
     injection in the test-suite).  Each is called as
     ``standard_normal(size, out=...)``, with the size by position, and must
     fill ``out`` with that many standard normals, as
-    :class:`numpy.random.Generator` does.  ``monitor(step_index, x, u, g, alive)``
-    is invoked after every step when provided (constraint-defect tracking
-    in the test-suite).
+    :class:`numpy.random.Generator` does.
     """
     eng = _Engine(cfg)
     n, n_noise = eng.n, eng.n_noise
@@ -635,7 +633,6 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     xs = np.empty((k_out, n_paths, n))
     us = np.empty((k_out, n_paths, n, n)) if record_frames else None
     gs = np.empty((k_out, n_paths, n, n)) if record_group else None
-    need_u = us is not None or monitor is not None
 
     # Output slots at step 0 show the start.
     next_out = int(np.searchsorted(out_idx, 0, side="right"))
@@ -650,50 +647,36 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     # The chain writes a chunk's directions into columns 1.. of ``dirs``;
     # column 0 belongs to the frame stage.
     dirs = np.zeros((n_paths, n, _CHUNK + 1))
-    # Whole chunks of noise per refill, so chunks start at multiples of _CHUNK.
-    span = min(n_steps, -(-_NOISE_BLOCK // _CHUNK) * _CHUNK)
-    noise = np.empty((n_paths, span, 2, n_noise))
-    m = 0
-    while m < n_steps:
-        block = min(span, n_steps - m)
-        for row, r in zip(noise, rngs):
-            for lo in range(0, block, _NOISE_BLOCK):
-                hi = min(lo + _NOISE_BLOCK, block)
-                # Shape passed by position: stand-in generators read it there.
-                r.standard_normal((hi - lo, 2, n_noise), out=row[lo:hi])
-        for lo in range(0, block, _CHUNK):
-            xi = noise[:, lo:min(lo + _CHUNK, block)]
-            steps = xi.shape[1]
-            # Output slots next_out..last-1 fall in this chunk, at local steps `at`.
-            last = int(np.searchsorted(out_idx, m + steps, side="right"))
-            at = out_idx[next_out:last] - m - 1
-            wanted = np.arange(steps) if monitor is not None else np.unique(at)
-            keep = wanted if monitor is not None or record_group else wanted[:0]
-            g_at = dict(zip(keep.tolist(), chain.run(xi, keep, dirs[:, :, 1:steps + 1])))
-            xk, uk, fail, x_fail = stage.run(dirs[:, :, :steps + 1], wanted, need_u)
-            # Local step from which each path is held at (x0, u0).
-            dead_from = np.where(alive, fail, -1)
-            failed = np.nonzero(alive & (fail < steps))[0]
-            for p in failed[np.argsort(fail[failed], kind="stable")]:
-                aborts.append((paths[p], float((m + fail[p] + 1) * eng.slow_dt), x_fail[p]))
-            alive &= fail >= steps
-            if not alive.all():
-                held = wanted[:, None] >= dead_from
-                xk[held] = eng.x0
-                if uk is not None:
-                    uk[held] = eng.u0
-            if monitor is not None:
-                for j in range(steps):
-                    monitor(m + j + 1, xk[j], uk[j], g_at[j], j < dead_from)
-            for slot, j in zip(range(next_out, last), at):
-                k = np.searchsorted(wanted, j)
-                xs[slot] = xk[k]
-                if us is not None:
-                    us[slot] = uk[k]
-                if gs is not None:
-                    gs[slot] = g_at[j]
-            m += steps
-            next_out = last
+    noise = np.empty((n_paths, min(n_steps, _CHUNK), 2, n_noise))
+    for m in range(0, n_steps, _CHUNK):
+        steps = min(_CHUNK, n_steps - m)
+        xi = noise[:, :steps]
+        for row, r in zip(xi, rngs):
+            # Shape passed by position: stand-in generators read it there.
+            r.standard_normal((steps, 2, n_noise), out=row)
+        # Output slots next_out..last-1 fall in this chunk, at the local
+        # steps wanted[k].
+        last = int(np.searchsorted(out_idx, m + steps, side="right"))
+        wanted, k = np.unique(out_idx[next_out:last] - m - 1, return_inverse=True)
+        g_kept = chain.run(xi, wanted if record_group else wanted[:0], dirs[:, :, 1:steps + 1])
+        xk, uk, fail, x_fail = stage.run(dirs[:, :, :steps + 1], wanted, record_frames)
+        # Local step from which each path is held at (x0, u0).
+        dead_from = np.where(alive, fail, -1)
+        failed = np.nonzero(alive & (fail < steps))[0]
+        for p in failed[np.argsort(fail[failed], kind="stable")]:
+            aborts.append((paths[p], float((m + fail[p] + 1) * eng.slow_dt), x_fail[p]))
+        alive &= fail >= steps
+        if not alive.all():
+            held = wanted[:, None] >= dead_from
+            xk[held] = eng.x0
+            if uk is not None:
+                uk[held] = eng.u0
+        xs[next_out:last] = xk[k]
+        if us is not None:
+            us[next_out:last] = uk[k]
+        if gs is not None:
+            gs[next_out:last] = g_kept[k]
+        next_out = last
 
     return EnsemblePaths(times=grid_times, xs=xs, us=us, gs=gs, alive=alive, aborts=aborts,
                          steps=n_steps)
@@ -711,11 +694,14 @@ def path_batches(cfg: SimConfig, n_paths: int, record_frames: bool, record_group
                  parts: int = 1) -> list[range]:
     """Consecutive ranges of paths 0..n_paths-1, one per engine call: ``parts``
     near-equal parts (fewer if paths run out), each cut into ranges that fit
-    in ``BATCH_BYTES``, the largest first.  A path holds its recorded
-    outputs and its row of the noise buffer, 256 * 2N * 8 bytes."""
+    in ``BATCH_BYTES``, the largest first.  A path is priced at the arrays
+    :func:`simulate_paths` allocates for it: its recorded outputs, its row
+    of the noise buffer (128 steps of 2N normals) and its row of chunk
+    directions (n x 129), 8 bytes a number."""
     n = chart_by_name(cfg.chart).dim
     fields = n + n * n * (int(record_frames) + int(record_group))
-    per_path = 8 * (len(cfg.resolved_output_times()) * fields + _NOISE_BLOCK * n * (n - 1))
+    per_path = 8 * (len(cfg.resolved_output_times()) * fields + _CHUNK * n * (n - 1)
+                    + n * (_CHUNK + 1))
     width = max(1, BATCH_BYTES // per_path)
     bounds = [n_paths * i // parts for i in range(parts + 1)]
     return [range(lo, min(lo + width, hi))

@@ -30,7 +30,7 @@ from frameflow.group_process import (
     haar_moment_stats,
     poisson_h,
 )
-from frameflow.homogenize import ks_vs_standard_normal, linear_fit
+from frameflow.homogenize import linear_fit
 from frameflow.manifold import chart_by_name
 
 BASE_SEED = 42
@@ -142,10 +142,9 @@ def _flat_criterion(stats, n):
     slope, _, r2 = linear_fit(stats.times[positive], stats.msd[positive])
     target = msd_rate(n)
     rel_err = abs(slope - target) / target
-    c = target / (2 * n)
-    z = stats.positions[-1, :, 0] / np.sqrt(2.0 * c * stats.times[-1])
-    _, ks_p = ks_vs_standard_normal(z)
-    return slope, rel_err, r2, ks_p
+    # The ensemble's own last KS row: x1 against N(m1, 2ct), centred on the
+    # finite-eps mean, the row homogenize gates.
+    return slope, rel_err, r2, float(stats.ks_p[-1])
 
 
 def test_criterion_5_flat_homogenization(flat_ensemble_n2, flat_ensemble_n3):
@@ -191,27 +190,49 @@ def test_criterion_7_invariance_suite(flat_ensemble_n2):
            f"e0-independence p {p_e0:.3f}; drift-independence p {p_drift:.3f}", elapsed)
 
 
+def _structural_defects(cfg, paths, e0):
+    """Largest frame, group and speed defects of ``paths`` over every step
+    of ``cfg`` (its output times), the path-steps seen and the aborts.
+
+    Output row k is step k; a path's rows count while it is alive, that
+    is, before the step it aborted at.
+    """
+    chart = chart_by_name(cfg.chart)
+    slow_dt = cfg.h0 * cfg.epsilon**2
+    out = simulate_paths(cfg, paths, record_group=True)
+    alive = np.ones(out.xs.shape[:2], dtype=bool)
+    for p, t, _ in out.aborts:
+        alive[int(round(t / slow_dt)):, paths.index(p)] = False
+    alive[0] = False                                 # the start, not a step
+    x, u, g = out.xs[alive], out.us[alive], out.gs[alive]
+    gm = chart.metric(x)
+    gram_u = np.einsum("pji,pjk,pkl->pil", u, gm, u)
+    gram_g = np.einsum("pji,pjk->pik", g, g)
+    v = np.einsum("pij,pjk,k->pi", u, g, e0)
+    speed = np.sqrt(np.einsum("pi,pij,pj->p", v, gm, v))
+    defects = [float(np.max(np.abs(d))) for d in (gram_u - np.eye(2), gram_g - np.eye(2),
+                                                  speed - 1.0)]
+    return defects, (out.xs.shape[0] - 1) * len(paths), out.aborts
+
+
 def test_criterion_8_structural_invariants(hyperbolic_ensemble):
     t0 = time.perf_counter()
-    chart = chart_by_name("hyperbolic2")
     e0 = np.array([1.0, 0.0])
     maxima = {"frame": 0.0, "group": 0.0, "speed": 0.0}
     steps_seen = 0
+    aborts = []
 
-    def monitor(m, x, u, g, alive):
-        nonlocal steps_seen
-        steps_seen += x.shape[0]
-        gm = chart.metric(x)
-        gram_u = np.einsum("pji,pjk,pkl->pil", u, gm, u)
-        maxima["frame"] = max(maxima["frame"], float(np.max(np.abs(gram_u - np.eye(2)))))
-        gram_g = np.einsum("pji,pjk->pik", g, g)
-        maxima["group"] = max(maxima["group"], float(np.max(np.abs(gram_g - np.eye(2)))))
-        v = np.einsum("pij,pjk,k->pi", u, g, e0)
-        speed = np.sqrt(np.einsum("pi,pij,pj->p", v, gm, v))
-        maxima["speed"] = max(maxima["speed"], float(np.max(np.abs(speed - 1.0))))
-
-    cfg = SimConfig(chart="hyperbolic2", epsilon=0.01, t_final=1.0, seed=BASE_SEED + 3)
-    out = simulate_paths(cfg, range(10), record_frames=False, monitor=monitor)
+    # 10 paths of 100,000 steps with an output at every step, run as two
+    # calls of 5 paths (40 MB of states each).
+    slow_dt = 0.1 * 0.01**2
+    cfg = SimConfig(chart="hyperbolic2", epsilon=0.01, t_final=1.0, seed=BASE_SEED + 3,
+                    output_times=tuple(np.arange(100_001) * slow_dt))
+    for paths in (range(5), range(5, 10)):
+        defects, seen, path_aborts = _structural_defects(cfg, paths, e0)
+        for key, value in zip(maxima, defects):
+            maxima[key] = max(maxima[key], value)
+        steps_seen += seen
+        aborts += path_aborts
     defects_ok = max(maxima.values()) < 1e-8 and steps_seen >= 1_000_000
 
     # determinism: identical config and seed reproduce records bit for bit
@@ -222,7 +243,7 @@ def test_criterion_8_structural_invariants(hyperbolic_ensemble):
                      and np.array_equal(rec_a.us, rec_b.us)
                      and np.array_equal(rec_a.gs, rec_b.gs))
 
-    no_exits = len(hyperbolic_ensemble.aborts) == 0 and len(out.aborts) == 0
+    no_exits = len(hyperbolic_ensemble.aborts) == 0 and len(aborts) == 0
 
     elapsed = time.perf_counter() - t0
     report("8 structural-invariants",

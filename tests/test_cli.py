@@ -219,9 +219,10 @@ class TestBatchedSimulate:
                                                              engine_calls, capsys):
         argv = BATCHED_RUNS["hyperbolic2-frames-group"]
         assert main(argv + ["--output-dir", str(tmp_path / "one")]) == 0
-        # A path holds 301 output rows of t, x, u and g (10 values) and one
-        # noise row of 256 steps of 2 normals, 8 bytes each.
-        two_paths = 2 * 8 * (301 * 10 + 256 * 2)
+        # A path holds 301 output rows of x, u and g (10 values), one noise
+        # row of 128 steps of 2 normals and 2 x 129 chunk directions, 8
+        # bytes each.
+        two_paths = 2 * 8 * (301 * 10 + 128 * 2 + 2 * 129)
         monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", two_paths)
         assert main(argv + ["-v", "--output-dir", str(tmp_path / "split")]) == 0
         assert engine_calls == [3, 2, 1]

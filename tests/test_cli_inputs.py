@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import pytest
 
@@ -20,6 +21,21 @@ def test_invalid_input_exits_2_with_reason(argv, message, tmp_path, capsys):
     # Checked by the library before any work starts: no traceback, exit 2.
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    # The horizon was read before its check: numpy warned from linspace.
+    (["simulate", "--output-times", "3", "--t-final", "inf"], "t_final must be finite"),
+    # 1e301 steps were cast to an int, with a warning and a step-grid error.
+    (["ergodic", "--t-final", "1e300"],
+     "checkpoints need 1e+301 steps of h = 0.1; a step count must be below 2**63"),
+])
+def test_out_of_range_horizon_prints_one_line_and_exits_2(argv, message, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 @pytest.fixture

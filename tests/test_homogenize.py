@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import logging
+import os
 import re
 
 import numpy as np
@@ -346,9 +348,9 @@ def run_logged(spec, caplog, **kw):
     return stats, int(re.search(r"in (\d+) engine call\(s\)", line).group(1))
 
 
-# A flat n = 2 path with frames holds 21 rows of x and u (6 values) and 256
-# noise steps of 2 normals, 8 bytes each.
-FLAT2_PATH_BYTES = 8 * (21 * 6 + 256 * 2)
+# An n = 2 path with frames holds 21 rows of x and u (6 values), 128 noise
+# steps of 2 normals and 2 x 129 chunk directions, 8 bytes each.
+FLAT2_PATH_BYTES = 8 * (21 * 6 + 128 * 2 + 2 * 129)
 
 
 class TestFanOut:
@@ -386,6 +388,32 @@ class TestFanOut:
         assert engine_calls == [120]
         two = run_ensemble(dataclasses.replace(spec, jobs=2))
         np.testing.assert_array_equal(two.positions, one.positions)
+
+    def test_pool_workers_are_capped_by_the_cpu_count(self, monkeypatch):
+        # 1000 jobs over 120 paths make 120 one-path calls; under fork a pool
+        # starts all of its max_workers at once, so it must not ask for 120.
+        # The fake pool runs the calls in this process and starts none.
+        workers = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        spec = spec_for(epsilon=0.2, t_final=0.5, paths=120, seed=5)
+        many = run_ensemble(dataclasses.replace(spec, jobs=1000))
+        assert workers == [3]
+        np.testing.assert_array_equal(many.positions, run_ensemble(spec).positions)
 
     def test_abort_record_does_not_depend_on_batches_or_jobs(self, monkeypatch):
         # Path 72 leaves the strip first, at t = 0.031.  One call lists the

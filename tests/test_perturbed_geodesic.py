@@ -216,9 +216,10 @@ class TestPathBatches:
         (10, 1, 3), (10, 3, 3), (10, 3, 100), (5, 4, 2), (3, 5, 1), (2000, 2, 1172), (1, 1, 1)])
     def test_ranges_are_contiguous_and_cover_every_path(self, paths, parts, width, monkeypatch):
         cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=0.5)
-        # A path of euclidean:3 holds 21 rows of x and u (12 values) and 256
-        # steps of 2 x 3 normals, 8 bytes each.
-        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", width * 8 * (21 * 12 + 256 * 6))
+        # A path of euclidean:3 holds 21 rows of x and u (12 values), 128
+        # steps of 2 x 3 normals and 3 x 129 chunk directions, 8 bytes each.
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES",
+                            width * 8 * (21 * 12 + 128 * 6 + 3 * 129))
         batches = perturbed_geodesic.path_batches(cfg, paths, True, False, parts=parts)
         assert [p for b in batches for p in b] == list(range(paths))
         assert all(b.step == 1 and 1 <= len(b) <= width for b in batches)
@@ -228,10 +229,10 @@ class TestPathBatches:
 
     @pytest.mark.parametrize("chart, eps, t_final, times, frames, group, paths, sizes", [
         ("euclidean:2", 0.05, 1.0, None, True, False, 2000, [2000]),     # flat2-ensemble
-        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1172, 828]),  # flat3-ensemble
+        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1490, 510]),  # flat3-ensemble
         ("hyperbolic2", 0.05, 0.5, None, True, False, 2000, [2000]),     # hyp2-ensemble
         ("hyperbolic2", 0.05, 1.0, 4001, True, True, 6, [6]),             # hyp2-simulate
-        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1311, 689]),  # no frames
+        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1721, 279]),  # no frames
     ])
     def test_sizes_of_the_bench_configs(self, chart, eps, t_final, times, frames, group, paths,
                                         sizes):
@@ -276,9 +277,9 @@ def test_batch_invariance_n4():
 def strang_reference(cfg, path_indices):
     """The Strang step written out one step at a time with matrix exponentials.
 
-    Draws each path's noise in one call, where the engine draws a few
-    hundred steps at a time (a Philox stream gives the same normals
-    however its draws are split), and records (x, u, g) at the output
+    Draws each path's noise in one call, where the engine draws 128 steps
+    at a time (a Philox stream gives the same normals however its draws
+    are split), and records (x, u, g) at the output
     steps; the block engine must agree with it up to rounding.  The frame takes a Heun step, except on
     hyperbolic2, where the Moebius matrix is multiplied by the
     ``scipy.linalg.expm`` of h X(w) and x and u are read from the map and
@@ -356,9 +357,9 @@ def _rotation(n, angle):
 
 @pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "hyperbolic2"])
 def test_block_engine_matches_per_step_reference(chart):
-    # 2,500 steps cross several noise-draw edges; outputs fall mid-chunk,
-    # on both sides of the 16-step sub-chunk, 128-step chunk and 256-step
-    # draw edges, and on 1024-step edges.
+    # 2,500 steps cross many chunk edges; outputs fall mid-chunk, on both
+    # sides of the 16-step sub-chunk and 128-step chunk edges, and on
+    # 1024-step edges.
     n = chart_by_name(chart).dim
     x0 = [0.3, 1.5] if chart == "hyperbolic2" else [0.3, -0.2, 0.1, 0.0][:n]
     e0 = _rotation(n, 0.7)[:, 0]
@@ -376,29 +377,12 @@ def test_block_engine_matches_per_step_reference(chart):
     np.testing.assert_allclose(out.gs, ref_g, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("block", [64, 1024])
-@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "hyperbolic2",
-                                   "strip-test"])
-def test_noise_draw_size_leaves_paths_bitwise_unchanged(chart, block, monkeypatch):
-    # 1,300 steps: the draws split a stream at other steps than the default
-    # 256 (below and above the 128-step chunk), and the workspaces are
-    # reused across a different number of chunks per draw.
-    n = chart_by_name(chart).dim
-    cfg = SimConfig(chart=chart, epsilon=0.05, t_final=1300 * 0.1 * 0.05**2, seed=4,
-                    e0=_rotation(n, 0.3)[:, 0], output_times=(0.1, 0.2, 0.3),
-                    x0=np.array([0.2, 1.0]) if chart == "hyperbolic2" else None)
-    default = simulate_paths(cfg, range(5), record_group=True)
-    monkeypatch.setattr(perturbed_geodesic, "_NOISE_BLOCK", block)
-    other = simulate_paths(cfg, range(5), record_group=True)
-    for field in ("xs", "us", "gs", "alive"):
-        np.testing.assert_array_equal(getattr(other, field), getattr(default, field))
-
-
 def test_simulate_paths_memory_is_bounded_by_its_workspaces():
-    # 500 paths of 1,200 steps on euclidean:3.  The workspaces (a 256-step
+    # 500 paths of 1,200 steps on euclidean:3.  The workspaces (a 128-step
     # noise buffer, the chunk's directions, the quaternion sub-chunk
-    # factors) peak at 11.4 MB; 1024-step noise blocks and chain
-    # temporaries made afresh for every chunk peaked at 47.6 MB.
+    # factors) peak at 8.4 MB; 256-step noise blocks peaked at 11.4 MB,
+    # and 1024-step blocks with chain temporaries made afresh for every
+    # chunk at 47.6 MB.
     cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=1.2, seed=2)
     simulate_paths(cfg, range(2))
     tracemalloc.start()
@@ -420,22 +404,6 @@ def test_batch_invariance(chart):
     np.testing.assert_array_equal(whole.xs[:, 11], alone.xs[:, 0])
     np.testing.assert_array_equal(whole.us[:, 11], alone.us[:, 0])
     np.testing.assert_array_equal(whole.gs[:, 11], alone.gs[:, 0])
-
-
-def test_monitor_fires_every_step_on_flat_chart():
-    # The flat frame is a cumsum per chunk; the monitor still sees every step.
-    cfg = every_step(300, chart="euclidean:2", epsilon=0.05, seed=4)
-    seen = []
-
-    def monitor(m, x, u, g, alive):
-        seen.append((m, x.copy(), u.copy(), g.copy(), alive.copy()))
-
-    out = simulate_paths(cfg, range(3), record_group=True, monitor=monitor)
-    assert [s[0] for s in seen] == list(range(1, 301))
-    np.testing.assert_array_equal([s[1] for s in seen], out.xs[1:])
-    np.testing.assert_array_equal([s[2] for s in seen], out.us[1:])
-    np.testing.assert_array_equal([s[3] for s in seen], out.gs[1:])
-    assert all(s[4].all() for s in seen)
 
 
 def _rk4_frame_step(chart, x, u, w, h, substeps=1000):
@@ -493,12 +461,7 @@ def test_h2_overflow_aborts_at_the_failing_step():
     fail = int(np.ceil(np.log(np.finfo(float).max * x0[1]) / h))
     steps = fail + 100
     cfg = every_step(steps, chart="hyperbolic2", epsilon=1.0, e0=np.array([0.0, -1.0]), x0=x0)
-    alive_rows = []
-
-    def monitor(m, x, u, g, alive):
-        alive_rows.append((x[alive].copy(), u[alive].copy()))
-
-    out = simulate_paths(cfg, [0], rngs=[ZeroNoise()], monitor=monitor)
+    out = simulate_paths(cfg, [0], rngs=[ZeroNoise()])
     assert not out.alive[0]
     [(path, t, x_bad)] = out.aborts
     assert path == 0 and abs(t / (cfg.h0 * cfg.epsilon**2) - fail) <= 1
@@ -508,9 +471,8 @@ def test_h2_overflow_aborts_at_the_failing_step():
     assert np.all(np.isfinite(shown)) and np.all(shown[:, 1] > 0.0)
     assert np.all(np.isfinite(out.us[:step, 0]))
     np.testing.assert_array_equal(out.xs[step:, 0], np.broadcast_to(x0, (steps + 1 - step, 2)))
-    assert len(alive_rows) == steps
-    for x, u in alive_rows:
-        assert np.all(np.isfinite(x)) and np.all(x[:, 1] > 0.0) and np.all(np.isfinite(u))
+    u0 = resolve_start(cfg, chart_by_name("hyperbolic2"))[1]
+    np.testing.assert_array_equal(out.us[step:, 0], np.broadcast_to(u0, (steps + 1 - step, 2, 2)))
 
 
 class ScaledNoise:
@@ -584,23 +546,16 @@ def test_heun_frame_holds_aborted_paths_at_their_start(chart, h2_strip):
     # the strip within 250 steps.  At this x0 the metric Gram-Schmidt moves
     # u0 by rounding, so a held frame must be put back, not re-orthonormalized.
     cfg = every_step(250, chart=chart, epsilon=0.2, seed=0, x0=np.array([0.1, 1.2]))
-    seen = []
-
-    def monitor(m, x, u, g, alive):
-        seen.append((x.copy(), u.copy(), alive.copy()))
-
-    out = simulate_paths(cfg, range(8), monitor=monitor)
+    out = simulate_paths(cfg, range(8))
     in_domain = chart_by_name(chart).in_domain
     x0, u0, _ = resolve_start(cfg, chart_by_name(chart))
     steps = [int(round(t / (cfg.h0 * cfg.epsilon**2))) for _, t, _ in out.aborts]
     assert len(steps) >= 3 and steps == sorted(steps)
     assert sorted(p for p, _, _ in out.aborts) == list(np.nonzero(~out.alive)[0])
-    for x, u, alive in seen:
-        assert np.all(in_domain(x[alive]))
+    # Output row k is step k; a path is alive up to the step it failed at.
+    alive = np.ones(out.xs.shape[:2], dtype=bool)
     for (p, _, x_bad), step in zip(out.aborts, steps):
         assert not in_domain(x_bad)
-        # Output row k is step k; monitor call k is step k + 1.
+        alive[step:, p] = False
         assert np.all(out.xs[step:, p] == x0) and np.all(out.us[step:, p] == u0)
-        assert [alive[p] for _, _, alive in seen] == [k + 1 < step for k in range(len(seen))]
-        for x, u, _ in seen[step - 1:]:
-            assert np.all(x[p] == x0) and np.all(u[p] == u0)
+    assert np.all(in_domain(out.xs[alive]))

@@ -88,3 +88,19 @@ def test_tracer_sees_the_batched_simulate_command(tmp_path, capsys):
     names = [f"path_{p:04d}.csv" for p in range(3)]
     for name in names:
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_tracer_sees_one_noise_draw_per_chunk():
+    # Each path draws a 128-step chunk of noise per call: on 3 hyperbolic2
+    # paths of 300 steps the largest block is 3 x 128 steps of 2 normals,
+    # and the block lengths add up to every path-step.
+    cfg = frameflow.SimConfig(chart="hyperbolic2", epsilon=0.2, t_final=300 * 0.1 * 0.2**2,
+                              seed=9)
+    tracer = load_tracer()
+    tracer.install(frameflow)
+    try:
+        frameflow.perturbed_geodesic.simulate_paths(cfg, range(3))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["perturbed_geodesic.noise.bytes"] == 3 * 128 * 2 * 8
+    assert tracer.counts["perturbed_geodesic.path_steps"] == 3 * 300
