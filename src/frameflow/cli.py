@@ -34,6 +34,7 @@ from .group_process import (
     check_h0,
     ergodic_average_repetitions,
     haar_moment_stats,
+    step_counts,
 )
 from .homogenize import (
     EnsembleSpec,
@@ -337,7 +338,7 @@ def cmd_ergodic(cfg: RunConfig) -> int:
         return np.stack([w[:, i] * w[:, j] for i, j in pairs], axis=0)
 
     # The horizon snapped to the step grid, as a whole number of steps.
-    t_grid = float(np.rint(t_avg / gcfg.h)) * gcfg.h
+    t_grid = float(step_counts("t_final", t_avg, gcfg.h)) * gcfg.h
     acc = ergodic_average_repetitions(moments, gcfg, [t_grid], cfg.reps, rng)[0]
     est = acc.mean(axis=1)
     se = acc.std(axis=1, ddof=1) / np.sqrt(cfg.reps)

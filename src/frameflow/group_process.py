@@ -9,7 +9,9 @@ eps = 1, the equation clock; the rescaled simulation of
 :mod:`perturbed_geodesic` runs it at the eps of its paths.  One
 integrator step multiplies g by the exponential of the sampled increment,
 so every iterate is a rotation matrix by construction (geometric
-exponential Euler, weak order 1).
+exponential Euler, weak order 1).  For n = 2 the increment turns the
+plane by an angle theta, and the step multiplies each row of g, read as
+a complex number, by cos theta + i sin theta.
 
 The companion functions expose the identities that pin down the effective
 diffusion constant: the linear statistic alpha_i(g) = <g e0, e_i> is an
@@ -61,6 +63,18 @@ def check_drift(abar, n: int) -> np.ndarray:
     return abar
 
 
+def step_counts(name: str, times, h: float) -> np.ndarray:
+    """The whole numbers of steps of ``h`` nearest ``times``; raises
+    :class:`ConfigError`, naming ``name`` and the count, unless each is
+    below 2**63."""
+    with np.errstate(over="ignore"):
+        marks = np.rint(np.asarray(times, dtype=float) / h)
+    if not np.max(marks) < 2.0**63:
+        raise ConfigError(f"{name} needs {np.max(marks):.3g} steps of h = {h:g}; "
+                          f"a step count must be below 2**63")
+    return marks.astype(int)
+
+
 @dataclass(frozen=True)
 class GroupSdeConfig:
     """Parameters of the group diffusion at epsilon = 1 and its integrator.
@@ -103,6 +117,17 @@ def step_group(g: np.ndarray, cfg: GroupSdeConfig, xi: np.ndarray) -> np.ndarray
 
 
 def _advance(g, xi, basis_mats, noise_scale, drift):
+    if g.shape[-1] == 2:
+        # exp(theta A) turns the plane by theta, which multiplies each row
+        # of g, read as the complex number g[r, 0] + i g[r, 1], by e^(i theta).
+        theta = noise_scale * (xi @ basis_mats[:, 0, 1])
+        if drift is not None:
+            theta = theta + drift[0, 1]
+        turn = np.empty(np.shape(theta), dtype=complex)
+        np.cos(theta, out=turn.real)
+        np.sin(theta, out=turn.imag)
+        rows = np.ascontiguousarray(g).view(complex)
+        return (rows * turn[..., None, None]).view(float)
     exponent = noise_scale * np.einsum("...k,kij->...ij", xi, basis_mats)
     if drift is not None:
         exponent = exponent + drift
@@ -147,11 +172,7 @@ def ergodic_average_repetitions(f: Callable[[np.ndarray], np.ndarray], cfg: Grou
     n = cfg.basis.dim
     n_basis = len(cfg.basis)
 
-    marks = np.rint(checkpoints / cfg.h)
-    if not marks[-1] < 2.0**63:
-        raise ConfigError(f"checkpoints need {marks[-1]:.3g} steps of h = {cfg.h:g}; "
-                          f"a step count must be below 2**63")
-    marks = marks.astype(int)
+    marks = step_counts("checkpoints", checkpoints, cfg.h)
     if np.max(np.abs(marks * cfg.h - checkpoints)) > 1e-9 * max(1.0, checkpoints[-1]):
         raise ConfigError("checkpoints must sit on the step grid")
     g = np.broadcast_to(np.eye(n), (reps, n, n)).copy()

@@ -30,8 +30,9 @@ chunks of 128, each in four stages:
      closed-form quaternion exponential (a loop over half-steps of
      Hamilton products, vectorised over paths);
    - otherwise (n >= 4, and curved n = 2 charts): rotation matrices,
-     multiplied by the matrix exponential of each half-step through
-     ``_advance``.
+     multiplied by the exponential of each half-step through ``_advance``
+     (for n = 2 one complex multiply of each row of g by e^(i theta)),
+     with each step's direction written as soon as g_mid is formed.
 
    An angle is a rotation whatever its rounding, and a quaternion
    renormalised once per chunk gives a matrix orthogonal to the rounding
@@ -63,10 +64,12 @@ chunks of 128, each in four stages:
 4. Record: the states at the chunk's output steps go to the outputs.
 
 Every stage writes into arrays allocated once per run, so a run of P
-paths holds the noise buffer, P * 128 * 2N * 8 bytes, and a few arrays
-of a chunk's size, however many steps it takes.  :func:`path_batches`
-splits the paths of a command into calls that each hold at most
-``BATCH_BYTES`` of outputs, noise and chunk directions.
+paths holds the noise buffer, P * 128 * 2N * 8 bytes, the chunk's
+directions, P * n * 129 * 8 bytes, and workspaces of one step (the
+matrix chain), 16 steps (the quaternion chain and the hyperbolic2 frame)
+or one chunk (the angle chain's angles), however many steps it takes.
+:func:`path_batches` splits the paths of a command into calls that each
+hold at most ``BATCH_BYTES`` of outputs, noise and chunk directions.
 
 :func:`simulate_rescaled_path` is the one-path view of the routine.
 
@@ -377,24 +380,22 @@ class _MatrixChain:
         self.eng = eng
         self.g = np.tile(np.eye(eng.n), (n_paths, 1, 1))
         self.steps = 0
-        self.mids = np.empty((_CHUNK, n_paths, eng.n, eng.n))
 
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
-        eng = self.eng
+        eng, n = self.eng, self.eng.n
         n_paths, steps = xi.shape[:2]
-        mids = self.mids[:steps]
-        kept = np.empty((len(keep), n_paths, eng.n, eng.n))
+        kept = np.empty((len(keep), n_paths, n, n))
         i = 0
         for j in range(steps):
-            mids[j] = _advance(self.g, xi[:, j, 0], eng.basis.mats, eng.noise_scale, eng.drift_half)
-            self.g = _advance(mids[j], xi[:, j, 1], eng.basis.mats, eng.noise_scale, eng.drift_half)
+            mid = _advance(self.g, xi[:, j, 0], eng.basis.mats, eng.noise_scale, eng.drift_half)
+            e_dir[:, :, j] = (mid.reshape(-1, n) @ eng.e0).reshape(n_paths, n)
+            self.g = _advance(mid, xi[:, j, 1], eng.basis.mats, eng.noise_scale, eng.drift_half)
             self.steps += 1
             if self.steps % _GROUP_PROJECT_EVERY == 0:
                 self.g = project_rotation(self.g)
             if i < len(keep) and keep[i] == j:
                 kept[i] = self.g
                 i += 1
-        np.einsum("spij,j->pis", mids, eng.e0, out=e_dir)
         return kept
 
 

@@ -28,7 +28,10 @@ def test_invalid_input_exits_2_with_reason(argv, message, tmp_path, capsys):
     (["simulate", "--output-times", "3", "--t-final", "inf"], "t_final must be finite"),
     # 1e301 steps were cast to an int, with a warning and a step-grid error.
     (["ergodic", "--t-final", "1e300"],
-     "checkpoints need 1e+301 steps of h = 0.1; a step count must be below 2**63"),
+     "t_final needs 1e+301 steps of h = 0.1; a step count must be below 2**63"),
+    # The snapped horizon overflowed to infinity before the step-count check.
+    (["ergodic", "--t-final", "1e308"],
+     "t_final needs inf steps of h = 0.1; a step count must be below 2**63"),
 ])
 def test_out_of_range_horizon_prints_one_line_and_exits_2(argv, message, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -13,7 +13,8 @@ from frameflow import (
     poisson_h,
     step_group,
 )
-from frameflow.group_process import haar_moment_stats
+from frameflow.group_process import _advance, haar_moment_stats
+from frameflow.lie_algebra import group_exp
 
 
 def cfg_for(n, h=0.1, abar=None):
@@ -89,6 +90,29 @@ class TestStepGroup:
             g = step_group(g, cfg, np.zeros(1))
         expected = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
         np.testing.assert_allclose(g, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("with_drift", [False, True])
+    @pytest.mark.parametrize("layout", ["stacked", "single", "transposed"])
+    def test_planar_step_matches_the_general_route(self, layout, with_drift):
+        # n = 2 turns each row of g, read as a complex number, by e^(i theta);
+        # the general route multiplies g by group_exp of the whole exponent.
+        rng = np.random.default_rng(11)
+        basis = canonical_basis(2)
+        cfg = cfg_for(2, h=0.05, abar=0.9 * basis.mats[0] if with_drift else None)
+        stack = haar_sample(2, rng, size=40)
+        g, xi = {"stacked": (stack, rng.standard_normal((40, 1))),
+                 "single": (stack[0], rng.standard_normal(1)),
+                 "transposed": (stack.transpose(0, 2, 1), rng.standard_normal((40, 1)))}[layout]
+        before = g.copy()
+        exponent = cfg.noise_scale * np.einsum("...k,kij->...ij", xi, basis.mats)
+        if with_drift:
+            exponent = exponent + cfg.drift_term()
+        expected = g @ group_exp(exponent)
+        for out in (step_group(g, cfg, xi),
+                    _advance(g, xi, basis.mats, cfg.noise_scale, cfg.drift_term())):
+            assert out.shape == expected.shape
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(g, before)
 
 
 class TestPoissonIdentities:

@@ -19,7 +19,7 @@ from frameflow import (
 )
 from frameflow import manifold, perturbed_geodesic
 from frameflow.manifold import frame_transport, gram_schmidt_metric
-from frameflow.perturbed_geodesic import philox_stream, resolve_start
+from frameflow.perturbed_geodesic import path_batches, philox_stream, resolve_start
 
 
 class ZeroNoise:
@@ -392,6 +392,24 @@ def test_simulate_paths_memory_is_bounded_by_its_workspaces():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("chart,bound_mib", [("hyperbolic2", 32.0), ("euclidean:4", 26.0)])
+def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
+    # One path_batches-wide call (3,771 and 981 paths) of 150 steps without
+    # frames.  With the directions written at each step these peak at 24.1
+    # and 18.1 MiB; a (128, P, n, n) block of midpoint rotations held per
+    # chunk made them 38.9 and 33.3 MiB.
+    cfg = SimConfig(chart=chart, epsilon=0.1, t_final=0.15, seed=4)
+    batch = path_batches(cfg, 100_000, record_frames=False, record_group=False)[0]
+    simulate_paths(cfg, range(2), record_frames=False)
+    tracemalloc.start()
+    try:
+        simulate_paths(cfg, batch, record_frames=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 @pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "hyperbolic2"])
