@@ -9,9 +9,11 @@ once in each checkout, one process at a time, with PYTHONDONTWRITEBYTECODE=1;
 the parent goes first in even pairs and the change in odd ones.  The file
 gives, per workload and end-to-end metric of BENCHMARK.json, each side's
 median and quartiles, how many pairs the change won, the ratio of the
-medians (change / parent) and whether that ratio is within the metric's
-bound, and the line count of ``src/frameflow/*.py`` on each side.  It is
-rewritten after every pair, so an interrupted run leaves what it measured.
+medians (change / parent), whether that ratio is within the metric's
+bound and whether it is better than 1 by more than the bound (what a
+claimed gain must show), and the line count of ``src/frameflow/*.py`` on
+each side.  It is rewritten after every pair, so an interrupted run
+leaves what it measured; each pair prints every metric's running ratio.
 Each ``--note key=text`` adds a top-level string (what changed, tier-1
 time, output checks, ...).  Nothing under either checkout changes except
 the result log ``bench/run.py`` appends to.
@@ -99,8 +101,10 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         sign = 1.0 if m["better"] == "lower" else -1.0
         won = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         ratio = entry["change"]["median"] / entry["parent"]["median"]
+        gain = 1.0 - ratio if m["better"] == "lower" else ratio - 1.0
         entry.update(change_better=f"{won}/{pairs}", ratio_median=round(ratio, 4),
-                     within_bound=compare.verdict(m, ratio) != "REGRESSED")
+                     within_bound=compare.verdict(m, ratio) != "REGRESSED",
+                     beyond_bound=gain > m["bound"])
         out[m["name"]] = entry
     return out
 
@@ -137,11 +141,13 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(run_once(checkouts[side], workload, args.seed + i,
                                            args.seconds))
-            record["end_to_end"][workload] = summarize(runs, spec["end_to_end"])
+            entry = record["end_to_end"][workload] = summarize(runs, spec["end_to_end"])
             args.out.write_text(json.dumps(record, indent=1) + "\n")
-            wall = record["end_to_end"][workload]["wall_s"]
-            print(f"{workload} pair {i + 1}/{args.pairs}: wall_s ratio {wall['ratio_median']}, "
-                  f"change better {wall['change_better']}", flush=True)
+            ratios = ", ".join(f"{m['name']} {entry[m['name']]['ratio_median']} "
+                               f"({entry[m['name']]['change_better']})"
+                               for m in spec["end_to_end"])
+            print(f"{workload} pair {i + 1}/{args.pairs}: ratio (change better) {ratios}",
+                  flush=True)
     return 0
 
 

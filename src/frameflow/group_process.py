@@ -65,8 +65,11 @@ def check_drift(abar, n: int) -> np.ndarray:
 
 def step_counts(name: str, times, h: float) -> np.ndarray:
     """The whole numbers of steps of ``h`` nearest ``times``; raises
-    :class:`ConfigError`, naming ``name`` and the count, unless each is
-    below 2**63."""
+    :class:`ConfigError`, naming ``name`` and the count, unless ``h`` is
+    positive and each count is below 2**63."""
+    if not h > 0.0:
+        raise ConfigError(f"{name} cannot be reached in steps of h = {h:g}; "
+                          f"the step must be positive")
     with np.errstate(over="ignore"):
         marks = np.rint(np.asarray(times, dtype=float) / h)
     if not np.max(marks) < 2.0**63:

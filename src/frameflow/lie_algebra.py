@@ -5,7 +5,11 @@ n x n skew-symmetric matrices, orthonormal under the inner product
 <A, B> = tr(A B^T).  This module builds that basis, provides the matrix
 exponential onto the rotation group (exact closed forms for n = 2, 3,
 scaling-and-squaring above), and samples rotations from the invariant
-(Haar) distribution.
+(Haar) distribution.  For n = 3 and 4 it also holds rotations as unit
+quaternions written as SU(2) pairs of complex numbers: the Hamilton
+product, the rotation vectors of a skew matrix's quaternion factors and
+the closed-form rotation of a vector, which the group chain of
+:mod:`perturbed_geodesic` runs on.
 
 Matrices are plain float ndarrays; the exponential and the Haar sampler
 accept stacked inputs (..., n, n) and operate on the trailing two axes.
@@ -223,3 +227,93 @@ def haar_sample(n: int, rng: np.random.Generator, size: int | None = None) -> np
     det = np.linalg.det(q)
     q[det < 0, :, 0] *= -1.0
     return q[0] if squeeze else q
+
+
+# Unit quaternions as SU(2) pairs: q = w + x i + y j + z k is held as the
+# complex pair (a, b) = (w + i x, y + i z), so that q = a + b j, and R^4 = H
+# has the coordinates (w, x, y, z).  As j z = conj(z) j, the Hamilton
+# product of (a, b) and (c, d) is (a c - b conj(d), a d + b conj(c)): four
+# complex multiplies (Conway & Smith, On Quaternions and Octonions, 2003,
+# ch. 4).
+
+def _pair_product(q: np.ndarray, e: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = q e for quaternion pairs q and e (2, ...); ``out`` may be ``e``,
+    and ``tmp`` (2, 2, ...) is workspace.
+
+    No multiply writes over one of its inputs: numpy rounds an in-place
+    complex multiply differently from one into a fresh array, which would
+    make a path depend on the width of its batch.
+    """
+    conj, prod = tmp
+    np.conjugate(e, out=conj)
+    np.multiply(q[1], conj[1], out=prod[0])
+    np.multiply(q[1], conj[0], out=prod[1])
+    np.multiply(q[0], e[0], out=conj[0])
+    np.multiply(q[0], e[1], out=conj[1])
+    np.subtract(conj[0], prod[0], out=out[0])
+    np.add(conj[1], prod[1], out=out[1])
+
+
+def _multiply(p, e) -> np.ndarray:
+    """Hamilton product p e of quaternion pairs (2, ...), allocating its result;
+    a pair with fewer axes is constant along the other's trailing ones."""
+    p, e = (np.asarray(x, dtype=complex) for x in (p, e))
+    dims = max(p.ndim, e.ndim)
+    p, e = (x.reshape(x.shape + (1,) * (dims - x.ndim)) for x in (p, e))
+    out = np.empty((2,) + np.broadcast_shapes(p.shape[1:], e.shape[1:]), dtype=complex)
+    out[...] = e
+    _pair_product(p, out, out, np.empty((2,) + out.shape, dtype=complex))
+    return out
+
+
+def _as_pair(v) -> np.ndarray:
+    """Quaternion pairs (2, ...) of points (4, ...) of R^4 = H."""
+    v = np.asarray(v, dtype=float)
+    return np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
+
+
+def _as_vector(q: np.ndarray) -> np.ndarray:
+    """Points (4, ...) of R^4 = H of quaternion pairs q (2, ...)."""
+    return np.array([q[0].real, q[0].imag, q[1].real, q[1].imag])
+
+
+def _pair_vectors(x: np.ndarray) -> np.ndarray:
+    """Rotation vectors (K, 3) of the SU(2) factors of a skew n x n matrix x.
+
+    n = 3 (K = 1): the w with x v = w cross v, so that exp(x) v = q v
+    conj(q) for the unit quaternion q of rotation vector w.  n = 4 (K = 2):
+    x v = a v + v b on R^4 = H, with a_m = <x, L_m> / 4 and b_m = <x, R_m>
+    / 4 for the matrices L_m, R_m of v -> u v and v -> v u, u = i, j, k
+    (orthogonal, of norm 2, and commuting), so exp(x) v = e^a v e^b; the
+    vectors are 2a and -2b, the rotation vectors of e^a and e^-b.
+    """
+    if x.shape == (3, 3):
+        return np.array([[x[2, 1], x[0, 2], x[1, 0]]])
+    basis = _as_pair(np.eye(4))
+    units = basis[:, 1:].T
+    left = np.array([_as_vector(_multiply(u, basis)) for u in units])
+    right = np.array([_as_vector(_multiply(basis, u[:, None])) for u in units])
+    return np.array([0.5 * np.einsum("ij,mij->m", x, left),
+                     -0.5 * np.einsum("ij,mij->m", x, right)])
+
+
+def _rotate(q, v) -> list:
+    """Components of R(q) v for unit quaternion pairs q = (a, b) (2, ...)
+    and a fixed 3-vector v.
+
+    The columns of R(q) are (|a|^2 - |b|^2, 2 Im ab, -2 Re ab),
+    (2 Im a conj(b), Re(a^2 + b^2), Im(a^2 + b^2)) and (2 Re a conj(b),
+    Im(b^2 - a^2), Re(a^2 - b^2)); only those v needs are formed.
+    """
+    a, b = q
+    out = [0.0, 0.0, 0.0]
+    if v[0]:
+        ab = a * b
+        out = [v[0] * (a.real**2 + a.imag**2 - b.real**2 - b.imag**2),
+               (2.0 * v[0]) * ab.imag, (-2.0 * v[0]) * ab.real]
+    if v[1] or v[2]:
+        cross, plus, minus = a * np.conj(b), a * a + b * b, a * a - b * b
+        out[0] = out[0] + (2.0 * v[1]) * cross.imag + (2.0 * v[2]) * cross.real
+        out[1] = out[1] + v[1] * plus.real - v[2] * minus.imag
+        out[2] = out[2] + v[1] * plus.imag + v[2] * minus.real
+    return out

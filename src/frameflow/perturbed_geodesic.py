@@ -26,23 +26,27 @@ chunks of 128, each in four stages:
 
    - n = 2 on flat charts: g is a rotation by an angle and half-steps add
      angles, so one cumsum gives every angle and cos/sin every direction;
-   - n = 3: a unit quaternion, multiplied at each half-step by the
-     closed-form quaternion exponential (a loop over half-steps of
-     Hamilton products, vectorised over paths);
-   - otherwise (n >= 4, and curved n = 2 charts): rotation matrices,
+   - n = 3 and 4: unit quaternions held as SU(2) pairs of complex
+     numbers, one pair q for n = 3 (g v = q v conj(q)) and two, l and s,
+     for n = 4 (g v = l v conj(s) on R^4 = H), each multiplied at a
+     half-step by the exponential of its rotation vector: a sub-block's
+     exponentials at once, then a loop of complex products vectorised
+     over paths, and the directions from the pairs in closed form;
+   - otherwise (n >= 5, and curved n = 2 charts): rotation matrices,
      multiplied by the exponential of each half-step through ``_advance``
      (for n = 2 one complex multiply of each row of g by e^(i theta)),
      with each step's direction written as soon as g_mid is formed.
 
-   An angle is a rotation whatever its rounding, and a quaternion
-   renormalised once per chunk gives a matrix orthogonal to the rounding
-   of its norm, so only the matrix chain drifts off SO(n); it alone is
+   An angle is a rotation whatever its rounding, and quaternion pairs
+   renormalised once per chunk give a matrix orthogonal to the rounding
+   of their norms, so only the matrix chain drifts off SO(n); it alone is
    re-projected (polar decomposition) every 1000 steps.
 3. Frame, by one of three stages that share one contract (see
    :func:`_frame_stage`):
 
-   - flat unbounded charts: the frame stays u0 and the point is x0 plus a
-     cumsum of h u0 g_mid e0;
+   - flat unbounded charts: the frame stays u0 and the point is x0 plus
+     h u0 times the running sum of the directions g_mid e0, formed from
+     sums over the segments between output steps;
    - ``hyperbolic2``: the oriented orthonormal frame bundle of the
      half-plane is PSL(2,R), a frame (x, u) being the Moebius map F with
      F(i) = x and F'(i) = u, and geodesic motion along w = g_mid e0 with
@@ -66,8 +70,9 @@ chunks of 128, each in four stages:
 Every stage writes into arrays allocated once per run, so a run of P
 paths holds the noise buffer, P * 128 * 2N * 8 bytes, the chunk's
 directions, P * n * 129 * 8 bytes, and workspaces of one step (the
-matrix chain), 16 steps (the quaternion chain and the hyperbolic2 frame)
-or one chunk (the angle chain's angles), however many steps it takes.
+matrix chain), a sub-block of 16 steps (the pair chain, 4 for n = 4,
+and the hyperbolic2 frame) or one chunk (the angle chain's angles),
+however many steps it takes.
 :func:`path_batches` splits the paths of a command into calls that each
 hold at most ``BATCH_BYTES`` of outputs, noise and chunk directions.
 
@@ -90,19 +95,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainExitError, require_finite
-from .lie_algebra import canonical_basis, project_rotation
-from .group_process import _advance, check_direction, check_drift, check_h0
+from .lie_algebra import (_as_pair, _as_vector, _multiply, _pair_product, _pair_vectors,
+                          _rotate, canonical_basis, project_rotation)
+from .group_process import _advance, check_direction, check_drift, check_h0, step_counts
 from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
 
 # Steps per chunk: each path draws a chunk's noise at once, and the chain
 # and frame stages take a chunk at a time, so it sizes the noise buffer and
-# the workspaces.  The quaternion renormalisation and the hyperbolic2
+# the workspaces.  The quaternion pairs' renormalisation and the hyperbolic2
 # return to det 1 happen at chunk ends, so chunks start at multiples of it.
 _CHUNK = 128
 # Cadence, in steps, of the polar re-projection of the matrix chain.
 _GROUP_PROJECT_EVERY = 1000
-# Steps whose per-step factors (quaternion exponentials, hyperbolic2 step
-# matrices) are formed at once.
+# Steps whose per-step factors (one quaternion pair's exponentials,
+# hyperbolic2 step matrices) are formed at once.
 _SUB = 16
 # Bytes of outputs, noise and chunk directions one engine call may hold
 # (see path_batches).
@@ -286,91 +292,137 @@ class _AngleChain:
         return g
 
 
-def _hamilton(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Hamilton product a b of quaternions (w, x, y, z) stored along axis 0."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    out[0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-    out[1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-    out[2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-    out[3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+# Paths per block of the chain's transposes between path-major and
+# step-major layouts: few enough that a block stays in cache.
+_PATH_BLOCK = 32
 
 
-def _quaternion_rotate(q: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
-    """Components of R(q) v for unit quaternions q (4, ...) and a fixed 3-vector v."""
-    w, x, y, z = q
-    # R(q) v = v + w t + (x, y, z) cross t with t = 2 (x, y, z) cross v.
-    t0 = 2.0 * (y * v[2] - z * v[1])
-    t1 = 2.0 * (z * v[0] - x * v[2])
-    t2 = 2.0 * (x * v[1] - y * v[0])
-    return [v[0] + w * t0 + (y * t2 - z * t1),
-            v[1] + w * t1 + (z * t0 - x * t2),
-            v[2] + w * t2 + (x * t1 - y * t0)]
+class _PairChain:
+    """n = 3 and 4: g as unit quaternions held as SU(2) pairs.
 
+    n = 3: g v = q v conj(q) for one pair q; n = 4: g v = l v conj(s) for
+    two pairs (l, s).  A half-step with exponent x multiplies each pair on
+    the right by the unit quaternion of a rotation vector w linear in x
+    (see :func:`_pair_vectors`), (cos(|w|/2), (sin(|w|/2)/|w|) w): q <-
+    q e^(w/2) on n = 3, l <- l e^a and s <- s e^-b on n = 4.
 
-def _rotation_vector(a: np.ndarray) -> np.ndarray:
-    """The vector w with a v = w x v for skew 3 x 3 matrices a."""
-    return np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)
-
-
-class _QuaternionChain:
-    """n = 3: g is the rotation R(q) of a unit quaternion q; a half-step with
-    rotation vector w multiplies q by exp(w) = (cos(|w|/2), sin(|w|/2) w/|w|)."""
+    A sub-block of steps takes four passes over step-major arrays: the
+    noise, transposed in blocks of paths and mapped to rotation vectors;
+    every exponential at once; the products in turn, each written over the
+    factor it used, so that the factors' array ends up holding the pairs
+    after every half-step; and the midpoint directions, transposed back
+    in blocks of paths.
+    """
 
     def __init__(self, eng: _Engine, n_paths: int):
-        # Each canonical basis element turns about one coordinate axis, so
-        # component j of the rotation vector is coef[j] * xi[source[j]].
-        axes = eng.noise_scale * _rotation_vector(eng.basis.mats)           # (N, 3)
-        self.source = np.argmax(np.abs(axes), axis=0)
-        self.coef = axes[self.source, np.arange(3)]
-        self.drift = None if eng.drift_half is None else _rotation_vector(eng.drift_half)
-        self.e0 = eng.e0
-        self.q = np.zeros((4, n_paths))
-        self.q[0] = 1.0
-        # Step-major: the product loop reads contiguous (4, P) rows.
-        self.w = np.empty((_SUB, 2, 3, n_paths))
-        self.angle = np.empty((_SUB, 2, n_paths))
-        self.ratio = np.empty((_SUB, 2, n_paths))
-        self.dq = np.empty((_SUB, 2, 4, n_paths))
-        self.qs = np.empty((_SUB, 2, 4, n_paths))
+        n, n_noise = eng.n, eng.n_noise
+        self.n, self.e0 = n, eng.e0
+        vectors = np.array([_pair_vectors(a) for a in eng.basis.mats])    # (N, K, 3)
+        k = vectors.shape[1]
+        self.map = eng.noise_scale * vectors.reshape(n_noise, 3 * k).T    # (3K, N)
+        self.drift = None if eng.drift_half is None else _pair_vectors(eng.drift_half)
+        self.q = np.zeros((k, 2, n_paths), dtype=complex)
+        self.q[:, 0] = 1.0
+        # Two pairs take sub-blocks of 4 steps, which keeps a full-width
+        # batch of n = 4 below what the matrix chain held.
+        self.sub = _SUB // k**2
+        # The transposed noise, then per half-step |w|, tan(|w|/4) and 1 +
+        # tan(|w|/4)^2; N = 3K.
+        self.scratch = np.empty((n_noise, self.sub * 2 * n_paths))
+        self.w = np.empty((3 * k, self.sub * 2 * n_paths))
+        self.e = np.empty((self.sub, 2, k, 2, n_paths), dtype=complex)
+        self.tmp = np.empty((2, 2, n_paths), dtype=complex)
+        self.dirs = np.empty((n, self.sub, n_paths))
 
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         n_paths, steps = xi.shape[:2]
-        g = np.empty((len(keep), n_paths, 3, 3))
-        q = self.q
-        for lo in range(0, steps, _SUB):
-            sub = min(_SUB, steps - lo)
-            w, angle, ratio, dq, qs = (a[:sub] for a in (self.w, self.angle, self.ratio,
-                                                         self.dq, self.qs))
-            for j in range(3):
-                np.multiply(xi[:, lo:lo + sub, :, self.source[j]].transpose(1, 2, 0),
-                            self.coef[j], out=w[:, :, j])
-            if self.drift is not None:
-                w += self.drift[:, None]
-            # The vector part of dq holds w * w until it is formed.
-            np.multiply(w, w, out=dq[:, :, 1:])
-            np.sqrt(np.sum(dq[:, :, 1:], axis=2, out=angle), out=angle)
-            half = np.multiply(angle, 0.5, out=dq[:, :, 0])
-            # sin(angle/2) / angle, which tends to 1/2 as the angle vanishes.
-            moving = angle > 0
-            np.divide(np.sin(half, out=ratio), angle, out=ratio, where=moving)
-            ratio[~moving] = 0.5
-            np.cos(half, out=half)
-            np.multiply(w, ratio[:, :, None], out=dq[:, :, 1:])
+        n, k = self.n, self.q.shape[0]
+        g = np.empty((len(keep), n_paths, n, n))
+        for lo in range(0, steps, self.sub):
+            sub = min(self.sub, steps - lo)
+            e = self.e[:sub]
+            self.exponentials(xi[:, lo:lo + sub], e)
+            q = self.q
             for j in range(sub):
-                for k in (0, 1):
-                    _hamilton(q, dq[j, k], qs[j, k])
-                    q = qs[j, k]
-            mid = np.moveaxis(qs[:, 0], 1, 0)
-            for i, c in enumerate(_quaternion_rotate(mid, self.e0)):
-                e_dir[:, i, lo:lo + sub] = c.T
+                for half in (0, 1):
+                    for c in range(k):
+                        _pair_product(q[c], e[j, half, c], e[j, half, c], self.tmp)
+                    q = e[j, half]
+            np.copyto(self.q, q)
+            dirs = self.dirs[:, :sub]
+            self.apply(np.moveaxis(e[:, 0], 0, -2), self.e0, dirs)
+            for p in range(0, n_paths, _PATH_BLOCK):
+                block = slice(p, p + _PATH_BLOCK)
+                np.copyto(e_dir[block, :, lo:lo + sub], dirs[:, :, block].transpose(2, 0, 1))
             first, last = np.searchsorted(keep, [lo, lo + sub])
             if last > first:
-                full = np.moveaxis(qs[keep[first:last] - lo, 1], 1, 0)
-                g[first:last] = np.stack([np.stack(_quaternion_rotate(full, e), axis=-1)
-                                          for e in np.eye(3)], axis=-1)
-        self.q = q / np.sqrt(np.sum(q * q, axis=0))
+                ends = np.moveaxis(e[keep[first:last] - lo, 1], 0, -2)    # (K, 2, kept, P)
+                cols = np.empty((n, last - first, n_paths))
+                for m, basis in enumerate(np.eye(n)):
+                    self.apply(ends, basis, cols)
+                    g[first:last, :, :, m] = np.moveaxis(cols, 0, -1)
+        self.q = self.q / np.sqrt(np.sum(self.q.real**2 + self.q.imag**2, axis=1, keepdims=True))
         return g
+
+    def exponentials(self, xi: np.ndarray, e: np.ndarray) -> None:
+        """The factors e (sub, 2, K, 2, P) of the half-steps of noise xi (P, sub, 2, N)."""
+        n_paths, sub, _, n_noise = xi.shape
+        k = self.q.shape[0]
+        size = sub * 2 * n_paths
+        noise = self.scratch[:n_noise, :size]
+        for p in range(0, n_paths, _PATH_BLOCK):
+            block = slice(p, p + _PATH_BLOCK)
+            np.copyto(noise.reshape(n_noise, sub, 2, n_paths)[..., block],
+                      xi[block].transpose(3, 1, 2, 0))
+        w = self.w[:, :size]
+        # Row by row, not as a BLAS product, whose rounding may depend on
+        # the number of paths.
+        for row, out in zip(self.map, w):
+            first, *rest = np.flatnonzero(row)
+            np.multiply(noise[first], row[first], out=out)
+            for i in rest:
+                out += row[i] * noise[i]
+        w = w.reshape(k, 3, size)
+        if self.drift is not None:
+            w += self.drift[:, :, None]
+        angle, tan, den = self.scratch[:3 * k, :size].reshape(3, k, size)
+        np.multiply(w[:, 0], w[:, 0], out=angle)
+        for m in (1, 2):
+            np.multiply(w[:, m], w[:, m], out=tan)
+            angle += tan
+        np.sqrt(angle, out=angle)
+        # cos(|w|/2) and sin(|w|/2) from t = tan(|w|/4), as 2/(1 + t^2) - 1
+        # and 2t/(1 + t^2): numpy vectorises its float64 tan but not sin
+        # and cos (1.8 ns against 10 and 6 ns an element on an AVX-512 x86).
+        np.multiply(angle, 0.25, out=tan)
+        np.tan(tan, out=tan)
+        np.multiply(tan, tan, out=den)
+        den += 1.0
+        moving = angle > 0.0
+        angle *= den
+        tan += tan
+        shape = (k, sub, 2, n_paths)
+        alpha, beta = np.moveaxis(e, (2, 3), (1, 0))    # each (K, sub, 2, P)
+        np.divide(2.0, den, out=den)
+        den -= 1.0
+        np.copyto(alpha.real, den.reshape(shape))
+        # sin(|w|/2)/|w| = 2t / (|w| (1 + t^2)), which tends to 1/2 as |w| vanishes.
+        den.fill(0.5)
+        np.divide(tan, angle, out=den, where=moving)
+        w *= den[:, None]
+        np.copyto(alpha.imag, w[:, 0].reshape(shape))
+        np.copyto(beta.real, w[:, 1].reshape(shape))
+        np.copyto(beta.imag, w[:, 2].reshape(shape))
+
+    def apply(self, q: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+        """out (n, ...) = g v for the pairs q (K, 2, ...) of g and a fixed n-vector v."""
+        if self.n == 3:
+            for i, c in enumerate(_rotate(q[0], v)):
+                out[i] = c
+        else:
+            l, s = q
+            conj_s = [np.conj(s[0]), -s[1]]
+            out[...] = _as_vector(_multiply(_multiply(l, _as_pair(v)), conj_s))
 
 
 class _MatrixChain:
@@ -402,8 +454,8 @@ class _MatrixChain:
 def _group_chain(eng: _Engine, n_paths: int):
     if eng.n == 2 and eng.chart.flat:
         return _AngleChain(eng, n_paths)
-    if eng.n == 3:
-        return _QuaternionChain(eng, n_paths)
+    if eng.n in (3, 4):
+        return _PairChain(eng, n_paths)
     return _MatrixChain(eng, n_paths)
 
 
@@ -425,9 +477,10 @@ def _frame_stage(eng: _Engine, n_paths: int):
 
 class _CumsumFrame:
     """Flat unbounded charts: u stays u0 and x is x0 + h u0 (sum of the
-    directions so far), formed only where it is read; column 0 of ``dirs``
-    carries that sum from chunk to chunk.  No path can fail here, so u is
-    a read-only view of u0."""
+    directions so far), formed only where it is read, from sums over the
+    segments between wanted steps; column 0 of ``dirs`` carries the sum
+    from chunk to chunk.  No path can fail here, so u is a read-only view
+    of u0."""
 
     def __init__(self, eng: _Engine):
         self.eng = eng
@@ -435,11 +488,14 @@ class _CumsumFrame:
     def run(self, dirs: np.ndarray, wanted: np.ndarray, need_u: bool):
         eng = self.eng
         n_paths, n, width = dirs.shape
-        np.cumsum(dirs, axis=2, out=dirs)
+        total = dirs[:, :, 0]
         x = np.empty((len(wanted), n_paths, n))
+        start = 1
         for k, j in enumerate(wanted):
-            x[k] = eng.x0 + eng.h * np.einsum("ij,pj->pi", eng.u0, dirs[:, :, j + 1])
-        dirs[:, :, 0] = dirs[:, :, -1]
+            total += dirs[:, :, start:j + 2].sum(axis=2)
+            start = j + 2
+            x[k] = eng.x0 + eng.h * np.einsum("ij,pj->pi", eng.u0, total)
+        total += dirs[:, :, start:].sum(axis=2)
         u = np.broadcast_to(eng.u0, (len(wanted), n_paths, n, n)) if need_u else None
         return x, u, np.full(n_paths, width - 1), np.full((n_paths, n), np.nan)
 
@@ -685,10 +741,13 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
 
 def output_steps(cfg: SimConfig) -> tuple[int, np.ndarray]:
     """Steps a path of ``cfg`` takes, and the step at which each output time
-    is recorded: the time rounded to the step grid of slow_dt = h0 eps^2."""
+    is recorded: the time rounded to the step grid of slow_dt = h0 eps^2.
+    Raises :class:`ConfigError` when slow_dt underflows to 0 or a count
+    reaches 2**63 (see :func:`step_counts`)."""
     slow_dt = cfg.h0 * cfg.epsilon**2
-    n_steps = max(1, int(round(cfg.t_final / slow_dt)))
-    return n_steps, np.clip(np.rint(cfg.resolved_output_times() / slow_dt).astype(int), 0, n_steps)
+    n_steps = max(1, int(step_counts("t_final", cfg.t_final, slow_dt)))
+    marks = step_counts("output_times", cfg.resolved_output_times(), slow_dt)
+    return n_steps, np.clip(marks, 0, n_steps)
 
 
 def path_batches(cfg: SimConfig, n_paths: int, record_frames: bool, record_group: bool,

@@ -42,7 +42,7 @@ def checkouts(tmp_path):
     return tmp_path
 
 
-def test_alternated_pairs_are_summarised_per_metric(checkouts):
+def test_alternated_pairs_are_summarised_per_metric(checkouts, capsys):
     out = checkouts / "BENCH.json"
     assert bench_pairs.main([str(checkouts / "parent"), str(checkouts / "change"),
                              "--out", str(out), "--seed", "10", "--pairs", "3",
@@ -61,11 +61,23 @@ def test_alternated_pairs_are_summarised_per_metric(checkouts):
     assert wall["parent"]["median"] == 3.0 and wall["change"]["median"] == 2.0
     assert wall["change_better"] == "3/3" and wall["ratio_median"] == pytest.approx(2 / 3, abs=1e-4)
     assert wall["within_bound"]
-    assert entry["path_steps_per_s"]["change_better"] == "3/3"
+    # 1/3 less wall time, against a bound of 0.25.
+    assert wall["beyond_bound"]
+    steps = entry["path_steps_per_s"]
+    assert steps["change_better"] == "3/3" and steps["ratio_median"] == pytest.approx(1.5)
+    assert steps["beyond_bound"]
     # Peak RSS 20% higher on every pair, against a bound of 10%.
     rss = entry["peak_rss_mb"]
     assert rss["change_better"] == "0/3" and not rss["within_bound"]
+    assert not rss["beyond_bound"]
     assert entry["setup_s"]["change_better"] == "0/3" and entry["setup_s"]["within_bound"]
+    assert not entry["setup_s"]["beyond_bound"]
+    # Each pair prints the running ratio of every end-to-end metric.
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[-1] == ("hyp2-ensemble pair 3/3: ratio (change better) setup_s 1.0 (0/3), "
+                         "wall_s 0.6667 (3/3), path_steps_per_s 1.5 (3/3), "
+                         "peak_rss_mb 1.2 (0/3)")
 
 
 def test_a_failing_run_stops_the_script(checkouts):

@@ -32,6 +32,16 @@ def test_invalid_input_exits_2_with_reason(argv, message, tmp_path, capsys):
     # The snapped horizon overflowed to infinity before the step-count check.
     (["ergodic", "--t-final", "1e308"],
      "t_final needs inf steps of h = 0.1; a step count must be below 2**63"),
+    # h0 eps^2 underflowed to 0 and the step count divided by it.
+    (["simulate", "--epsilon", "1e-170", "--t-final", "1"],
+     "t_final cannot be reached in steps of h = 0; the step must be positive"),
+    (["homogenize", "--epsilon", "1e-170", "--t-final", "1"],
+     "t_final cannot be reached in steps of h = 0; the step must be positive"),
+    # A subnormal h0 eps^2: the step count overflowed int(round(...)).
+    (["simulate", "--epsilon", "1e-160", "--t-final", "1e300"],
+     "t_final needs inf steps of h = 9.98013e-322; a step count must be below 2**63"),
+    (["homogenize", "--epsilon", "1e-160", "--t-final", "1e300"],
+     "t_final needs inf steps of h = 9.98013e-322; a step count must be below 2**63"),
 ])
 def test_out_of_range_horizon_prints_one_line_and_exits_2(argv, message, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:

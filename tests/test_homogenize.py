@@ -319,6 +319,17 @@ class TestRunEnsemble:
         assert (stats.ks_stat[0], stats.ks_p[0]) == (0.0, 1.0)
         assert stats.oracle_scalar is None
 
+    def test_paper_constant_at_n4(self):
+        # The MSD slope 8/(n-1) = 8/3 and the normal law of x1 at n = 4, on
+        # the two-pair group chain: 2000 paths of 2000 steps.
+        stats = run_ensemble(spec_for(chart="euclidean:4", epsilon=0.05, t_final=0.5,
+                                      paths=2000, seed=4417, jobs=1), record_frames=False)
+        positive = stats.times > 0
+        slope, _, r2 = linear_fit(stats.times[positive], stats.msd[positive])
+        assert abs(slope - 8.0 / 3.0) / (8.0 / 3.0) < 0.10
+        assert r2 > 0.99
+        assert stats.ks_p[-1] > 0.01
+
     def test_jobs_do_not_change_results(self):
         spec1 = spec_for(paths=120, epsilon=0.1, seed=3, jobs=1)
         spec2 = spec_for(paths=120, epsilon=0.1, seed=3, jobs=3)

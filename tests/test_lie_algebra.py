@@ -14,6 +14,7 @@ from frameflow import (
     rotation_defect,
     skewness_defect,
 )
+from frameflow import lie_algebra
 from frameflow.lie_algebra import SkewBasis
 
 
@@ -188,3 +189,65 @@ def test_orthogonality_defect_reports_magnitude():
     g = np.eye(3)
     g[0, 0] = 1.0 + 1e-6
     assert orthogonality_defect(g) == pytest.approx(2e-6, rel=1e-3)
+
+
+def _hamilton(a, b):
+    """Hamilton product of quaternions (w, x, y, z) stored along axis 0."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.array([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+
+
+def _rotation_matrix(q):
+    """R(q) (3, 3, ...) of unit quaternions q (4, ...): v -> q v conj(q)."""
+    w, x, y, z = q
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+def _unit_quaternion(u):
+    """exp(u) = (cos |u|, sin(|u|) u / |u|) for imaginary quaternions u (3, ...)."""
+    norm = np.linalg.norm(u, axis=0)
+    return np.concatenate([np.cos(norm)[None], np.sin(norm) / norm * u])
+
+
+def test_pair_product_is_the_hamilton_product():
+    rng = np.random.default_rng(170301)
+    p, q = rng.standard_normal((2, 4, 50))
+    want = _hamilton(p, q)
+    got = lie_algebra._multiply(lie_algebra._as_pair(p), lie_algebra._as_pair(q))
+    np.testing.assert_allclose(lie_algebra._as_vector(got), want, rtol=0, atol=1e-15)
+    # As the chain calls it: the product written over its right factor.
+    e = lie_algebra._as_pair(q)
+    lie_algebra._pair_product(lie_algebra._as_pair(p), e, e, np.empty((2, 2, 50), dtype=complex))
+    np.testing.assert_allclose(lie_algebra._as_vector(e), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("e0", [[1.0, 0.0, 0.0], [1.0, 2.0, -2.0], [0.0, 0.6, 0.8],
+                                [-0.3, 0.1, 0.5]], ids=["e1", "tilt", "no-e1", "random"])
+def test_closed_form_direction_is_the_rotation_of_e0(e0):
+    rng = np.random.default_rng(170302)
+    q = rng.standard_normal((4, 200))
+    q /= np.linalg.norm(q, axis=0)
+    e0 = np.array(e0) / np.linalg.norm(e0)
+    got = np.array(lie_algebra._rotate(lie_algebra._as_pair(q), e0))
+    np.testing.assert_allclose(got, np.einsum("ijp,j->ip", _rotation_matrix(q), e0),
+                               rtol=0, atol=1e-15)
+
+
+def test_so4_exponential_is_a_pair_of_unit_quaternions():
+    # exp(X) v = e^a v e^b, with 2a and -2b the two rotation vectors of X.
+    rng = np.random.default_rng(170303)
+    mats = canonical_basis(4).mats
+    xs = np.einsum("pk,kij->pij", rng.standard_normal((200, 6)), mats)
+    vectors = np.array([lie_algebra._pair_vectors(x) for x in xs])     # (200, 2, 3)
+    left = _unit_quaternion(0.5 * vectors[:, 0].T)
+    right = _unit_quaternion(-0.5 * vectors[:, 1].T)
+    v = rng.standard_normal((4, 200))
+    got = _hamilton(_hamilton(left, v), right)
+    want = np.einsum("pij,jp->ip", np.array([expm(x) for x in xs]), v)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

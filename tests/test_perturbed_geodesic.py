@@ -379,10 +379,11 @@ def test_block_engine_matches_per_step_reference(chart):
 
 def test_simulate_paths_memory_is_bounded_by_its_workspaces():
     # 500 paths of 1,200 steps on euclidean:3.  The workspaces (a 128-step
-    # noise buffer, the chunk's directions, the quaternion sub-chunk
-    # factors) peak at 8.4 MB; 256-step noise blocks peaked at 11.4 MB,
-    # and 1024-step blocks with chain temporaries made afresh for every
-    # chunk at 47.6 MB.
+    # noise buffer, the chunk's directions, the pair chain's 16-step
+    # sub-block arrays) peak at 7.9 MB; with the real quaternion chain they
+    # peaked at 8.4 MB, with 256-step noise blocks at 11.4 MB, and with
+    # 1024-step blocks and chain temporaries made afresh for every chunk at
+    # 47.6 MB.
     cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=1.2, seed=2)
     simulate_paths(cfg, range(2))
     tracemalloc.start()
@@ -394,22 +395,45 @@ def test_simulate_paths_memory_is_bounded_by_its_workspaces():
     assert peak < 20e6
 
 
-@pytest.mark.parametrize("chart,bound_mib", [("hyperbolic2", 32.0), ("euclidean:4", 26.0)])
-def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
-    # One path_batches-wide call (3,771 and 981 paths) of 150 steps without
-    # frames.  With the directions written at each step these peak at 24.1
-    # and 18.1 MiB; a (128, P, n, n) block of midpoint rotations held per
-    # chunk made them 38.9 and 33.3 MiB.
+def full_width_batch_peak(chart):
+    """tracemalloc peak of one path_batches-wide call of 150 steps without frames."""
     cfg = SimConfig(chart=chart, epsilon=0.1, t_final=0.15, seed=4)
     batch = path_batches(cfg, 100_000, record_frames=False, record_group=False)[0]
     simulate_paths(cfg, range(2), record_frames=False)
     tracemalloc.start()
     try:
         simulate_paths(cfg, batch, record_frames=False)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("chart,bound_mib", [("hyperbolic2", 32.0), ("euclidean:5", 26.0)])
+def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
+    # 3,771 and 633 paths.  With the directions written at each step these
+    # peak at 24.1 and 17.8 MiB; a (128, P, n, n) block of midpoint
+    # rotations held per chunk made hyperbolic2 peak at 38.9 MiB and adds
+    # 15.5 MiB at n = 5.
+    assert full_width_batch_peak(chart) < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("chart,bound_mib", [("euclidean:3", 24.5), ("euclidean:4", 20.0)])
+def test_full_width_batch_memory_on_the_pair_chain(chart, bound_mib):
+    # 1,721 and 981 paths.  The SU(2) pair chain peaks at 23.8 and 19.2
+    # MiB.  The real quaternion chain peaked at 25.3 MiB on euclidean:3; the
+    # matrix chain held 18.1 MiB on euclidean:4, at 7 times the time a step.
+    assert full_width_batch_peak(chart) < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("chart", ["euclidean:3", "euclidean:4"])
+def test_zero_rotation_vector_leaves_g_at_the_identity(chart):
+    # 300 steps cross two chunk ends, where the pairs are renormalised.
+    n = chart_by_name(chart).dim
+    cfg = every_step(300, chart=chart, epsilon=0.05)
+    out = simulate_paths(cfg, range(3), rngs=[ZeroNoise()] * 3, record_group=True)
+    assert np.array_equal(out.gs, np.broadcast_to(np.eye(n), out.gs.shape))
+    np.testing.assert_allclose(out.xs[-1, :, 0], 300 * 0.1 * 0.05, rtol=1e-13)
+    assert np.all(out.xs[:, :, 1:] == 0.0)
 
 
 @pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "hyperbolic2"])
