@@ -367,12 +367,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     batches = perturbed_geodesic.path_batches(sim, n_paths, cfg.with_frames, cfg.with_group)
     _log.info("set-up: %.3f s", time.perf_counter() - t_start)
     simulate_s = write_s = 0.0
+    stage_s: dict = {}
     for batch in batches:
         t0 = time.perf_counter()
         out = perturbed_geodesic.simulate_paths(
             sim, batch, record_frames=cfg.with_frames, record_group=cfg.with_group)
         t1 = time.perf_counter()
         simulate_s += t1 - t0
+        for key, seconds in out.stage_s.items():
+            stage_s[key] = stage_s.get(key, 0.0) + seconds
         fields = [out.xs] + [f.reshape(f.shape[:2] + (-1,)) for f in (out.us, out.gs)
                              if f is not None]
         table = np.empty((len(out.times), len(header)))
@@ -385,8 +388,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             np.concatenate([f[:, i] for f in fields], axis=1, out=table[:, 1:])
             _write_csv(out_dir / f"path_{p:04d}.csv", header, table)
         write_s += time.perf_counter() - t1
-    _log.info("simulate: %d path(s) in %d engine call(s), %.0f path-steps/s, %.3f s",
-              n_paths, len(batches), out.steps * n_paths / max(simulate_s, 1e-9), simulate_s)
+    _log.info("simulate: %d path(s) in %d engine call(s), %s, %.0f path-steps/s, %.3f s",
+              n_paths, len(batches), ", ".join(f"{key} {s:.3f} s" for key, s in stage_s.items()),
+              out.steps * n_paths / max(simulate_s, 1e-9), simulate_s)
     _log.info("write: %d path file(s), %.3f s", n_paths, write_s)
     print(f"wrote {n_paths} path file(s) to {out_dir}")
     return 0

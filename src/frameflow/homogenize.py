@@ -131,6 +131,7 @@ class EnsembleStats:
     ks_p: np.ndarray                    # (K,)
     paths: int
     aborts: list
+    stage_s: dict                       # engine seconds per stage, over every call
 
 
 def _simulate_batch(cfg: SimConfig, record_frames: bool, batch: range):
@@ -170,10 +171,12 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     alive = np.concatenate([out.alive for out in outs])
     aborts = sorted((rec for out in outs for rec in out.aborts), key=lambda rec: (rec[1], rec[0]))
     times = outs[0].times
+    stage_s = {key: sum(out.stage_s[key] for out in outs) for key in outs[0].stage_s}
     t_simulated = time.perf_counter()
     seconds = t_simulated - t_start
-    _log.info("simulate: %d path(s) in %d engine call(s), %.0f path-steps/s, %.3f s",
-              m_paths, len(outs), outs[0].steps * m_paths / max(seconds, 1e-9), seconds)
+    _log.info("simulate: %d path(s) in %d engine call(s), %s, %.0f path-steps/s, %.3f s",
+              m_paths, len(outs), ", ".join(f"{key} {s:.3f} s" for key, s in stage_s.items()),
+              outs[0].steps * m_paths / max(seconds, 1e-9), seconds)
     del outs  # the calls' own copies of the outputs
 
     if len(aborts) > ABORT_FRACTION_LIMIT * m_paths:
@@ -228,6 +231,7 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
         ks_p=ks_p,
         paths=survivors,
         aborts=aborts,
+        stage_s=stage_s,
     )
 
 

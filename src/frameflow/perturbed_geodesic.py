@@ -25,7 +25,9 @@ chunks of 128, each in four stages:
    by the dimension n and the chart:
 
    - n = 2 on flat charts: g is a rotation by an angle and half-steps add
-     angles, so one cumsum gives every angle and cos/sin every direction;
+     angles, so one cumsum gives every half-angle (a - phi0) / 2, for
+     e0 = (cos phi0, sin phi0), and one vectorised tan of it every
+     direction, by the half-angle formulas;
    - n = 3 and 4: unit quaternions held as SU(2) pairs of complex
      numbers, one pair q for n = 3 (g v = q v conj(q)) and two, l and s,
      for n = 4 (g v = l v conj(s) on R^4 = H), each multiplied at a
@@ -71,10 +73,11 @@ Every stage writes into arrays allocated once per run, so a run of P
 paths holds the noise buffer, P * 128 * 2N * 8 bytes, the chunk's
 directions, P * n * 129 * 8 bytes, and workspaces of one step (the
 matrix chain), a sub-block of 16 steps (the pair chain, 4 for n = 4,
-and the hyperbolic2 frame) or one chunk (the angle chain's angles),
-however many steps it takes.
-:func:`path_batches` splits the paths of a command into calls that each
-hold at most ``BATCH_BYTES`` of outputs, noise and chunk directions.
+and the hyperbolic2 frame) or one chunk (the angle chain's 257
+half-angles), however many steps it takes.  Each chain states what it
+holds per path (``path_bytes``), and :func:`path_batches` splits the
+paths of a command into calls that each hold at most ``BATCH_BYTES`` of
+outputs, noise, chunk directions and group-chain arrays.
 
 :func:`simulate_rescaled_path` is the one-path view of the routine.
 
@@ -89,6 +92,7 @@ or distributed.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,8 +114,8 @@ _GROUP_PROJECT_EVERY = 1000
 # Steps whose per-step factors (one quaternion pair's exponentials,
 # hyperbolic2 step matrices) are formed at once.
 _SUB = 16
-# Bytes of outputs, noise and chunk directions one engine call may hold
-# (see path_batches).
+# Bytes of outputs, noise, chunk directions and group-chain arrays one
+# engine call may hold (see path_batches).
 BATCH_BYTES = 16 << 20
 
 
@@ -200,6 +204,7 @@ class EnsemblePaths:
     alive: np.ndarray                 # (P,) bool
     aborts: list                      # (path_index, t, x) records
     steps: int                        # integrator steps taken by each path
+    stage_s: dict                     # seconds in each stage: draw, chain, frame, record
 
 
 def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,35 +265,51 @@ class _Engine:
 # in ``keep`` (sorted) as (len(keep), P, n, n).
 
 class _AngleChain:
-    """n = 2: g = [[cos a, sin a], [-sin a, cos a]] and each half-step adds to the angle a."""
+    """n = 2: g = [[cos a, sin a], [-sin a, cos a]] and each half-step adds to the angle a.
+
+    For e0 = (cos phi0, sin phi0), g e0 = (cos 2b, -sin 2b) with the
+    half-angle b = (a - phi0) / 2, which the chain carries instead of a,
+    modulo pi.  Each direction comes from t = tan b as ((1 - t^2), -2t) /
+    (1 + t^2): numpy vectorises its float64 tan but not sin and cos (3 ns
+    against 17 ns each an element, at 8M elements on an AVX-512 x86).
+    Near the pole, t is at most about 1.6e16, so t^2 stays finite and the
+    direction is (-1, -2/t) to rounding.  Only g at the kept steps takes
+    cos and sin, of a = 2b + phi0.
+    """
 
     def __init__(self, eng: _Engine, n_paths: int):
-        self.scale = eng.noise_scale * eng.basis.mats[0, 0, 1]
-        self.drift = 0.0 if eng.drift_half is None else eng.drift_half[0, 1]
-        # g e0 = (cos(a - phi0), -sin(a - phi0)) for e0 = (cos phi0, sin phi0).
+        self.scale = 0.5 * eng.noise_scale * eng.basis.mats[0, 0, 1]
+        self.drift = 0.0 if eng.drift_half is None else 0.5 * eng.drift_half[0, 1]
         self.phi0 = float(np.arctan2(eng.e0[1], eng.e0[0]))
-        self.angle = np.zeros(n_paths)
-        self.angles = np.empty((n_paths, 2 * _CHUNK + 1))
+        self.half = np.full(n_paths, np.remainder(-0.5 * self.phi0, np.pi))
+        self.halves = np.empty((n_paths, 2 * _CHUNK + 1))
+
+    @staticmethod
+    def path_bytes(n: int) -> int:
+        # The half-angles of a chunk, and the carried one.
+        return 8 * (2 * _CHUNK + 2)
 
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         n_paths, steps = xi.shape[:2]
-        # Start angle, then the angle after each half-step.
-        angles = self.angles[:, :2 * steps + 1]
-        angles[:, 0] = self.angle
-        np.multiply(xi.reshape(n_paths, 2 * steps), self.scale, out=angles[:, 1:])
+        # Start half-angle, then the half-angle after each half-step.
+        halves = self.halves[:, :2 * steps + 1]
+        halves[:, 0] = self.half
+        np.multiply(xi.reshape(n_paths, 2 * steps), self.scale, out=halves[:, 1:])
         if self.drift:
-            angles[:, 1:] += self.drift
-        np.cumsum(angles, axis=1, out=angles)
-        # Carried modulo 2 pi, so its rounding does not grow with the walk.
-        np.remainder(angles[:, -1], 2.0 * np.pi, out=self.angle)
-        full = angles[:, 2::2][:, keep].T
+            halves[:, 1:] += self.drift
+        np.cumsum(halves, axis=1, out=halves)
+        # Carried modulo pi, so its rounding does not grow with the walk.
+        np.remainder(halves[:, -1], np.pi, out=self.half)
+        full = 2.0 * halves[:, 2::2][:, keep].T + self.phi0
         ck, sk = np.cos(full), np.sin(full)
         g = np.stack([np.stack([ck, sk], axis=-1), np.stack([-sk, ck], axis=-1)], axis=-2)
-        mid = angles[:, 1::2]
-        mid -= self.phi0
-        np.cos(mid, out=e_dir[:, 0])
-        np.sin(mid, out=e_dir[:, 1])
-        np.negative(e_dir[:, 1], out=e_dir[:, 1])
+        cos, sin = e_dir[:, 0], e_dir[:, 1]
+        np.tan(halves[:, 1::2], out=sin)
+        np.multiply(sin, sin, out=cos)
+        cos += 1.0
+        np.divide(-2.0, cos, out=cos)           # -2 / (1 + t^2)
+        sin *= cos
+        np.subtract(-1.0, cos, out=cos)
         return g
 
 
@@ -333,6 +354,13 @@ class _PairChain:
         self.e = np.empty((self.sub, 2, k, 2, n_paths), dtype=complex)
         self.tmp = np.empty((2, 2, n_paths), dtype=complex)
         self.dirs = np.empty((n, self.sub, n_paths))
+
+    @staticmethod
+    def path_bytes(n: int) -> int:
+        # The pairs and the sub-block arrays that __init__ allocates.
+        k, n_noise = n - 2, n * (n - 1) // 2
+        sub = _SUB // k**2
+        return 8 * (2 * sub * (n_noise + 3 * k) + n * sub) + 16 * (4 * k * sub + 2 * k + 4)
 
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         n_paths, steps = xi.shape[:2]
@@ -433,6 +461,10 @@ class _MatrixChain:
         self.g = np.tile(np.eye(eng.n), (n_paths, 1, 1))
         self.steps = 0
 
+    @staticmethod
+    def path_bytes(n: int) -> int:
+        return 8 * n * n
+
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         eng, n = self.eng, self.eng.n
         n_paths, steps = xi.shape[:2]
@@ -451,12 +483,14 @@ class _MatrixChain:
         return kept
 
 
-def _group_chain(eng: _Engine, n_paths: int):
-    if eng.n == 2 and eng.chart.flat:
-        return _AngleChain(eng, n_paths)
-    if eng.n in (3, 4):
-        return _PairChain(eng, n_paths)
-    return _MatrixChain(eng, n_paths)
+def _group_chain(chart: Chart):
+    """The chain class of ``chart``; its ``path_bytes(n)`` is what one of its
+    runs holds per path."""
+    if chart.dim == 2 and chart.flat:
+        return _AngleChain
+    if chart.dim in (3, 4):
+        return _PairChain
+    return _MatrixChain
 
 
 # Frame stages.  ``run(dirs, wanted, need_u)`` advances every path over the
@@ -699,24 +733,30 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     if gs is not None:
         gs[:next_out] = np.eye(n)
 
-    chain = _group_chain(eng, n_paths)
+    chain = _group_chain(eng.chart)(eng, n_paths)
     stage = _frame_stage(eng, n_paths)
     # The chain writes a chunk's directions into columns 1.. of ``dirs``;
     # column 0 belongs to the frame stage.
     dirs = np.zeros((n_paths, n, _CHUNK + 1))
     noise = np.empty((n_paths, min(n_steps, _CHUNK), 2, n_noise))
+    # Seconds per stage, read once per chunk.
+    stage_s = dict.fromkeys(("draw", "chain", "frame", "record"), 0.0)
     for m in range(0, n_steps, _CHUNK):
+        t0 = time.perf_counter()
         steps = min(_CHUNK, n_steps - m)
         xi = noise[:, :steps]
         for row, r in zip(xi, rngs):
             # Shape passed by position: stand-in generators read it there.
             r.standard_normal((steps, 2, n_noise), out=row)
+        t1 = time.perf_counter()
         # Output slots next_out..last-1 fall in this chunk, at the local
         # steps wanted[k].
         last = int(np.searchsorted(out_idx, m + steps, side="right"))
         wanted, k = np.unique(out_idx[next_out:last] - m - 1, return_inverse=True)
         g_kept = chain.run(xi, wanted if record_group else wanted[:0], dirs[:, :, 1:steps + 1])
+        t2 = time.perf_counter()
         xk, uk, fail, x_fail = stage.run(dirs[:, :, :steps + 1], wanted, record_frames)
+        t3 = time.perf_counter()
         # Local step from which each path is held at (x0, u0).
         dead_from = np.where(alive, fail, -1)
         failed = np.nonzero(alive & (fail < steps))[0]
@@ -734,9 +774,12 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
         if gs is not None:
             gs[next_out:last] = g_kept[k]
         next_out = last
+        t4 = time.perf_counter()
+        for key, start, end in zip(stage_s, (t0, t1, t2, t3), (t1, t2, t3, t4)):
+            stage_s[key] += end - start
 
     return EnsemblePaths(times=grid_times, xs=xs, us=us, gs=gs, alive=alive, aborts=aborts,
-                         steps=n_steps)
+                         steps=n_steps, stage_s=stage_s)
 
 
 def output_steps(cfg: SimConfig) -> tuple[int, np.ndarray]:
@@ -756,12 +799,14 @@ def path_batches(cfg: SimConfig, n_paths: int, record_frames: bool, record_group
     near-equal parts (fewer if paths run out), each cut into ranges that fit
     in ``BATCH_BYTES``, the largest first.  A path is priced at the arrays
     :func:`simulate_paths` allocates for it: its recorded outputs, its row
-    of the noise buffer (128 steps of 2N normals) and its row of chunk
-    directions (n x 129), 8 bytes a number."""
-    n = chart_by_name(cfg.chart).dim
+    of the noise buffer (128 steps of 2N normals), its row of chunk
+    directions (n x 129), 8 bytes a number, and what its group chain holds
+    for it (the chain's ``path_bytes``)."""
+    chart = chart_by_name(cfg.chart)
+    n = chart.dim
     fields = n + n * n * (int(record_frames) + int(record_group))
-    per_path = 8 * (len(cfg.resolved_output_times()) * fields + _CHUNK * n * (n - 1)
-                    + n * (_CHUNK + 1))
+    per_path = (8 * (len(cfg.resolved_output_times()) * fields + _CHUNK * n * (n - 1)
+                     + n * (_CHUNK + 1)) + _group_chain(chart).path_bytes(n))
     width = max(1, BATCH_BYTES // per_path)
     bounds = [n_paths * i // parts for i in range(parts + 1)]
     return [range(lo, min(lo + width, hi))

@@ -220,9 +220,9 @@ class TestBatchedSimulate:
         argv = BATCHED_RUNS["hyperbolic2-frames-group"]
         assert main(argv + ["--output-dir", str(tmp_path / "one")]) == 0
         # A path holds 301 output rows of x, u and g (10 values), one noise
-        # row of 128 steps of 2 normals and 2 x 129 chunk directions, 8
-        # bytes each.
-        two_paths = 2 * 8 * (301 * 10 + 128 * 2 + 2 * 129)
+        # row of 128 steps of 2 normals, 2 x 129 chunk directions and the
+        # matrix chain's 2 x 2 g, 8 bytes each.
+        two_paths = 2 * 8 * (301 * 10 + 128 * 2 + 2 * 129 + 4)
         monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", two_paths)
         assert main(argv + ["-v", "--output-dir", str(tmp_path / "split")]) == 0
         assert engine_calls == [3, 2, 1]
@@ -341,6 +341,9 @@ class TestVerbosePhases:
         simulated = [line for line in lines if line.startswith("frameflow: simulate: ")]
         assert [line.split(": ")[2].split(",")[0] for line in simulated] == counts
         assert all(re.search(r", \d+ path-steps/s, \d+\.\d{3} s$", line) for line in simulated)
+        # and the engine's seconds in each stage.
+        assert all(re.search(r", draw \d+\.\d{3} s, chain \d+\.\d{3} s, frame \d+\.\d{3} s, "
+                             r"record \d+\.\d{3} s, ", line) for line in simulated)
 
 
 class TestSweepCommand:

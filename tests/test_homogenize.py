@@ -3,6 +3,7 @@ import dataclasses
 import logging
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -360,8 +361,11 @@ def run_logged(spec, caplog, **kw):
 
 
 # An n = 2 path with frames holds 21 rows of x and u (6 values), 128 noise
-# steps of 2 normals and 2 x 129 chunk directions, 8 bytes each.
-FLAT2_PATH_BYTES = 8 * (21 * 6 + 128 * 2 + 2 * 129)
+# steps of 2 normals and 2 x 129 chunk directions, 8 bytes each, and what
+# its group chain holds: 257 half-angles and the carried one on flat
+# charts, the 2 x 2 g of the matrix chain on hyperbolic2.
+PATH_BYTES = {"euclidean:2": 8 * (21 * 6 + 128 * 2 + 2 * 129 + 258),
+              "hyperbolic2": 8 * (21 * 6 + 128 * 2 + 2 * 129 + 4)}
 
 
 class TestFanOut:
@@ -370,7 +374,7 @@ class TestFanOut:
         spec = spec_for(chart=chart, epsilon=0.1, t_final=0.5, paths=120, seed=5)
         one, calls = run_logged(spec, caplog)
         assert calls == 1
-        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", 30 * FLAT2_PATH_BYTES)
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", 30 * PATH_BYTES[chart])
         # 30 paths a call: 4 calls, or 3 parts of 40 paths cut 30 + 10.
         for jobs, expected_calls in ((1, 4), (3, 6)):
             stats, calls = run_logged(dataclasses.replace(spec, jobs=jobs), caplog)
@@ -382,8 +386,20 @@ class TestFanOut:
             if stats.oracle_scalar is not None:
                 np.testing.assert_array_equal(stats.oracle_scalar, one.oracle_scalar)
 
+    def test_stage_seconds_add_up_over_the_engine_calls(self, monkeypatch):
+        # 4 calls of 30 paths, 10 chunks each: every stage is timed, and the
+        # stages fit in the run's wall time.
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", 30 * PATH_BYTES["euclidean:2"])
+        spec = spec_for(epsilon=0.1, t_final=1.2, paths=120, seed=5)
+        t0 = time.perf_counter()
+        stats = run_ensemble(spec)
+        wall = time.perf_counter() - t0
+        assert list(stats.stage_s) == ["draw", "chain", "frame", "record"]
+        assert all(s >= 0.0 for s in stats.stage_s.values())
+        assert 0.0 < sum(stats.stage_s.values()) <= wall
+
     def test_engine_calls_follow_the_byte_budget(self, monkeypatch, engine_calls):
-        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", 30 * FLAT2_PATH_BYTES)
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", 30 * PATH_BYTES["euclidean:2"])
         spec = spec_for(epsilon=0.1, t_final=0.5, paths=120, seed=5)
         run_ensemble(spec)
         assert engine_calls == [30, 30, 30, 30]
@@ -432,7 +448,7 @@ class TestFanOut:
         sim = SimConfig(chart="strip-test", epsilon=0.1, t_final=0.2, seed=2)
         first = simulate_paths(sim, range(100)).aborts[0]
         messages = []
-        for jobs, budget in ((1, None), (1, 7 * FLAT2_PATH_BYTES), (3, None)):
+        for jobs, budget in ((1, None), (1, 7 * PATH_BYTES["euclidean:2"]), (3, None)):
             if budget is not None:
                 monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", budget)
             with pytest.raises(NumericalAbort) as abort:

@@ -217,9 +217,10 @@ class TestPathBatches:
     def test_ranges_are_contiguous_and_cover_every_path(self, paths, parts, width, monkeypatch):
         cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=0.5)
         # A path of euclidean:3 holds 21 rows of x and u (12 values), 128
-        # steps of 2 x 3 normals and 3 x 129 chunk directions, 8 bytes each.
+        # steps of 2 x 3 normals and 3 x 129 chunk directions, 8 bytes each,
+        # and 3,040 bytes of the pair chain's pair and sub-block arrays.
         monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES",
-                            width * 8 * (21 * 12 + 128 * 6 + 3 * 129))
+                            width * (8 * (21 * 12 + 128 * 6 + 3 * 129) + 3040))
         batches = perturbed_geodesic.path_batches(cfg, paths, True, False, parts=parts)
         assert [p for b in batches for p in b] == list(range(paths))
         assert all(b.step == 1 and 1 <= len(b) <= width for b in batches)
@@ -229,10 +230,10 @@ class TestPathBatches:
 
     @pytest.mark.parametrize("chart, eps, t_final, times, frames, group, paths, sizes", [
         ("euclidean:2", 0.05, 1.0, None, True, False, 2000, [2000]),     # flat2-ensemble
-        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1490, 510]),  # flat3-ensemble
+        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1173, 827]),  # flat3-ensemble
         ("hyperbolic2", 0.05, 0.5, None, True, False, 2000, [2000]),     # hyp2-ensemble
         ("hyperbolic2", 0.05, 1.0, 4001, True, True, 6, [6]),             # hyp2-simulate
-        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1721, 279]),  # no frames
+        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1312, 688]),  # no frames
     ])
     def test_sizes_of_the_bench_configs(self, chart, eps, t_final, times, frames, group, paths,
                                         sizes):
@@ -410,19 +411,91 @@ def full_width_batch_peak(chart):
 
 @pytest.mark.parametrize("chart,bound_mib", [("hyperbolic2", 32.0), ("euclidean:5", 26.0)])
 def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
-    # 3,771 and 633 paths.  With the directions written at each step these
-    # peak at 24.1 and 17.8 MiB; a (128, P, n, n) block of midpoint
-    # rotations held per chunk made hyperbolic2 peak at 38.9 MiB and adds
-    # 15.5 MiB at n = 5.
+    # 3,744 and 628 paths.  With the directions written at each step these
+    # peak at 24.0 and 17.7 MiB (24.1 and 17.8 MiB at 3,771 and 633 paths,
+    # before g was priced); a (128, P, n, n) block of midpoint rotations
+    # held per chunk made hyperbolic2 peak at 38.9 MiB and adds 15.5 MiB at
+    # n = 5.
     assert full_width_batch_peak(chart) < bound_mib * 2**20
 
 
 @pytest.mark.parametrize("chart,bound_mib", [("euclidean:3", 24.5), ("euclidean:4", 20.0)])
 def test_full_width_batch_memory_on_the_pair_chain(chart, bound_mib):
-    # 1,721 and 981 paths.  The SU(2) pair chain peaks at 23.8 and 19.2
-    # MiB.  The real quaternion chain peaked at 25.3 MiB on euclidean:3; the
+    # 1,312 and 900 paths, priced with the pair chain's arrays, peak at
+    # 18.2 and 17.7 MiB; at 1,721 and 981 paths, unpriced, the SU(2) pair
+    # chain peaked at 23.8 and 19.3 MiB.  The real quaternion chain peaked at 25.3 MiB on euclidean:3; the
     # matrix chain held 18.1 MiB on euclidean:4, at 7 times the time a step.
     assert full_width_batch_peak(chart) < bound_mib * 2**20
+
+
+def test_full_width_batch_memory_on_the_angle_chain():
+    # 2,576 paths, priced with the chain's 257 half-angles and carry: the
+    # priced arrays come to 16.0 MiB, and the call peaks at 19.0 MiB.  With
+    # the angles unpriced, a call of 3,771 paths peaked at 27.8 MiB.
+    assert full_width_batch_peak("euclidean:2") < 24.0 * 2**20
+
+
+@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "euclidean:5",
+                                   "hyperbolic2"])
+def test_chain_path_bytes_are_what_a_chain_holds_per_path(chart):
+    # What path_batches adds per path for the group chain: every array the
+    # chain keeps for the run, the constants (map, e0, drift) aside.
+    n = chart_by_name(chart).dim
+    rot = _rotation(n, np.pi / 2)
+    eng = perturbed_geodesic._Engine(SimConfig(chart=chart, epsilon=0.1, t_final=0.1,
+                                               abar=rot - rot.T))
+    chain = perturbed_geodesic._group_chain(eng.chart)
+
+    def held(n_paths):
+        return sum(a.nbytes for a in vars(chain(eng, n_paths)).values()
+                   if isinstance(a, np.ndarray))
+
+    assert held(2) - held(1) == chain.path_bytes(n)
+    assert held(1) - chain.path_bytes(n) < 400
+
+
+def run_angle_chain(xi, abar=None):
+    """An euclidean:2 angle chain run over one chunk of noise xi (P, steps, 2, 1), and the
+    midpoint directions (P, 2, steps) it wrote."""
+    eng = perturbed_geodesic._Engine(SimConfig(chart="euclidean:2", epsilon=0.05, t_final=1.0,
+                                               abar=abar))
+    chain = perturbed_geodesic._AngleChain(eng, xi.shape[0])
+    e_dir = np.empty((xi.shape[0], 2, xi.shape[1]))
+    chain.run(xi, np.arange(0), e_dir)
+    return chain, e_dir
+
+
+def test_angle_chain_is_exact_across_the_tangent_pole():
+    # Half-steps of 1e-11 walk the half-angle b = a / 2 (e0 = e1) from
+    # 1.3e-9 below pi/2 to 1.3e-9 above it, where |tan b| exceeds 7e8 and
+    # passes 1e11; each path starts at its own offset.
+    eng = perturbed_geodesic._Engine(SimConfig(chart="euclidean:2", epsilon=0.05, t_final=1.0))
+    scale = eng.noise_scale * eng.basis.mats[0, 0, 1]        # angle per unit normal
+    offsets = np.linspace(-1.3e-9, -1.2e-9, 7)
+    half_steps = np.full((7, 256), 2e-11)
+    half_steps[:, 0] = np.pi + 2 * offsets
+    xi = (half_steps / scale).reshape(7, 128, 2, 1)
+    _, e_dir = run_angle_chain(xi)
+    angle = np.cumsum(scale * xi.reshape(7, 256), axis=1)[:, ::2]
+    assert np.abs(angle - np.pi).min() < 1e-11 and np.ptp(angle) > 4e-9
+    assert np.all(np.isfinite(e_dir))
+    np.testing.assert_allclose(np.hypot(e_dir[:, 0], e_dir[:, 1]), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(e_dir[:, 0], np.cos(angle), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(e_dir[:, 1], -np.sin(angle), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_angle_chain_carries_its_half_angle_modulo_pi(sign):
+    # 10^5 steps with a drift that turns g about 2,400 times: after every
+    # chunk the carried half-angle is back in [0, pi).  np.remainder may
+    # return the float pi, which is below pi, for a tiny negative angle.
+    rot = _rotation(2, np.pi / 2)
+    chain, e_dir = run_angle_chain(np.zeros((4, 128, 2, 1)), abar=sign * 30.0 * (rot - rot.T))
+    rng = np.random.default_rng(5)
+    for _ in range(10**5 // 128):
+        chain.run(rng.standard_normal((4, 128, 2, 1)), np.arange(0), e_dir)
+        assert np.all((chain.half >= 0.0) & (chain.half <= np.pi))
+    assert np.all(np.isfinite(e_dir))
 
 
 @pytest.mark.parametrize("chart", ["euclidean:3", "euclidean:4"])
