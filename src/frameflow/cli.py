@@ -34,13 +34,14 @@ from .group_process import (
     check_h0,
     ergodic_average_repetitions,
     haar_moment_stats,
-    step_counts,
+    horizon_steps,
 )
 from .homogenize import (
     EnsembleSpec,
     check_epsilon_list,
     epsilon_sweep,
     linear_fit,
+    log_engine_calls,
     msd_rate,
     reference_law,
     run_ensemble,
@@ -338,7 +339,7 @@ def cmd_ergodic(cfg: RunConfig) -> int:
         return np.stack([w[:, i] * w[:, j] for i, j in pairs], axis=0)
 
     # The horizon snapped to the step grid, as a whole number of steps.
-    t_grid = float(step_counts("t_final", t_avg, gcfg.h)) * gcfg.h
+    t_grid = horizon_steps("t_final", t_avg, gcfg.h) * gcfg.h
     acc = ergodic_average_repetitions(moments, gcfg, [t_grid], cfg.reps, rng)[0]
     est = acc.mean(axis=1)
     se = acc.std(axis=1, ddof=1) / np.sqrt(cfg.reps)
@@ -367,15 +368,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     batches = perturbed_geodesic.path_batches(sim, n_paths, cfg.with_frames, cfg.with_group)
     _log.info("set-up: %.3f s", time.perf_counter() - t_start)
     simulate_s = write_s = 0.0
-    stage_s: dict = {}
+    stage_s = []
     for batch in batches:
         t0 = time.perf_counter()
         out = perturbed_geodesic.simulate_paths(
             sim, batch, record_frames=cfg.with_frames, record_group=cfg.with_group)
         t1 = time.perf_counter()
         simulate_s += t1 - t0
-        for key, seconds in out.stage_s.items():
-            stage_s[key] = stage_s.get(key, 0.0) + seconds
+        stage_s.append(out.stage_s)
         fields = [out.xs] + [f.reshape(f.shape[:2] + (-1,)) for f in (out.us, out.gs)
                              if f is not None]
         table = np.empty((len(out.times), len(header)))
@@ -388,9 +388,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             np.concatenate([f[:, i] for f in fields], axis=1, out=table[:, 1:])
             _write_csv(out_dir / f"path_{p:04d}.csv", header, table)
         write_s += time.perf_counter() - t1
-    _log.info("simulate: %d path(s) in %d engine call(s), %s, %.0f path-steps/s, %.3f s",
-              n_paths, len(batches), ", ".join(f"{key} {s:.3f} s" for key, s in stage_s.items()),
-              out.steps * n_paths / max(simulate_s, 1e-9), simulate_s)
+    log_engine_calls(stage_s, n_paths, out.steps, simulate_s)
     _log.info("write: %d path file(s), %.3f s", n_paths, write_s)
     print(f"wrote {n_paths} path file(s) to {out_dir}")
     return 0
@@ -530,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-times", dest="output_times",
                        help="count or comma list of times in [0, t_final]")
         p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--jobs", type=int, help="parallel workers (results identical)")
+        p.add_argument("--jobs", type=int,
+                       help="parallel workers for homogenize and sweep (results identical)")
         p.add_argument("--samples", type=int, help="sample count for haar")
         p.add_argument("--reps", type=int, help="repetition count for ergodic")
         p.add_argument("--verbose", "-v", action="count", default=None)

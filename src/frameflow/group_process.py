@@ -78,6 +78,12 @@ def step_counts(name: str, times, h: float) -> np.ndarray:
     return marks.astype(int)
 
 
+def horizon_steps(name: str, t: float, h: float) -> int:
+    """Steps of ``h`` that run to the horizon ``t``: the nearest whole
+    number, at least 1 (see :func:`step_counts`)."""
+    return max(1, int(step_counts(name, t, h)))
+
+
 @dataclass(frozen=True)
 class GroupSdeConfig:
     """Parameters of the group diffusion at epsilon = 1 and its integrator.

@@ -139,6 +139,16 @@ def _simulate_batch(cfg: SimConfig, record_frames: bool, batch: range):
     return simulate_paths(cfg, batch, record_frames=record_frames)
 
 
+def log_engine_calls(stage_s: list, n_paths: int, steps: int, seconds: float) -> dict:
+    """Log the simulate line of the engine calls whose stage seconds are
+    ``stage_s``, one dict a call, and return those seconds summed by stage."""
+    total = {key: sum(call[key] for call in stage_s) for key in stage_s[0]}
+    _log.info("simulate: %d path(s) in %d engine call(s), %s, %.0f path-steps/s, %.3f s",
+              n_paths, len(stage_s), ", ".join(f"{key} {s:.3f} s" for key, s in total.items()),
+              steps * n_paths / max(seconds, 1e-9), seconds)
+    return total
+
+
 def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStats:
     """Simulate the ensemble and reduce it to per-time statistics.
 
@@ -171,12 +181,9 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     alive = np.concatenate([out.alive for out in outs])
     aborts = sorted((rec for out in outs for rec in out.aborts), key=lambda rec: (rec[1], rec[0]))
     times = outs[0].times
-    stage_s = {key: sum(out.stage_s[key] for out in outs) for key in outs[0].stage_s}
     t_simulated = time.perf_counter()
-    seconds = t_simulated - t_start
-    _log.info("simulate: %d path(s) in %d engine call(s), %s, %.0f path-steps/s, %.3f s",
-              m_paths, len(outs), ", ".join(f"{key} {s:.3f} s" for key, s in stage_s.items()),
-              outs[0].steps * m_paths / max(seconds, 1e-9), seconds)
+    stage_s = log_engine_calls([out.stage_s for out in outs], m_paths, outs[0].steps,
+                               t_simulated - t_start)
     del outs  # the calls' own copies of the outputs
 
     if len(aborts) > ABORT_FRACTION_LIMIT * m_paths:

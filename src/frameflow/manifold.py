@@ -128,17 +128,6 @@ def hyperbolic2_chart() -> Chart:
         x = np.asarray(x, dtype=float)
         return x[..., 1] > 0.0
 
-    def transport_rate(x, v):
-        # -v^i Gamma[k, i, j] with the symbols above collapses to
-        # (1/x2) [[v2, v1], [-v1, v2]].
-        inv_y = 1.0 / x[..., 1]
-        out = np.empty(v.shape[:-1] + (2, 2))
-        out[..., 0, 0] = v[..., 1] * inv_y
-        out[..., 0, 1] = v[..., 0] * inv_y
-        out[..., 1, 0] = -v[..., 0] * inv_y
-        out[..., 1, 1] = v[..., 1] * inv_y
-        return out
-
     return Chart(
         name="hyperbolic2",
         dim=2,
@@ -148,7 +137,6 @@ def hyperbolic2_chart() -> Chart:
         flat=False,
         unbounded=False,
         distance=hyperbolic_distance,
-        transport_rate=transport_rate,
         base_point=(0.0, 1.0),
     )
 

@@ -69,15 +69,15 @@ chunks of 128, each in four stages:
    stage ran it.
 4. Record: the states at the chunk's output steps go to the outputs.
 
-Every stage writes into arrays allocated once per run, so a run of P
-paths holds the noise buffer, P * 128 * 2N * 8 bytes, the chunk's
-directions, P * n * 129 * 8 bytes, and workspaces of one step (the
-matrix chain), a sub-block of 16 steps (the pair chain, 4 for n = 4,
-and the hyperbolic2 frame) or one chunk (the angle chain's 257
-half-angles), however many steps it takes.  Each chain states what it
-holds per path (``path_bytes``), and :func:`path_batches` splits the
-paths of a command into calls that each hold at most ``BATCH_BYTES`` of
-outputs, noise, chunk directions and group-chain arrays.
+Every stage writes into arrays that :func:`_workspaces` allocates once
+per run, so a run of P paths holds the noise buffer, P * 128 * 2N * 8
+bytes, the chunk's directions, P * n * 128 * 8 bytes, and workspaces of
+one step (the matrix chain, the frame stages' states), a sub-block of 16
+steps (the pair chain, 4 for n = 4, and the hyperbolic2 step matrices)
+or one chunk (the angle chain's 257 half-angles), however many steps it
+takes.  :func:`path_batches` prices a path by what those arrays hold for
+it, and splits the paths of a command into calls that each hold at most
+``BATCH_BYTES`` of outputs and workspaces.
 
 :func:`simulate_rescaled_path` is the one-path view of the routine.
 
@@ -101,7 +101,8 @@ import numpy as np
 from .errors import ConfigError, DomainExitError, require_finite
 from .lie_algebra import (_as_pair, _as_vector, _multiply, _pair_product, _pair_vectors,
                           _rotate, canonical_basis, project_rotation)
-from .group_process import _advance, check_direction, check_drift, check_h0, step_counts
+from .group_process import (_advance, check_direction, check_drift, check_h0, horizon_steps,
+                            step_counts)
 from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
 
 # Steps per chunk: each path draws a chunk's noise at once, and the chain
@@ -114,8 +115,7 @@ _GROUP_PROJECT_EVERY = 1000
 # Steps whose per-step factors (one quaternion pair's exponentials,
 # hyperbolic2 step matrices) are formed at once.
 _SUB = 16
-# Bytes of outputs, noise, chunk directions and group-chain arrays one
-# engine call may hold (see path_batches).
+# Bytes of outputs and workspaces one engine call may hold (see path_batches).
 BATCH_BYTES = 16 << 20
 
 
@@ -284,11 +284,6 @@ class _AngleChain:
         self.half = np.full(n_paths, np.remainder(-0.5 * self.phi0, np.pi))
         self.halves = np.empty((n_paths, 2 * _CHUNK + 1))
 
-    @staticmethod
-    def path_bytes(n: int) -> int:
-        # The half-angles of a chunk, and the carried one.
-        return 8 * (2 * _CHUNK + 2)
-
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         n_paths, steps = xi.shape[:2]
         # Start half-angle, then the half-angle after each half-step.
@@ -354,13 +349,6 @@ class _PairChain:
         self.e = np.empty((self.sub, 2, k, 2, n_paths), dtype=complex)
         self.tmp = np.empty((2, 2, n_paths), dtype=complex)
         self.dirs = np.empty((n, self.sub, n_paths))
-
-    @staticmethod
-    def path_bytes(n: int) -> int:
-        # The pairs and the sub-block arrays that __init__ allocates.
-        k, n_noise = n - 2, n * (n - 1) // 2
-        sub = _SUB // k**2
-        return 8 * (2 * sub * (n_noise + 3 * k) + n * sub) + 16 * (4 * k * sub + 2 * k + 4)
 
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         n_paths, steps = xi.shape[:2]
@@ -461,10 +449,6 @@ class _MatrixChain:
         self.g = np.tile(np.eye(eng.n), (n_paths, 1, 1))
         self.steps = 0
 
-    @staticmethod
-    def path_bytes(n: int) -> int:
-        return 8 * n * n
-
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         eng, n = self.eng, self.eng.n
         n_paths, steps = xi.shape[:2]
@@ -483,27 +467,25 @@ class _MatrixChain:
         return kept
 
 
-def _group_chain(chart: Chart):
-    """The chain class of ``chart``; its ``path_bytes(n)`` is what one of its
-    runs holds per path."""
-    if chart.dim == 2 and chart.flat:
-        return _AngleChain
-    if chart.dim in (3, 4):
-        return _PairChain
-    return _MatrixChain
+def _group_chain(eng: _Engine, n_paths: int):
+    if eng.n == 2 and eng.chart.flat:
+        return _AngleChain(eng, n_paths)
+    if eng.n in (3, 4):
+        return _PairChain(eng, n_paths)
+    return _MatrixChain(eng, n_paths)
 
 
 # Frame stages.  ``run(dirs, wanted, need_u)`` advances every path over the
-# chunk's directions, columns 1.. of dirs (P, n, steps + 1), and returns x
-# (len(wanted), P, n) and u (len(wanted), P, n, n) (None unless ``need_u``)
-# after each chunk-local step in ``wanted`` (sorted), then each path's
-# first local step whose state is off the chart or not finite (``steps``
-# if none) and its position there.  A stage restarts a failed path at
-# (x0, u0) itself; what it returns for that path from then on is not read.
+# chunk's directions dirs (P, n, steps), and returns x (len(wanted), P, n)
+# and u (len(wanted), P, n, n) (None unless ``need_u``) after each
+# chunk-local step in ``wanted`` (sorted), then each path's first local
+# step whose state is off the chart or not finite (``steps`` if none) and
+# its position there.  A stage restarts a failed path at (x0, u0) itself;
+# what it returns for that path from then on is not read.
 
 def _frame_stage(eng: _Engine, n_paths: int):
     if eng.chart.flat and eng.chart.unbounded:
-        return _CumsumFrame(eng)
+        return _CumsumFrame(eng, n_paths)
     if eng.chart.name == "hyperbolic2":
         return _HalfPlaneFrame(eng, n_paths)
     return _HeunFrame(eng, n_paths)
@@ -512,26 +494,25 @@ def _frame_stage(eng: _Engine, n_paths: int):
 class _CumsumFrame:
     """Flat unbounded charts: u stays u0 and x is x0 + h u0 (sum of the
     directions so far), formed only where it is read, from sums over the
-    segments between wanted steps; column 0 of ``dirs`` carries the sum
-    from chunk to chunk.  No path can fail here, so u is a read-only view
-    of u0."""
+    segments between wanted steps; ``total`` carries the sum from chunk to
+    chunk.  No path can fail here, so u is a read-only view of u0."""
 
-    def __init__(self, eng: _Engine):
+    def __init__(self, eng: _Engine, n_paths: int):
         self.eng = eng
+        self.total = np.zeros((n_paths, eng.n))
 
     def run(self, dirs: np.ndarray, wanted: np.ndarray, need_u: bool):
-        eng = self.eng
-        n_paths, n, width = dirs.shape
-        total = dirs[:, :, 0]
+        eng, total = self.eng, self.total
+        n_paths, n, steps = dirs.shape
         x = np.empty((len(wanted), n_paths, n))
-        start = 1
+        start = 0
         for k, j in enumerate(wanted):
-            total += dirs[:, :, start:j + 2].sum(axis=2)
-            start = j + 2
+            total += dirs[:, :, start:j + 1].sum(axis=2)
+            start = j + 1
             x[k] = eng.x0 + eng.h * np.einsum("ij,pj->pi", eng.u0, total)
         total += dirs[:, :, start:].sum(axis=2)
         u = np.broadcast_to(eng.u0, (len(wanted), n_paths, n, n)) if need_u else None
-        return x, u, np.full(n_paths, width - 1), np.full((n_paths, n), np.nan)
+        return x, u, np.full(n_paths, steps), np.full((n_paths, n), np.nan)
 
 
 class _HalfPlaneFrame:
@@ -558,8 +539,7 @@ class _HalfPlaneFrame:
         # Step matrices of a few steps at a time, kept for the whole run.
         self.mats = np.empty((_SUB, 3, n_paths))
 
-    def run(self, dirs: np.ndarray, wanted: np.ndarray, need_u: bool):
-        e_dir = dirs[:, :, 1:]
+    def run(self, e_dir: np.ndarray, wanted: np.ndarray, need_u: bool):
         n_paths, _, steps = e_dir.shape
         fail = np.full(n_paths, steps)
         x_fail = np.full((n_paths, 2), np.nan)
@@ -647,15 +627,15 @@ class _HeunFrame:
 
     def run(self, dirs: np.ndarray, wanted: np.ndarray, need_u: bool):
         eng, chart, h = self.eng, self.eng.chart, self.eng.h
-        n_paths, n, width = dirs.shape
-        fail = np.full(n_paths, width - 1)
+        n_paths, n, steps = dirs.shape
+        fail = np.full(n_paths, steps)
         x_fail = np.full((n_paths, n), np.nan)
         xk = np.empty((len(wanted), n_paths, n))
         uk = np.empty((len(wanted), n_paths, n, n)) if need_u else None
         x, u = self.x, self.u
         i = 0
-        for j in range(width - 1):
-            e_dir = dirs[:, :, j + 1]
+        for j in range(steps):
+            e_dir = dirs[:, :, j]
             v1 = np.einsum("...ij,...j->...i", u, e_dir)
             if chart.flat:
                 x = x + h * v1
@@ -669,7 +649,7 @@ class _HeunFrame:
             if not chart.unbounded:
                 bad = ~(chart.in_domain(x) & np.all(np.isfinite(x), axis=-1))
                 if bad.any():
-                    first = bad & (fail == width - 1)
+                    first = bad & (fail == steps)
                     fail[first] = j
                     x_fail[first] = x[first]
                     x[bad] = eng.x0
@@ -683,6 +663,23 @@ class _HeunFrame:
                 i += 1
         self.x, self.u = x, u
         return xk, uk, fail, x_fail
+
+
+def _workspaces(eng: _Engine, n_paths: int, n_steps: int):
+    """The arrays a run of ``n_paths`` paths of ``n_steps`` steps works in:
+    the noise buffer (P, steps, 2, N) and the directions (P, n, steps) of
+    one chunk, the group chain and the frame stage."""
+    steps = min(n_steps, _CHUNK)
+    return (np.empty((n_paths, steps, 2, eng.n_noise)), np.empty((n_paths, eng.n, steps)),
+            _group_chain(eng, n_paths), _frame_stage(eng, n_paths))
+
+
+def _workspace_bytes(eng: _Engine, n_paths: int, n_steps: int) -> int:
+    """Bytes of the arrays :func:`_workspaces` builds, the chain's and the
+    stage's array attributes included."""
+    noise, dirs, *stages = _workspaces(eng, n_paths, n_steps)
+    held = [a for stage in stages for a in vars(stage).values() if isinstance(a, np.ndarray)]
+    return sum(a.nbytes for a in [noise, dirs, *held])
 
 
 def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
@@ -733,12 +730,7 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     if gs is not None:
         gs[:next_out] = np.eye(n)
 
-    chain = _group_chain(eng.chart)(eng, n_paths)
-    stage = _frame_stage(eng, n_paths)
-    # The chain writes a chunk's directions into columns 1.. of ``dirs``;
-    # column 0 belongs to the frame stage.
-    dirs = np.zeros((n_paths, n, _CHUNK + 1))
-    noise = np.empty((n_paths, min(n_steps, _CHUNK), 2, n_noise))
+    noise, dirs, chain, stage = _workspaces(eng, n_paths, n_steps)
     # Seconds per stage, read once per chunk.
     stage_s = dict.fromkeys(("draw", "chain", "frame", "record"), 0.0)
     for m in range(0, n_steps, _CHUNK):
@@ -753,9 +745,10 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
         # steps wanted[k].
         last = int(np.searchsorted(out_idx, m + steps, side="right"))
         wanted, k = np.unique(out_idx[next_out:last] - m - 1, return_inverse=True)
-        g_kept = chain.run(xi, wanted if record_group else wanted[:0], dirs[:, :, 1:steps + 1])
+        e_dir = dirs[:, :, :steps]
+        g_kept = chain.run(xi, wanted if record_group else wanted[:0], e_dir)
         t2 = time.perf_counter()
-        xk, uk, fail, x_fail = stage.run(dirs[:, :, :steps + 1], wanted, record_frames)
+        xk, uk, fail, x_fail = stage.run(e_dir, wanted, record_frames)
         t3 = time.perf_counter()
         # Local step from which each path is held at (x0, u0).
         dead_from = np.where(alive, fail, -1)
@@ -786,9 +779,9 @@ def output_steps(cfg: SimConfig) -> tuple[int, np.ndarray]:
     """Steps a path of ``cfg`` takes, and the step at which each output time
     is recorded: the time rounded to the step grid of slow_dt = h0 eps^2.
     Raises :class:`ConfigError` when slow_dt underflows to 0 or a count
-    reaches 2**63 (see :func:`step_counts`)."""
+    reaches 2**63 (see :func:`horizon_steps`)."""
     slow_dt = cfg.h0 * cfg.epsilon**2
-    n_steps = max(1, int(step_counts("t_final", cfg.t_final, slow_dt)))
+    n_steps = horizon_steps("t_final", cfg.t_final, slow_dt)
     marks = step_counts("output_times", cfg.resolved_output_times(), slow_dt)
     return n_steps, np.clip(marks, 0, n_steps)
 
@@ -797,16 +790,17 @@ def path_batches(cfg: SimConfig, n_paths: int, record_frames: bool, record_group
                  parts: int = 1) -> list[range]:
     """Consecutive ranges of paths 0..n_paths-1, one per engine call: ``parts``
     near-equal parts (fewer if paths run out), each cut into ranges that fit
-    in ``BATCH_BYTES``, the largest first.  A path is priced at the arrays
-    :func:`simulate_paths` allocates for it: its recorded outputs, its row
-    of the noise buffer (128 steps of 2N normals), its row of chunk
-    directions (n x 129), 8 bytes a number, and what its group chain holds
-    for it (the chain's ``path_bytes``)."""
-    chart = chart_by_name(cfg.chart)
-    n = chart.dim
+    in ``BATCH_BYTES``, the largest first.  A path is priced at its
+    recorded outputs, 8 bytes a number, and at its share of the run's
+    arrays: what :func:`_workspaces` holds for 2 paths less what it holds
+    for 1, which leaves out the constants (the pair chain's map, e0, the
+    hyperbolic2 start frame)."""
+    eng = _Engine(cfg)
+    n = eng.n
+    n_steps, out_idx = output_steps(cfg)
     fields = n + n * n * (int(record_frames) + int(record_group))
-    per_path = (8 * (len(cfg.resolved_output_times()) * fields + _CHUNK * n * (n - 1)
-                     + n * (_CHUNK + 1)) + _group_chain(chart).path_bytes(n))
+    per_path = (8 * len(out_idx) * fields
+                + _workspace_bytes(eng, 2, n_steps) - _workspace_bytes(eng, 1, n_steps))
     width = max(1, BATCH_BYTES // per_path)
     bounds = [n_paths * i // parts for i in range(parts + 1)]
     return [range(lo, min(lo + width, hi))

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from frameflow import (ConfigError, EnsembleSpec, SimConfig, epsilon_sweep, euclidean_chart,
-                       hyperbolic2_chart, manifold, run_ensemble)
+                       hyperbolic2_chart, manifold, perturbed_geodesic, run_ensemble)
 from frameflow.cli import CONFIG_KEYS, RunConfig, build_parser, main
 
 
@@ -49,6 +49,18 @@ def test_out_of_range_horizon_prints_one_line_and_exits_2(argv, message, tmp_pat
         assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert caught == []
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_horizon_below_half_a_step_runs_one_step(tmp_path, capsys):
+    # 0.01 rounds to 0 steps of h0 = 0.1.  ergodic exited 2 naming
+    # checkpoints, an argument the user never gave; it now averages over
+    # one step, as simulate does for a horizon that short, and fails its
+    # check (exit 1): every path starts at I, so one step has no spread.
+    assert main(["ergodic", "--dim", "2", "--t-final", "0.01", "--reps", "4",
+                 "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("at t=0.1")
+    sim = SimConfig(chart="euclidean:2", epsilon=1.0, t_final=0.01)
+    assert perturbed_geodesic.output_steps(sim)[0] == 1
 
 
 @pytest.fixture

@@ -217,8 +217,9 @@ class TestPathBatches:
     def test_ranges_are_contiguous_and_cover_every_path(self, paths, parts, width, monkeypatch):
         cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=0.5)
         # A path of euclidean:3 holds 21 rows of x and u (12 values), 128
-        # steps of 2 x 3 normals and 3 x 129 chunk directions, 8 bytes each,
-        # and 3,040 bytes of the pair chain's pair and sub-block arrays.
+        # steps of 2 x 3 normals, 3 x 128 chunk directions and the running
+        # sum of 3, 8 bytes each, and 3,040 bytes of the pair chain's pair
+        # and sub-block arrays.
         monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES",
                             width * (8 * (21 * 12 + 128 * 6 + 3 * 129) + 3040))
         batches = perturbed_geodesic.path_batches(cfg, paths, True, False, parts=parts)
@@ -411,11 +412,11 @@ def full_width_batch_peak(chart):
 
 @pytest.mark.parametrize("chart,bound_mib", [("hyperbolic2", 32.0), ("euclidean:5", 26.0)])
 def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
-    # 3,744 and 628 paths.  With the directions written at each step these
-    # peak at 24.0 and 17.7 MiB (24.1 and 17.8 MiB at 3,771 and 633 paths,
-    # before g was priced); a (128, P, n, n) block of midpoint rotations
-    # held per chunk made hyperbolic2 peak at 38.9 MiB and adds 15.5 MiB at
-    # n = 5.
+    # 3,437 and 628 paths peak at 21.9 and 17.7 MiB.  Before the half-plane
+    # stage was priced, hyperbolic2 ran 3,744 paths and peaked at 24.0 MiB
+    # (24.1 and 17.8 MiB at 3,771 and 633 paths, before g was priced); a
+    # (128, P, n, n) block of midpoint rotations held per chunk made
+    # hyperbolic2 peak at 38.9 MiB and adds 15.5 MiB at n = 5.
     assert full_width_batch_peak(chart) < bound_mib * 2**20
 
 
@@ -436,22 +437,39 @@ def test_full_width_batch_memory_on_the_angle_chain():
 
 
 @pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "euclidean:5",
-                                   "hyperbolic2"])
-def test_chain_path_bytes_are_what_a_chain_holds_per_path(chart):
-    # What path_batches adds per path for the group chain: every array the
-    # chain keeps for the run, the constants (map, e0, drift) aside.
+                                   "hyperbolic2", "strip-test"])
+def test_path_price_is_what_the_workspaces_hold_per_path(chart):
+    # path_batches prices a path's share of the run's arrays by scanning
+    # the workspaces it builds for 2 paths and for 1.  Built for 1,000
+    # paths they take 1,000 times that share as tracemalloc sees it, to
+    # 0.04% (the constants), so no array escapes the scan: the cumsum
+    # stage's running sum, 2 numbers a path, is 0.26% of euclidean:2's.
     n = chart_by_name(chart).dim
     rot = _rotation(n, np.pi / 2)
-    eng = perturbed_geodesic._Engine(SimConfig(chart=chart, epsilon=0.1, t_final=0.1,
-                                               abar=rot - rot.T))
-    chain = perturbed_geodesic._group_chain(eng.chart)
+    cfg = SimConfig(chart=chart, epsilon=0.1, t_final=0.2, abar=rot - rot.T)
+    eng = perturbed_geodesic._Engine(cfg)
+    n_steps = perturbed_geodesic.output_steps(cfg)[0]
+    price = (perturbed_geodesic._workspace_bytes(eng, 2, n_steps)
+             - perturbed_geodesic._workspace_bytes(eng, 1, n_steps))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = perturbed_geodesic._workspaces(eng, 1000, n_steps)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held[1].shape == (1000, n, 128)
+    assert grown == pytest.approx(1000 * price, rel=1e-3)
 
-    def held(n_paths):
-        return sum(a.nbytes for a in vars(chain(eng, n_paths)).values()
-                   if isinstance(a, np.ndarray))
 
-    assert held(2) - held(1) == chain.path_bytes(n)
-    assert held(1) - chain.path_bytes(n) < 400
+@pytest.mark.parametrize("chart,width", [("euclidean:2", 2576), ("euclidean:3", 1312),
+                                         ("euclidean:4", 900), ("euclidean:5", 628),
+                                         ("hyperbolic2", 3437)])
+def test_full_width_batch_sizes(chart, width):
+    # hyperbolic2 ran 3,744 paths a call before its half-plane stage's F
+    # and step matrices, 4 + 16 x 3 numbers a path, were priced.
+    cfg = SimConfig(chart=chart, epsilon=0.1, t_final=0.15, seed=4)
+    assert len(path_batches(cfg, 100_000, record_frames=False, record_group=False)[0]) == width
 
 
 def run_angle_chain(xi, abar=None):
