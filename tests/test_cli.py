@@ -220,10 +220,10 @@ class TestBatchedSimulate:
         argv = BATCHED_RUNS["hyperbolic2-frames-group"]
         assert main(argv + ["--output-dir", str(tmp_path / "one")]) == 0
         # A path holds 301 output rows of x, u and g (10 values), one noise
-        # row of 128 steps of 2 normals, 2 x 128 chunk directions, the
-        # matrix chain's 2 x 2 g and the half-plane stage's 2 x 2 F and 16
-        # steps of 3 step-matrix entries, 8 bytes each.
-        two_paths = 2 * 8 * (301 * 10 + 128 * 2 + 2 * 128 + 4 + 4 + 16 * 3)
+        # row of 128 steps of 2 normals, 2 rows of 129 for the chunk
+        # directions, the matrix chain's 2 x 2 g and the half-plane stage's
+        # 2 x 2 F and 16 steps of 3 step-matrix entries, 8 bytes each.
+        two_paths = 2 * 8 * (301 * 10 + 128 * 2 + 2 * 129 + 4 + 4 + 16 * 3)
         monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", two_paths)
         assert main(argv + ["-v", "--output-dir", str(tmp_path / "split")]) == 0
         assert engine_calls == [3, 2, 1]

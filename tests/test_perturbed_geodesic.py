@@ -217,11 +217,11 @@ class TestPathBatches:
     def test_ranges_are_contiguous_and_cover_every_path(self, paths, parts, width, monkeypatch):
         cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=0.5)
         # A path of euclidean:3 holds 21 rows of x and u (12 values), 128
-        # steps of 2 x 3 normals, 3 x 128 chunk directions and the running
-        # sum of 3, 8 bytes each, and 3,040 bytes of the pair chain's pair
-        # and sub-block arrays.
+        # steps of 2 x 3 normals, 3 rows of 129 for the chunk directions and
+        # the running sum of 3, 8 bytes each, and 3,040 bytes of the pair
+        # chain's pair and sub-block arrays.
         monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES",
-                            width * (8 * (21 * 12 + 128 * 6 + 3 * 129) + 3040))
+                            width * (8 * (21 * 12 + 128 * 6 + 3 * 129 + 3) + 3040))
         batches = perturbed_geodesic.path_batches(cfg, paths, True, False, parts=parts)
         assert [p for b in batches for p in b] == list(range(paths))
         assert all(b.step == 1 and 1 <= len(b) <= width for b in batches)
@@ -231,10 +231,10 @@ class TestPathBatches:
 
     @pytest.mark.parametrize("chart, eps, t_final, times, frames, group, paths, sizes", [
         ("euclidean:2", 0.05, 1.0, None, True, False, 2000, [2000]),     # flat2-ensemble
-        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1173, 827]),  # flat3-ensemble
+        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1171, 829]),  # flat3-ensemble
         ("hyperbolic2", 0.05, 0.5, None, True, False, 2000, [2000]),     # hyp2-ensemble
         ("hyperbolic2", 0.05, 1.0, 4001, True, True, 6, [6]),             # hyp2-simulate
-        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1312, 688]),  # no frames
+        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1309, 691]),  # no frames
     ])
     def test_sizes_of_the_bench_configs(self, chart, eps, t_final, times, frames, group, paths,
                                         sizes):
@@ -412,7 +412,7 @@ def full_width_batch_peak(chart):
 
 @pytest.mark.parametrize("chart,bound_mib", [("hyperbolic2", 32.0), ("euclidean:5", 26.0)])
 def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
-    # 3,437 and 628 paths peak at 21.9 and 17.7 MiB.  Before the half-plane
+    # 3,426 and 627 paths peak at 21.9 and 17.7 MiB.  Before the half-plane
     # stage was priced, hyperbolic2 ran 3,744 paths and peaked at 24.0 MiB
     # (24.1 and 17.8 MiB at 3,771 and 633 paths, before g was priced); a
     # (128, P, n, n) block of midpoint rotations held per chunk made
@@ -422,7 +422,7 @@ def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
 
 @pytest.mark.parametrize("chart,bound_mib", [("euclidean:3", 24.5), ("euclidean:4", 20.0)])
 def test_full_width_batch_memory_on_the_pair_chain(chart, bound_mib):
-    # 1,312 and 900 paths, priced with the pair chain's arrays, peak at
+    # 1,309 and 899 paths, priced with the pair chain's arrays, peak at
     # 18.2 and 17.7 MiB; at 1,721 and 981 paths, unpriced, the SU(2) pair
     # chain peaked at 23.8 and 19.3 MiB.  The real quaternion chain peaked at 25.3 MiB on euclidean:3; the
     # matrix chain held 18.1 MiB on euclidean:4, at 7 times the time a step.
@@ -430,7 +430,7 @@ def test_full_width_batch_memory_on_the_pair_chain(chart, bound_mib):
 
 
 def test_full_width_batch_memory_on_the_angle_chain():
-    # 2,576 paths, priced with the chain's 257 half-angles and carry: the
+    # 2,570 paths, priced with the chain's 257 half-angles and carry: the
     # priced arrays come to 16.0 MiB, and the call peaks at 19.0 MiB.  With
     # the angles unpriced, a call of 3,771 paths peaked at 27.8 MiB.
     assert full_width_batch_peak("euclidean:2") < 24.0 * 2**20
@@ -462,12 +462,14 @@ def test_path_price_is_what_the_workspaces_hold_per_path(chart):
     assert grown == pytest.approx(1000 * price, rel=1e-3)
 
 
-@pytest.mark.parametrize("chart,width", [("euclidean:2", 2576), ("euclidean:3", 1312),
-                                         ("euclidean:4", 900), ("euclidean:5", 628),
-                                         ("hyperbolic2", 3437)])
+@pytest.mark.parametrize("chart,width", [("euclidean:2", 2570), ("euclidean:3", 1309),
+                                         ("euclidean:4", 899), ("euclidean:5", 627),
+                                         ("hyperbolic2", 3426)])
 def test_full_width_batch_sizes(chart, width):
     # hyperbolic2 ran 3,744 paths a call before its half-plane stage's F
-    # and step matrices, 4 + 16 x 3 numbers a path, were priced.
+    # and step matrices, 4 + 16 x 3 numbers a path, were priced; the flat
+    # charts ran 2,576, 1,312, 900 and 628 before the cumsum stage's
+    # running sum, n numbers a path, was.
     cfg = SimConfig(chart=chart, epsilon=0.1, t_final=0.15, seed=4)
     assert len(path_batches(cfg, 100_000, record_frames=False, record_group=False)[0]) == width
 
