@@ -348,7 +348,7 @@ def cmd_ergodic(cfg: RunConfig) -> int:
     _write_csv(out, ["i", "j", "estimate", "stderr"], rows)
     target = np.array([1.0 / n if i == j else 0.0 for i, j in pairs])
     worst = float(np.max(np.abs(est - target) / np.maximum(se, 1e-300)))
-    print(f"wrote {out}; worst deviation {worst:.2f} stderr from delta_ij/n at t={t_grid:g}")
+    print(f"wrote {out}; worst deviation {worst:.3g} stderr from delta_ij/n at t={t_grid:g}")
     return 0 if worst <= 4.0 else 1
 
 

@@ -670,10 +670,8 @@ def _workspaces(eng: _Engine, n_paths: int, n_steps: int):
     the noise buffer (P, steps, 2, N) and the directions (P, n, steps) of
     one chunk, the group chain and the frame stage."""
     steps = min(n_steps, _CHUNK)
-    # The directions' rows are one number longer than they need be: rows of
-    # 128 numbers start a power of two apart and share a few cache sets, and
-    # the stages that touch one step across paths (the matrix chain, the
-    # hyperbolic2 frame) took 30% longer on hyperbolic2 (x86, 2,000 paths).
+    # One spare number a row: rows of 128 start a power of two apart, on a few
+    # cache sets, and made the hyperbolic2 chain and frame 30% slower.
     dirs = np.empty((n_paths, eng.n, steps + 1))[:, :, :steps]
     return (np.empty((n_paths, steps, 2, eng.n_noise)), dirs,
             _group_chain(eng, n_paths), _frame_stage(eng, n_paths))

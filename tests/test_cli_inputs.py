@@ -55,10 +55,13 @@ def test_horizon_below_half_a_step_runs_one_step(tmp_path, capsys):
     # 0.01 rounds to 0 steps of h0 = 0.1.  ergodic exited 2 naming
     # checkpoints, an argument the user never gave; it now averages over
     # one step, as simulate does for a horizon that short, and fails its
-    # check (exit 1): every path starts at I, so one step has no spread.
+    # check (exit 1): every path starts at I, so one step has no spread,
+    # and the deviation over a zero stderr, once printed with 300 digits,
+    # is one short number.
     assert main(["ergodic", "--dim", "2", "--t-final", "0.01", "--reps", "4",
                  "--output-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().out.rstrip().endswith("at t=0.1")
+    out = capsys.readouterr().out.rstrip()
+    assert "worst deviation 5e+299 stderr" in out and out.endswith("at t=0.1")
     sim = SimConfig(chart="euclidean:2", epsilon=1.0, t_final=0.01)
     assert perturbed_geodesic.output_steps(sim)[0] == 1
 
