@@ -277,16 +277,23 @@ def _cell(value) -> str:
     return _fmt(value) if isinstance(value, (bool, float, np.floating)) else str(value)
 
 
+# Rows of a path file formatted and written at a time.
+_CSV_BLOCK = 512
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """``rows``: a 2-D float array (the path files) or rows of :func:`_cell` values."""
+    """``rows``: a 2-D float array (the path files), written ``_CSV_BLOCK``
+    rows at a time, or rows of :func:`_cell` values."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    if isinstance(rows, np.ndarray):
-        # repr of a Python float is what _fmt writes, without the per-value checks.
-        lines += [",".join(map(repr, row)) for row in rows.tolist()]
-    else:
-        lines += [",".join(map(_cell, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            for lo in range(0, len(rows), _CSV_BLOCK):
+                # repr of a Python float is what _fmt writes, without the per-value checks.
+                f.write("".join(",".join(map(repr, row)) + "\n"
+                                for row in rows[lo:lo + _CSV_BLOCK].tolist()))
+        else:
+            f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -141,11 +141,13 @@ def _simulate_batch(cfg: SimConfig, record_frames: bool, batch: range):
 
 def log_engine_calls(stage_s: list, n_paths: int, steps: int, seconds: float) -> dict:
     """Log the simulate line of the engine calls whose stage seconds are
-    ``stage_s``, one dict a call, and return those seconds summed by stage."""
+    ``stage_s``, one dict a call, and return those seconds summed by stage.
+    Its throughput is path-steps per engine second, the stage seconds
+    summed; ``seconds`` is the phase's wall time."""
     total = {key: sum(call[key] for call in stage_s) for key in stage_s[0]}
     _log.info("simulate: %d path(s) in %d engine call(s), %s, %.0f path-steps/s, %.3f s",
               n_paths, len(stage_s), ", ".join(f"{key} {s:.3f} s" for key, s in total.items()),
-              steps * n_paths / max(seconds, 1e-9), seconds)
+              steps * n_paths / max(sum(total.values()), 1e-9), seconds)
     return total
 
 

@@ -72,12 +72,14 @@ chunks of 128, each in four stages:
 Every stage writes into arrays that :func:`_workspaces` allocates once
 per run, so a run of P paths holds the noise buffer, P * 128 * 2N * 8
 bytes, the chunk's directions, P * n * 129 * 8 bytes, and workspaces of
-one step (the matrix chain, the frame stages' states), a sub-block of 16
-steps (the pair chain, 4 for n = 4, and the hyperbolic2 step matrices)
-or one chunk (the angle chain's 257 half-angles), however many steps it
-takes.  :func:`path_batches` prices a path by what those arrays hold for
-it, and splits the paths of a command into calls that each hold at most
-``BATCH_BYTES`` of outputs and workspaces.
+one step (the matrix chain, the frame stages' states) or a sub-block of
+16 steps (the pair chain, 4 for n = 4, and the hyperbolic2 step
+matrices), however many steps it takes.  On flat n = 2 one row of 257
+numbers a path holds the chunk's noise, its half-angles and then its
+directions, in turn, and is all the chunk memory of the run.
+:func:`path_batches` prices a path by what those arrays and its Philox
+stream hold for it, and splits the paths of a command into calls that
+each hold at most ``BATCH_BYTES`` of outputs and workspaces.
 
 :func:`simulate_rescaled_path` is the one-path view of the routine.
 
@@ -120,10 +122,15 @@ BATCH_BYTES = 16 << 20
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for sub-stream ``stream`` of a seeded run."""
-    mask = (1 << 64) - 1
-    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based generator for sub-stream ``stream`` of a seeded run: the
+    stream of ``Philox(key=[seed, stream])``, both taken modulo 2**64."""
+    from ._stream_key import StreamKey     # loads numpy.random at the first stream
+    return np.random.Generator(np.random.Philox(StreamKey(seed, stream)))
+
+
+# Bytes a philox_stream holds, as tracemalloc counts them (numpy 2.4, CPython
+# 3.11); path_batches prices one a path.
+STREAM_BYTES = 736
 
 
 # Oracle and auxiliary consumers use stream indices far above any path index.
@@ -262,7 +269,13 @@ class _Engine:
 # Group chains.  ``run(xi, keep, e_dir)`` advances every path over a chunk
 # of noise xi (P, steps, 2, N), writes the midpoint directions g_mid e0
 # into e_dir (P, n, steps) and returns g after each chunk-local step listed
-# in ``keep`` (sorted) as (len(keep), P, n, n).
+# in ``keep`` (sorted) as (len(keep), P, n, n).  On flat n = 2, xi and e_dir
+# are views of the angle chain's own rows (see _AngleChain.buffers).
+
+# Paths whose midpoint tangents the angle chain forms at once, in a scratch
+# block it allocates per chunk (256 KiB), outside the priced workspaces.
+_TAN_BLOCK = 256
+
 
 class _AngleChain:
     """n = 2: g = [[cos a, sin a], [-sin a, cos a]] and each half-step adds to the angle a.
@@ -275,6 +288,13 @@ class _AngleChain:
     Near the pole, t is at most about 1.6e16, so t^2 stays finite and the
     direction is (-1, -2/t) to rounding.  Only g at the kept steps takes
     cos and sin, of a = 2b + phi0.
+
+    A path's one row of 2 * 128 + 1 numbers is all the run's chunk memory
+    on flat n = 2 (see :meth:`buffers`): slot 0 holds the start half-angle
+    and slots 1..2 * steps the chunk's noise, which is scaled and summed in
+    place into the half-angle after each half-step; once the carry and g
+    at the kept steps are read, the midpoint directions are written over
+    them, cos in slots 1..steps and sin in slots 129..128 + steps.
     """
 
     def __init__(self, eng: _Engine, n_paths: int):
@@ -283,6 +303,14 @@ class _AngleChain:
         self.phi0 = float(np.arctan2(eng.e0[1], eng.e0[0]))
         self.half = np.full(n_paths, np.remainder(-0.5 * self.phi0, np.pi))
         self.halves = np.empty((n_paths, 2 * _CHUNK + 1))
+
+    def buffers(self, steps: int):
+        """The noise (P, steps, 2, 1) and directions (P, 2, steps) of a run
+        of chunks of at most ``steps`` steps, as views of the rows."""
+        n_paths = len(self.halves)
+        chunk = self.halves[:, 1:]
+        return (chunk[:, :2 * steps].reshape(n_paths, steps, 2, 1),
+                chunk.reshape(n_paths, 2, _CHUNK)[:, :, :steps])
 
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         n_paths, steps = xi.shape[:2]
@@ -298,13 +326,19 @@ class _AngleChain:
         full = 2.0 * halves[:, 2::2][:, keep].T + self.phi0
         ck, sk = np.cos(full), np.sin(full)
         g = np.stack([np.stack([ck, sk], axis=-1), np.stack([-sk, ck], axis=-1)], axis=-2)
-        cos, sin = e_dir[:, 0], e_dir[:, 1]
-        np.tan(halves[:, 1::2], out=sin)
-        np.multiply(sin, sin, out=cos)
-        cos += 1.0
-        np.divide(-2.0, cos, out=cos)           # -2 / (1 + t^2)
-        sin *= cos
-        np.subtract(-1.0, cos, out=cos)
+        # The midpoint tangents of a block of paths go through a scratch
+        # block, as the directions may be written over the midpoints.
+        tan = np.empty((min(n_paths, _TAN_BLOCK), steps))
+        for p in range(0, n_paths, _TAN_BLOCK):
+            block = slice(p, p + _TAN_BLOCK)
+            t = tan[:n_paths - p]
+            np.tan(halves[block, 1::2], out=t)
+            cos, sin = e_dir[block, 0], e_dir[block, 1]
+            np.multiply(t, t, out=cos)
+            cos += 1.0
+            np.divide(-2.0, cos, out=cos)           # -2 / (1 + t^2)
+            np.multiply(t, cos, out=sin)
+            np.subtract(-1.0, cos, out=cos)
         return g
 
 
@@ -419,16 +453,15 @@ class _PairChain:
         tan += tan
         shape = (k, sub, 2, n_paths)
         alpha, beta = np.moveaxis(e, (2, 3), (1, 0))    # each (K, sub, 2, P)
-        np.divide(2.0, den, out=den)
-        den -= 1.0
-        np.copyto(alpha.real, den.reshape(shape))
+        cos = alpha.real
+        np.divide(2.0, den.reshape(shape), out=cos)
+        cos -= 1.0
         # sin(|w|/2)/|w| = 2t / (|w| (1 + t^2)), which tends to 1/2 as |w| vanishes.
         den.fill(0.5)
         np.divide(tan, angle, out=den, where=moving)
-        w *= den[:, None]
-        np.copyto(alpha.imag, w[:, 0].reshape(shape))
-        np.copyto(beta.real, w[:, 1].reshape(shape))
-        np.copyto(beta.imag, w[:, 2].reshape(shape))
+        factor = den.reshape(shape)
+        for m, out in enumerate((alpha.imag, beta.real, beta.imag)):
+            np.multiply(w[:, m].reshape(shape), factor, out=out)
 
     def apply(self, q: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         """out (n, ...) = g v for the pairs q (K, 2, ...) of g and a fixed n-vector v."""
@@ -668,21 +701,27 @@ class _HeunFrame:
 def _workspaces(eng: _Engine, n_paths: int, n_steps: int):
     """The arrays a run of ``n_paths`` paths of ``n_steps`` steps works in:
     the noise buffer (P, steps, 2, N) and the directions (P, n, steps) of
-    one chunk, the group chain and the frame stage."""
+    one chunk, the group chain and the frame stage.  On flat n = 2 the
+    noise and the directions are views of the angle chain's rows."""
     steps = min(n_steps, _CHUNK)
-    # One spare number a row: rows of 128 start a power of two apart, on a few
-    # cache sets, and made the hyperbolic2 chain and frame 30% slower.
-    dirs = np.empty((n_paths, eng.n, steps + 1))[:, :, :steps]
-    return (np.empty((n_paths, steps, 2, eng.n_noise)), dirs,
-            _group_chain(eng, n_paths), _frame_stage(eng, n_paths))
+    chain = _group_chain(eng, n_paths)
+    if isinstance(chain, _AngleChain):
+        noise, dirs = chain.buffers(steps)
+    else:
+        noise = np.empty((n_paths, steps, 2, eng.n_noise))
+        # One spare number a row: rows of 128 start a power of two apart, on
+        # a few cache sets, and made the hyperbolic2 chain and frame 30% slower.
+        dirs = np.empty((n_paths, eng.n, steps + 1))[:, :, :steps]
+    return noise, dirs, chain, _frame_stage(eng, n_paths)
 
 
 def _workspace_bytes(eng: _Engine, n_paths: int, n_steps: int) -> int:
     """Bytes of the arrays :func:`_workspaces` builds, the chain's and the
-    stage's array attributes included."""
+    stage's array attributes included, each base array counted once."""
     noise, dirs, *stages = _workspaces(eng, n_paths, n_steps)
     held = [a for stage in stages for a in vars(stage).values() if isinstance(a, np.ndarray)]
-    return sum(a.nbytes for a in [noise, dirs.base, *held])
+    bases = {id(b): b for b in (a if a.base is None else a.base for a in [noise, dirs, *held])}
+    return sum(b.nbytes for b in bases.values())
 
 
 def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
@@ -794,15 +833,16 @@ def path_batches(cfg: SimConfig, n_paths: int, record_frames: bool, record_group
     """Consecutive ranges of paths 0..n_paths-1, one per engine call: ``parts``
     near-equal parts (fewer if paths run out), each cut into ranges that fit
     in ``BATCH_BYTES``, the largest first.  A path is priced at its
-    recorded outputs, 8 bytes a number, and at its share of the run's
-    arrays: what :func:`_workspaces` holds for 2 paths less what it holds
-    for 1, which leaves out the constants (the pair chain's map, e0, the
-    hyperbolic2 start frame)."""
+    recorded outputs, 8 bytes a number, at its Philox stream,
+    ``STREAM_BYTES``, and at its share of the run's arrays: what
+    :func:`_workspaces` holds for 2 paths less what it holds for 1, which
+    leaves out the constants (the pair chain's map, e0, the hyperbolic2
+    start frame)."""
     eng = _Engine(cfg)
     n = eng.n
     n_steps, out_idx = output_steps(cfg)
     fields = n + n * n * (int(record_frames) + int(record_group))
-    per_path = (8 * len(out_idx) * fields
+    per_path = (8 * len(out_idx) * fields + STREAM_BYTES
                 + _workspace_bytes(eng, 2, n_steps) - _workspace_bytes(eng, 1, n_steps))
     width = max(1, BATCH_BYTES // per_path)
     bounds = [n_paths * i // parts for i in range(parts + 1)]

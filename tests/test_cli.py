@@ -1,12 +1,15 @@
 import json
+import logging
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frameflow import ConfigError, DomainExitError, chart_by_name, perturbed_geodesic
-from frameflow.cli import build_parser, main, parse_config, read_config_file
+from frameflow.cli import _write_csv, build_parser, main, parse_config, read_config_file
+from frameflow.homogenize import log_engine_calls
 from frameflow.perturbed_geodesic import simulate_rescaled_path
 
 
@@ -156,6 +159,25 @@ class TestSimulateCommand:
         header = (tmp_path / "path_0000.csv").read_text().splitlines()[0]
         assert header == ("t,x1,x2,u11,u12,u21,u22,g11,g12,g21,g22")
 
+    def test_path_file_is_written_a_block_of_rows_at_a_time(self, tmp_path):
+        # 20,001 rows of 11 numbers (1.76 MB of records) peak at 0.36 MB of
+        # tracemalloc; formatted whole before being written, they peaked at
+        # 14.1 MB.
+        table = np.random.default_rng(1).standard_normal((20001, 11))
+        header = ["t"] + [f"c{i}" for i in range(10)]
+        path = tmp_path / "path_0000.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(path, header, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 20001
+        assert [lines[k] for k in (0, 512, 513, 20001)] == [",".join(header)] + [
+            ",".join(map(repr, table[k].tolist())) for k in (511, 512, 20000)]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--manifold", "hyperbolic2", "--epsilon", "0.1",
                 "--t-final", "0.5", "--seed", "13", "--frames"]
@@ -222,8 +244,10 @@ class TestBatchedSimulate:
         # A path holds 301 output rows of x, u and g (10 values), one noise
         # row of 128 steps of 2 normals, 2 rows of 129 for the chunk
         # directions, the matrix chain's 2 x 2 g and the half-plane stage's
-        # 2 x 2 F and 16 steps of 3 step-matrix entries, 8 bytes each.
-        two_paths = 2 * 8 * (301 * 10 + 128 * 2 + 2 * 129 + 4 + 4 + 16 * 3)
+        # 2 x 2 F and 16 steps of 3 step-matrix entries, 8 bytes each, and
+        # its Philox stream.
+        two_paths = 2 * (8 * (301 * 10 + 128 * 2 + 2 * 129 + 4 + 4 + 16 * 3)
+                         + perturbed_geodesic.STREAM_BYTES)
         monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", two_paths)
         assert main(argv + ["-v", "--output-dir", str(tmp_path / "split")]) == 0
         assert engine_calls == [3, 2, 1]
@@ -345,6 +369,18 @@ class TestVerbosePhases:
         # and the engine's seconds in each stage.
         assert all(re.search(r", draw \d+\.\d{3} s, chain \d+\.\d{3} s, frame \d+\.\d{3} s, "
                              r"record \d+\.\d{3} s, ", line) for line in simulated)
+
+
+    def test_throughput_is_per_engine_second_in_every_command(self, caplog):
+        # 10 paths of 200 steps, 2 s in the engine's stages over two calls,
+        # in a phase of 5 s: 1,000 path-steps/s whatever else the phase did.
+        stage_s = [{"draw": 0.5, "chain": 0.25, "frame": 0.125, "record": 0.125}] * 2
+        with caplog.at_level(logging.INFO, logger="frameflow"):
+            total = log_engine_calls(stage_s, 10, 200, 5.0)
+        assert total == {"draw": 1.0, "chain": 0.5, "frame": 0.25, "record": 0.25}
+        assert caplog.messages == ["simulate: 10 path(s) in 2 engine call(s), draw 1.000 s, "
+                                   "chain 0.500 s, frame 0.250 s, record 0.250 s, "
+                                   "1000 path-steps/s, 5.000 s"]
 
 
 class TestSweepCommand:

@@ -360,14 +360,16 @@ def run_logged(spec, caplog, **kw):
     return stats, int(re.search(r"in (\d+) engine call\(s\)", line).group(1))
 
 
-# An n = 2 path with frames holds 21 rows of x and u (6 values), 128 noise
-# steps of 2 normals and 2 rows of 129 for the chunk directions, 8 bytes
-# each, and what its group chain and frame stage hold: 257 half-angles and
-# the carried one, and the running sum of 2 directions, on flat charts; the
-# 2 x 2 g of the matrix chain, and the 2 x 2 F and 16 steps of 3
-# step-matrix entries of the half-plane stage, on hyperbolic2.
-PATH_BYTES = {"euclidean:2": 8 * (21 * 6 + 128 * 2 + 2 * 129 + 258 + 2),
-              "hyperbolic2": 8 * (21 * 6 + 128 * 2 + 2 * 129 + 4 + 4 + 16 * 3)}
+# An n = 2 path with frames holds 21 rows of x and u (6 values), 8 bytes
+# each, its Philox stream, and its chunk arrays: on flat charts the angle
+# chain's row of 257 numbers, which holds the noise and the directions too,
+# the carried half-angle and the running sum of 2 directions; on
+# hyperbolic2, 128 noise steps of 2 normals, 2 rows of 129 for the chunk
+# directions, the 2 x 2 g of the matrix chain, and the 2 x 2 F and 16 steps
+# of 3 step-matrix entries of the half-plane stage.
+PATH_BYTES = {chart: 8 * (21 * 6 + values) + perturbed_geodesic.STREAM_BYTES
+              for chart, values in (("euclidean:2", 257 + 1 + 2),
+                                    ("hyperbolic2", 128 * 2 + 2 * 129 + 4 + 4 + 16 * 3))}
 
 
 class TestFanOut:

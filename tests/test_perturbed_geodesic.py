@@ -218,10 +218,10 @@ class TestPathBatches:
         cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=0.5)
         # A path of euclidean:3 holds 21 rows of x and u (12 values), 128
         # steps of 2 x 3 normals, 3 rows of 129 for the chunk directions and
-        # the running sum of 3, 8 bytes each, and 3,040 bytes of the pair
-        # chain's pair and sub-block arrays.
-        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES",
-                            width * (8 * (21 * 12 + 128 * 6 + 3 * 129 + 3) + 3040))
+        # the running sum of 3, 8 bytes each, 3,040 bytes of the pair
+        # chain's pair and sub-block arrays, and its Philox stream.
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", width * (
+            8 * (21 * 12 + 128 * 6 + 3 * 129 + 3) + 3040 + perturbed_geodesic.STREAM_BYTES))
         batches = perturbed_geodesic.path_batches(cfg, paths, True, False, parts=parts)
         assert [p for b in batches for p in b] == list(range(paths))
         assert all(b.step == 1 and 1 <= len(b) <= width for b in batches)
@@ -231,10 +231,10 @@ class TestPathBatches:
 
     @pytest.mark.parametrize("chart, eps, t_final, times, frames, group, paths, sizes", [
         ("euclidean:2", 0.05, 1.0, None, True, False, 2000, [2000]),     # flat2-ensemble
-        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1171, 829]),  # flat3-ensemble
+        ("euclidean:3", 0.05, 0.5, None, True, False, 2000, [1114, 886]),  # flat3-ensemble
         ("hyperbolic2", 0.05, 0.5, None, True, False, 2000, [2000]),     # hyp2-ensemble
         ("hyperbolic2", 0.05, 1.0, 4001, True, True, 6, [6]),             # hyp2-simulate
-        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1309, 691]),  # no frames
+        ("euclidean:3", 0.05, 0.5, None, False, False, 2000, [1238, 762]),  # no frames
     ])
     def test_sizes_of_the_bench_configs(self, chart, eps, t_final, times, frames, group, paths,
                                         sizes):
@@ -412,7 +412,8 @@ def full_width_batch_peak(chart):
 
 @pytest.mark.parametrize("chart,bound_mib", [("hyperbolic2", 32.0), ("euclidean:5", 26.0)])
 def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
-    # 3,426 and 627 paths peak at 21.9 and 17.7 MiB.  Before the half-plane
+    # 2,978 and 611 paths, their Philox streams priced, peak at 19.4 and
+    # 17.3 MiB; 3,426 and 627 peaked at 21.9 and 17.7 MiB.  Before the half-plane
     # stage was priced, hyperbolic2 ran 3,744 paths and peaked at 24.0 MiB
     # (24.1 and 17.8 MiB at 3,771 and 633 paths, before g was priced); a
     # (128, P, n, n) block of midpoint rotations held per chunk made
@@ -422,17 +423,23 @@ def test_full_width_batch_memory_on_the_matrix_chain(chart, bound_mib):
 
 @pytest.mark.parametrize("chart,bound_mib", [("euclidean:3", 24.5), ("euclidean:4", 20.0)])
 def test_full_width_batch_memory_on_the_pair_chain(chart, bound_mib):
-    # 1,309 and 899 paths, priced with the pair chain's arrays, peak at
-    # 18.2 and 17.7 MiB; at 1,721 and 981 paths, unpriced, the SU(2) pair
-    # chain peaked at 23.8 and 19.3 MiB.  The real quaternion chain peaked at 25.3 MiB on euclidean:3; the
-    # matrix chain held 18.1 MiB on euclidean:4, at 7 times the time a step.
+    # 1,238 and 865 paths, priced with the pair chain's arrays and their
+    # Philox streams, peak at 17.3 and 17.2 MiB (18.2 and 17.7 MiB at 1,309
+    # and 899 paths, the streams unpriced); at 1,721 and 981 paths, with the
+    # chain's arrays unpriced too, the SU(2) pair chain peaked at 23.8 and
+    # 19.3 MiB.  The real quaternion chain peaked at 25.3 MiB on
+    # euclidean:3; the matrix chain held 18.1 MiB on euclidean:4, at 7
+    # times the time a step.
     assert full_width_batch_peak(chart) < bound_mib * 2**20
 
 
 def test_full_width_batch_memory_on_the_angle_chain():
-    # 2,570 paths, priced with the chain's 257 half-angles and carry: the
-    # priced arrays come to 16.0 MiB, and the call peaks at 19.0 MiB.  With
-    # the angles unpriced, a call of 3,771 paths peaked at 27.8 MiB.
+    # 5,322 paths, priced with the chain's row of 257 numbers, which also
+    # holds their noise and directions, its carry and their Philox streams,
+    # peak at 19.1 MiB.  With the streams unpriced, 6,944 paths peaked at
+    # 24.9 MiB.  When the noise and directions had arrays of their own,
+    # 2,570 paths peaked at 19.0 MiB, and with the angles unpriced, a call
+    # of 3,771 paths at 27.8 MiB.
     assert full_width_batch_peak("euclidean:2") < 24.0 * 2**20
 
 
@@ -462,11 +469,14 @@ def test_path_price_is_what_the_workspaces_hold_per_path(chart):
     assert grown == pytest.approx(1000 * price, rel=1e-3)
 
 
-@pytest.mark.parametrize("chart,width", [("euclidean:2", 2570), ("euclidean:3", 1309),
-                                         ("euclidean:4", 899), ("euclidean:5", 627),
-                                         ("hyperbolic2", 3426)])
+@pytest.mark.parametrize("chart,width", [("euclidean:2", 5322), ("euclidean:3", 1238),
+                                         ("euclidean:4", 865), ("euclidean:5", 611),
+                                         ("hyperbolic2", 2978)])
 def test_full_width_batch_sizes(chart, width):
-    # hyperbolic2 ran 3,744 paths a call before its half-plane stage's F
+    # Before each path's Philox stream was priced, the calls ran 2,570,
+    # 1,309, 899, 627 and 3,426 paths; euclidean:2 ran 2,570 because its
+    # noise and directions had arrays of their own besides the angle
+    # chain's row.  hyperbolic2 ran 3,744 paths a call before its half-plane stage's F
     # and step matrices, 4 + 16 x 3 numbers a path, were priced; the flat
     # charts ran 2,576, 1,312, 900 and 628 before the cumsum stage's
     # running sum, n numbers a path, was.
@@ -516,6 +526,64 @@ def test_angle_chain_carries_its_half_angle_modulo_pi(sign):
         chain.run(rng.standard_normal((4, 128, 2, 1)), np.arange(0), e_dir)
         assert np.all((chain.half >= 0.0) & (chain.half <= np.pi))
     assert np.all(np.isfinite(e_dir))
+
+
+def test_angle_chain_rows_hold_the_noise_and_directions():
+    # On flat n = 2 the run's noise and directions are views of the angle
+    # chain's rows, so a chunk holds no other array per path.
+    eng = perturbed_geodesic._Engine(SimConfig(chart="euclidean:2", epsilon=0.1, t_final=0.2))
+    noise, dirs, chain, _ = perturbed_geodesic._workspaces(eng, 10, 2000)
+    assert noise.shape == (10, 128, 2, 1) and dirs.shape == (10, 2, 128)
+    for view in (noise, dirs):
+        assert view.base is chain.halves and np.shares_memory(view, chain.halves)
+
+
+@pytest.mark.parametrize("chart", ["euclidean:2", "strip-test"])
+def test_angle_chain_rows_give_the_numbers_of_separate_arrays(chart, monkeypatch):
+    # 300 paths, two blocks of the chain's tangent scratch, of 300 steps, a
+    # partial last chunk, with a drift and a rotated e0: bitwise the same
+    # whether the noise and directions are views of the chain's rows or
+    # arrays of their own.
+    rot = _rotation(2, np.pi / 2)
+    slow_dt = 0.1 * 0.05**2
+    cfg = SimConfig(chart=chart, epsilon=0.05, t_final=300 * slow_dt, seed=3,
+                    e0=_rotation(2, 0.7)[:, 0], abar=0.8 * (rot - rot.T),
+                    output_times=tuple(np.linspace(0.0, 300 * slow_dt, 7)))
+    shared = simulate_paths(cfg, range(300), record_group=True)
+
+    def own_arrays(chain, steps):
+        n_paths = len(chain.halves)
+        return np.empty((n_paths, steps, 2, 1)), np.empty((n_paths, 2, steps + 1))[:, :, :steps]
+
+    monkeypatch.setattr(perturbed_geodesic._AngleChain, "buffers", own_arrays)
+    alone = simulate_paths(cfg, range(300), record_group=True)
+    for field in ("xs", "us", "gs", "alive"):
+        assert getattr(shared, field).tobytes() == getattr(alone, field).tobytes()
+    assert [(p, t) for p, t, _ in shared.aborts] == [(p, t) for p, t, _ in alone.aborts]
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (7, 12), (2**64 + 5, 3), (2**70, 2**48 + 1),
+                                         (-1, 9)])
+def test_philox_stream_is_the_stream_of_its_philox_key(seed, stream):
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    keyed = np.random.Generator(np.random.Philox(key=key))
+    assert (philox_stream(seed, stream).standard_normal(1000).tobytes()
+            == keyed.standard_normal(1000).tobytes())
+
+
+def test_stream_price_is_what_a_stream_holds():
+    # path_batches prices each path's Philox stream at STREAM_BYTES; 2,000
+    # streams hold that, to 5%, as tracemalloc sees them.
+    philox_stream(12345, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        streams = [philox_stream(12345, p) for p in range(2000)]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown == pytest.approx(len(streams) * perturbed_geodesic.STREAM_BYTES, rel=0.05)
 
 
 @pytest.mark.parametrize("chart", ["euclidean:3", "euclidean:4"])

@@ -80,6 +80,18 @@ def test_import_and_simulate_load_no_scipy_and_no_process_pool(tmp_path):
     assert (tmp_path / "out" / "path_0000.csv").exists()
 
 
+def test_import_leaves_numpy_random_to_the_first_stream(tmp_path):
+    # numpy.random takes about 19 ms to import; building configs and charts
+    # does not need it, and philox_stream loads it when a run first draws.
+    code = ("import sys, frameflow, frameflow.cli\n"
+            "frameflow.SimConfig(chart='hyperbolic2', epsilon=0.1, t_final=0.01)\n"
+            "print('numpy.random' in sys.modules)\n"
+            "frameflow.perturbed_geodesic.philox_stream(0, 0)\n"
+            "print('numpy.random' in sys.modules)")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.stdout.split() == ["False", "True"], proc.stderr
+
+
 def test_python_m_frameflow_simulate(tmp_path):
     proc = run_python(["-m", "frameflow", "simulate", "--manifold", "euclidean:2",
                        "--epsilon", "0.1", "--t-final", "0.01", "--output-dir", "out"], tmp_path)
