@@ -7,14 +7,7 @@ diffusive scaling limit of the rescaled position process.
 """
 
 from .errors import ConfigError, DomainExitError, NumericalAbort
-from .group_process import (
-    GroupSdeConfig,
-    apply_generator_linear,
-    ergodic_average_repetitions,
-    haar_moment_stats,
-    poisson_h,
-    step_group,
-)
+from .group_process import apply_generator_linear, haar_moment_stats, poisson_h
 from .homogenize import (
     EnsembleSpec,
     EnsembleStats,

@@ -8,8 +8,9 @@ before any work starts.
 
 Exit codes: 0 success, 1 criterion failure, 2 configuration error,
 3 numerical abort.  Under ``-v`` each phase of a run logs one line with
-its seconds to stderr.  ``simulate``, ``homogenize`` and ``sweep`` split
-their paths into engine calls by ``perturbed_geodesic.path_batches``.
+its seconds to stderr.  ``simulate``, ``homogenize``, ``sweep`` and
+``ergodic`` split their paths into engine calls by
+``perturbed_geodesic.path_batches``.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainExitError, NumericalAbort, require_finite
-from .group_process import (
-    GroupSdeConfig,
-    check_direction,
-    check_h0,
-    ergodic_average_repetitions,
-    haar_moment_stats,
-    horizon_steps,
-)
+from .group_process import check_direction, check_h0, haar_moment_stats
 from .homogenize import (
     EnsembleSpec,
     check_epsilon_list,
@@ -47,9 +41,9 @@ from .homogenize import (
     run_ensemble,
 )
 from . import perturbed_geodesic
-from .lie_algebra import canonical_basis, casimir_sum
+from .lie_algebra import canonical_basis, casimir_sum, haar_sample
 from .manifold import chart_by_name
-from .perturbed_geodesic import SimConfig, philox_stream
+from .perturbed_geodesic import ORACLE_STREAM_BASE, SimConfig, philox_stream
 # Unused here; bench/tracing.py wraps it under this module's name.
 from .perturbed_geodesic import simulate_rescaled_path  # noqa: F401
 
@@ -332,29 +326,36 @@ def cmd_haar(cfg: RunConfig) -> int:
 
 
 def cmd_ergodic(cfg: RunConfig) -> int:
+    """Time averages of w_i w_j, w = g e0, over ``reps`` group paths, each
+    the chain of path p of a run on ``euclidean:n`` at epsilon = 1, whose
+    step is h0 and whose half-step drift is h0 Abar / 2.
+
+    The averages use midpoint directions (see
+    :func:`perturbed_geodesic.direction_moments`).  Rep p starts at a Haar
+    rotation g0 drawn from stream ORACLE_STREAM_BASE + p: the SDE is
+    left-invariant, so its path from g0 is g0 times its path from I and its
+    moment matrix is g0 M g0^T.  The reps run in ``path_batches`` calls, and
+    ``ergodic.csv`` does not depend on how they are split.
+    """
     n = cfg.resolve_dim()
-    e0 = cfg.e0_vector(n)
-    t_avg = 400.0 if cfg.t_final is None else cfg.t_final
-    basis = canonical_basis(n)
-    gcfg = GroupSdeConfig(basis=basis, abar=cfg.abar_matrix(n), h=cfg.h0)
-    rng = philox_stream(cfg.seed, 0)
-
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-
-    def moments(gs):
-        w = np.einsum("rij,j->ri", gs, e0)
-        return np.stack([w[:, i] * w[:, j] for i, j in pairs], axis=0)
-
-    # The horizon snapped to the step grid, as a whole number of steps.
-    t_grid = horizon_steps("t_final", t_avg, gcfg.h) * gcfg.h
-    acc = ergodic_average_repetitions(moments, gcfg, [t_grid], cfg.reps, rng)[0]
-    est = acc.mean(axis=1)
-    se = acc.std(axis=1, ddof=1) / np.sqrt(cfg.reps)
-    rows = [(i, j, est[k], se[k]) for k, (i, j) in enumerate(pairs)]
+    sim = SimConfig(chart=f"euclidean:{n}", epsilon=1.0,
+                    t_final=400.0 if cfg.t_final is None else cfg.t_final,
+                    e0=cfg.e0_vector(n), abar=cfg.abar_matrix(n), h0=cfg.h0, seed=cfg.seed)
+    moments = np.empty((cfg.reps, n, n))
+    for batch in perturbed_geodesic.path_batches(sim, cfg.reps, False, False):
+        g0 = np.array([haar_sample(n, philox_stream(cfg.seed, ORACLE_STREAM_BASE + p))
+                       for p in batch])
+        m = g0 @ perturbed_geodesic.direction_moments(sim, batch) @ g0.transpose(0, 2, 1)
+        # Symmetric to the last bit, as w_i w_j = w_j w_i.
+        moments[batch.start:batch.stop] = 0.5 * (m + m.transpose(0, 2, 1))
+    est = moments.mean(axis=0)
+    se = moments.std(axis=0, ddof=1) / np.sqrt(cfg.reps)
+    rows = [(i, j, est[i, j], se[i, j]) for i in range(n) for j in range(n)]
     out = Path(cfg.output_dir) / "ergodic.csv"
     _write_csv(out, ["i", "j", "estimate", "stderr"], rows)
-    target = np.array([1.0 / n if i == j else 0.0 for i, j in pairs])
-    worst = float(np.max(np.abs(est - target) / np.maximum(se, 1e-300)))
+    worst = float(np.max(np.abs(est - np.eye(n) / n) / np.maximum(se, 1e-300)))
+    # The horizon on the step grid, a whole number of steps of h0.
+    t_grid = perturbed_geodesic.output_steps(sim)[0] * sim.h0
     print(f"wrote {out}; worst deviation {worst:.3g} stderr from delta_ij/n at t={t_grid:g}")
     return 0 if worst <= 4.0 else 1
 
@@ -544,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("verify-algebra", "check the skew-basis identities and print defects"),
         ("haar", "estimate Haar second moments of the direction statistic"),
-        ("ergodic", "time-average the direction moments along one fast path"),
+        ("ergodic", "time-average the direction moments along Haar-started group paths"),
         ("simulate", "integrate rescaled paths and write per-path CSVs"),
         ("homogenize", "ensemble statistics against the diffusive limit"),
         ("sweep", "repeat the ensemble across an epsilon list"),

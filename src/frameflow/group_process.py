@@ -4,14 +4,16 @@ The noise process solves the Stratonovich equation
 
     dg = (1/sqrt(eps)) sum_k g A_k o dw^k + g Abar dt,   g(0) = I,
 
-for an orthonormal skew basis {A_k}.  :class:`GroupSdeConfig` runs it at
-eps = 1, the equation clock; the rescaled simulation of
-:mod:`perturbed_geodesic` runs it at the eps of its paths.  One
-integrator step multiplies g by the exponential of the sampled increment,
-so every iterate is a rotation matrix by construction (geometric
-exponential Euler, weak order 1).  For n = 2 the increment turns the
-plane by an angle theta, and the step multiplies each row of g, read as
-a complex number, by cos theta + i sin theta.
+for an orthonormal skew basis {A_k}.  The group chains of
+:mod:`perturbed_geodesic` step it in Strang half-steps: at the eps of
+their paths in a simulation, and at eps = 1, the equation clock, for the
+ergodic averages (:func:`perturbed_geodesic.direction_moments`).  The
+matrix chain's half-step, ``_advance``, multiplies g by the exponential of
+the sampled increment, so every iterate is a rotation matrix by
+construction; for n = 2 the increment turns the plane by an angle theta,
+and the half-step multiplies each row of g, read as a complex number, by
+cos theta + i sin theta.  The checks of h0, e0, the drift and the step
+counts that every run passes through live here too.
 
 The companion functions expose the identities that pin down the effective
 diffusion constant: the linear statistic alpha_i(g) = <g e0, e_i> is an
@@ -22,16 +24,12 @@ delta_ij / n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import ConfigError, require_finite
 from .lie_algebra import SkewBasis, group_exp, haar_sample, skewness_defect, SKEW_TOL
 
-# Ceiling of the fast-clock step h/epsilon, the noise variance of one group
-# step, below which the single-exponential step stays accurate.
+# Ceiling of the fast-clock step h/epsilon, the noise variance of one group step.
 MAX_H0 = 0.1
 # Largest tolerated deviation of |e0| from 1.
 UNIT_TOL = 1e-9
@@ -84,47 +82,6 @@ def horizon_steps(name: str, t: float, h: float) -> int:
     return max(1, int(step_counts(name, t, h)))
 
 
-@dataclass(frozen=True)
-class GroupSdeConfig:
-    """Parameters of the group diffusion at epsilon = 1 and its integrator.
-
-    ``h`` is the integration step and so the noise variance of one step;
-    :func:`check_h0` bounds it by MAX_H0 so that the single-exponential
-    step stays accurate.
-    """
-
-    basis: SkewBasis
-    abar: np.ndarray | None = None
-    h: float = 0.1
-
-    def __post_init__(self):
-        check_h0(self.h)
-        if self.abar is not None:
-            object.__setattr__(self, "abar", check_drift(self.abar, self.basis.dim))
-
-    @property
-    def noise_scale(self) -> float:
-        return float(np.sqrt(self.h))
-
-    def drift_term(self) -> np.ndarray | None:
-        """h * Abar, the deterministic part of the per-step exponent."""
-        if self.abar is None:
-            return None
-        return self.h * self.abar
-
-
-def step_group(g: np.ndarray, cfg: GroupSdeConfig, xi: np.ndarray) -> np.ndarray:
-    """One geometric integrator step: g <- g exp(sqrt(h) sum xi_k A_k + h Abar).
-
-    ``g`` may be a stack (..., n, n) with matching leading axes on ``xi``
-    (..., N); standard normals in ``xi`` are the caller's responsibility.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != len(cfg.basis):
-        raise ConfigError(f"xi must have length {len(cfg.basis)}, got {xi.shape[-1]}")
-    return _advance(np.asarray(g, dtype=float), xi, cfg.basis.mats, cfg.noise_scale, cfg.drift_term())
-
-
 def _advance(g, xi, basis_mats, noise_scale, drift):
     if g.shape[-1] == 2:
         # exp(theta A) turns the plane by theta, which multiplies each row
@@ -162,37 +119,6 @@ def apply_generator_linear(g: np.ndarray, e0: np.ndarray, i: int, basis: SkewBas
     a2e0 = np.einsum("kij,kjl,l->ki", basis.mats, basis.mats, e0)
     terms = (g @ a2e0.T)[i]
     return 0.5 * float(np.sum(terms))
-
-
-def ergodic_average_repetitions(f: Callable[[np.ndarray], np.ndarray], cfg: GroupSdeConfig,
-                                checkpoints, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """Left-rectangle time averages over ``reps`` independent paths started at I.
-
-    ``f`` receives the (reps, n, n) stack and returns a (..., reps) array;
-    the result has shape (len(checkpoints), ..., reps) and row j holds the
-    averages (1/t_j) int_0^{t_j} f(g_s) ds.  Checkpoints must sit on the
-    step grid, fewer than 2**63 steps out.  Like every
-    :class:`GroupSdeConfig` run, the paths run at epsilon = 1, the
-    equation clock in which the law-of-large-numbers bound is stated.
-    """
-    checkpoints = require_finite("checkpoints", np.atleast_1d(checkpoints))
-    if np.any(checkpoints <= 0) or np.any(np.diff(checkpoints) <= 0):
-        raise ConfigError("checkpoints must be positive and strictly increasing")
-    n = cfg.basis.dim
-    n_basis = len(cfg.basis)
-
-    marks = step_counts("checkpoints", checkpoints, cfg.h)
-    if np.max(np.abs(marks * cfg.h - checkpoints)) > 1e-9 * max(1.0, checkpoints[-1]):
-        raise ConfigError("checkpoints must sit on the step grid")
-    g = np.broadcast_to(np.eye(n), (reps, n, n)).copy()
-    acc = 0.0
-    out = []
-    for m in range(marks[-1]):
-        acc = acc + f(g) * cfg.h
-        g = step_group(g, cfg, rng.standard_normal((reps, n_basis)))
-        while len(out) < len(marks) and m + 1 == marks[len(out)]:
-            out.append(acc / checkpoints[len(out)])
-    return np.array(out)
 
 
 def haar_moment_stats(n: int, e0: np.ndarray, samples: int,

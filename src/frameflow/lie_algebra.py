@@ -3,8 +3,8 @@
 Everything downstream is driven by an orthonormal basis of the space of
 n x n skew-symmetric matrices, orthonormal under the inner product
 <A, B> = tr(A B^T).  This module builds that basis, provides the matrix
-exponential onto the rotation group (exact closed forms for n = 2, 3,
-scaling-and-squaring above), and samples rotations from the invariant
+exponential onto the rotation group (scaling and squaring with a
+truncated Taylor series), and samples rotations from the invariant
 (Haar) distribution.  For n = 3 and 4 it also holds rotations as unit
 quaternions written as SU(2) pairs of complex numbers: the Hamilton
 product, the rotation vectors of a skew matrix's quaternion factors and
@@ -25,7 +25,7 @@ from .errors import ConfigError
 
 SKEW_TOL = 1e-12
 
-# Squaring threshold for the series branch of the exponential.  Below this
+# Squaring threshold of the exponential's series.  Below this
 # spectral scale the Taylor series cut after 16 terms is exact to double
 # precision: the first omitted term is below 0.5^17 / 17! < 1e-19.
 _EXP_SERIES_RADIUS = 0.5
@@ -116,53 +116,15 @@ def casimir_sum(basis: SkewBasis) -> np.ndarray:
 
 
 def group_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a (stack of) skew-symmetric matrices.
-
-    n = 2 uses the planar rotation closed form, n = 3 the axis-angle
-    (Rodrigues) formula, and n >= 4 scaling-and-squaring with a truncated
-    Taylor series.  The result is orthogonal with unit determinant up to
-    rounding.
+    """Matrix exponential of a (stack of) skew-symmetric matrices, by
+    scaling and squaring with a truncated Taylor series.  The result is
+    orthogonal with unit determinant up to rounding.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
     if a.shape[-2] != n:
         raise ValueError(f"expected square trailing axes, got {a.shape}")
-    if n == 2:
-        return _exp_skew_2(a)
-    if n == 3:
-        return _exp_skew_3(a)
     return _exp_skew_series(a)
-
-
-def _exp_skew_2(a: np.ndarray) -> np.ndarray:
-    theta = a[..., 0, 1]
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.empty(a.shape)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = s
-    out[..., 1, 0] = -s
-    out[..., 1, 1] = c
-    return out
-
-
-def _exp_skew_3(a: np.ndarray) -> np.ndarray:
-    # Axis components of the skew matrix; theta is its rotation angle.
-    wx = a[..., 2, 1]
-    wy = a[..., 0, 2]
-    wz = a[..., 1, 0]
-    theta2 = wx * wx + wy * wy + wz * wz
-    theta = np.sqrt(theta2)
-    small = theta < 1e-4
-    # sin(t)/t and (1-cos t)/t^2 with series fallbacks near zero.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c1 = np.where(small, 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0, np.sin(theta) / theta)
-        c2 = np.where(
-            small,
-            0.5 - theta2 / 24.0 + theta2 * theta2 / 720.0,
-            (1.0 - np.cos(theta)) / np.where(small, 1.0, theta2),
-        )
-    a2 = a @ a
-    return np.eye(3) + c1[..., None, None] * a + c2[..., None, None] * a2
 
 
 def _exp_skew_series(a: np.ndarray) -> np.ndarray:

@@ -81,7 +81,9 @@ directions, in turn, and is all the chunk memory of the run.
 stream hold for it, and splits the paths of a command into calls that
 each hold at most ``BATCH_BYTES`` of outputs and workspaces.
 
-:func:`simulate_rescaled_path` is the one-path view of the routine.
+:func:`simulate_rescaled_path` is the one-path view of the routine, and
+:func:`direction_moments` reads the same group chains for their time
+averages of w w^T, chunk by chunk, without the frame stage.
 
 Randomness is counter-based: path p of a run with seed s draws from a
 Philox stream keyed by (s, p), consuming, per step, one vector of N
@@ -724,6 +726,14 @@ def _workspace_bytes(eng: _Engine, n_paths: int, n_steps: int) -> int:
     return sum(b.nbytes for b in bases.values())
 
 
+def _draw(xi: np.ndarray, rngs) -> None:
+    """Fill each path's row of the chunk's noise xi (P, steps, 2, N) from its generator."""
+    shape = xi.shape[1:]
+    for row, r in zip(xi, rngs):
+        # Shape passed by position: stand-in generators read it there.
+        r.standard_normal(shape, out=row)
+
+
 def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
                    record_frames: bool = True, record_group: bool = False,
                    rngs: Sequence[np.random.Generator] | None = None) -> EnsemblePaths:
@@ -745,7 +755,7 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
     :class:`numpy.random.Generator` does.
     """
     eng = _Engine(cfg)
-    n, n_noise = eng.n, eng.n_noise
+    n = eng.n
     paths = list(int(p) for p in path_indices)
     n_paths = len(paths)
     if rngs is None:
@@ -779,9 +789,7 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
         t0 = time.perf_counter()
         steps = min(_CHUNK, n_steps - m)
         xi = noise[:, :steps]
-        for row, r in zip(xi, rngs):
-            # Shape passed by position: stand-in generators read it there.
-            r.standard_normal((steps, 2, n_noise), out=row)
+        _draw(xi, rngs)
         t1 = time.perf_counter()
         # Output slots next_out..last-1 fall in this chunk, at the local
         # steps wanted[k].
@@ -815,6 +823,34 @@ def simulate_paths(cfg: SimConfig, path_indices: Sequence[int],
 
     return EnsemblePaths(times=grid_times, xs=xs, us=us, gs=gs, alive=alive, aborts=aborts,
                          steps=n_steps, stage_s=stage_s)
+
+
+def direction_moments(cfg: SimConfig, path_indices: Sequence[int]) -> np.ndarray:
+    """Time averages of w w^T over each path's group chain, w = g e0 its
+    direction, up to the horizon ``t_final`` on the step grid: (P, n, n).
+
+    The averages use midpoint directions: each step's g_mid e0, the
+    direction its frame step reads, stands for the whole step, so an
+    average is the mean of w_mid w_mid^T over the steps.  The chains start
+    at g = I and draw the normals of :func:`simulate_paths`, so a path's
+    moments belong to its simulated path and do not depend on the batch.
+    """
+    eng = _Engine(cfg)
+    n = eng.n
+    rngs = [philox_stream(cfg.seed, p) for p in path_indices]
+    n_steps = output_steps(cfg)[0]
+    noise, dirs, chain, _ = _workspaces(eng, len(rngs), n_steps)
+    sums = np.zeros((len(rngs), n, n))
+    for m in range(0, n_steps, _CHUNK):
+        steps = min(_CHUNK, n_steps - m)
+        xi = noise[:, :steps]
+        _draw(xi, rngs)
+        e_dir = dirs[:, :, :steps]
+        chain.run(xi, np.arange(0), e_dir)
+        for i in range(n):
+            for j in range(n):
+                sums[:, i, j] += (e_dir[:, i] * e_dir[:, j]).sum(axis=1)
+    return sums / n_steps
 
 
 def output_steps(cfg: SimConfig) -> tuple[int, np.ndarray]:

@@ -138,6 +138,34 @@ class TestErgodicCommand:
               "--seed", "4", "--output-dir", str(tmp_path)])
         assert capsys.readouterr().out.rstrip().endswith("at t=0.3")
 
+    def test_haar_starts_leave_no_start_bias(self, tmp_path):
+        # Reps started at g = I put the pooled (0, 0) moment 9.1 stderr
+        # above 1/3 at this seed and horizon; Haar starts remove that bias.
+        main(["ergodic", "--dim", "3", "--t-final", "100", "--reps", "3200",
+              "--seed", "1", "--output-dir", str(tmp_path)])
+        rows = [line.split(",") for line in
+                (tmp_path / "ergodic.csv").read_text().splitlines()[1:]]
+        z = [(float(est) - 1.0 / 3.0) / float(se) for i, j, est, se in rows if i == j]
+        assert len(z) == 3 and max(map(abs, z)) < 4.0
+
+    def test_csv_does_not_depend_on_the_batches(self, tmp_path, monkeypatch):
+        argv = ["ergodic", "--dim", "3", "--t-final", "20", "--reps", "9", "--seed", "2",
+                "--abar", "canonical:2"]
+        assert main(argv + ["--output-dir", str(tmp_path / "one")]) == 0
+        calls = []
+        reader = perturbed_geodesic.direction_moments
+
+        def counting(cfg, path_indices):
+            calls.append(len(path_indices))
+            return reader(cfg, path_indices)
+
+        monkeypatch.setattr(perturbed_geodesic, "direction_moments", counting)
+        monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", 40_000)
+        assert main(argv + ["--output-dir", str(tmp_path / "split")]) == 0
+        assert len(calls) > 2 and sum(calls) == 9
+        assert ((tmp_path / "split" / "ergodic.csv").read_bytes()
+                == (tmp_path / "one" / "ergodic.csv").read_bytes())
+
 
 class TestSimulateCommand:
     def test_writes_path_files_with_schema(self, tmp_path):

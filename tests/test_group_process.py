@@ -4,92 +4,100 @@ from scipy.stats import kstest, ks_2samp
 
 from frameflow import (
     ConfigError,
-    GroupSdeConfig,
+    SimConfig,
     apply_generator_linear,
     canonical_basis,
-    ergodic_average_repetitions,
     haar_sample,
     orthogonality_defect,
     poisson_h,
-    step_group,
+    simulate_paths,
 )
 from frameflow.group_process import _advance, haar_moment_stats
 from frameflow.lie_algebra import group_exp
+from frameflow.perturbed_geodesic import direction_moments
 
 
-def cfg_for(n, h=0.1, abar=None):
-    return GroupSdeConfig(basis=canonical_basis(n), abar=abar, h=h)
+class ZeroNoise:
+    """Stand-in generator for ``simulate_paths(rngs=...)``: noise off."""
+
+    def standard_normal(self, shape, out=None):
+        out.fill(0.0)
+        return out
+
+
+def group_run(n, t_final, **kw):
+    """The group diffusion at epsilon = 1, the equation clock, as the
+    engine's chain on ``euclidean:n``: step h0, half-step drift h0 Abar / 2."""
+    return SimConfig(chart=f"euclidean:{n}", epsilon=1.0, t_final=t_final, **kw)
+
+
+def linear_averages(n, times, reps, seed):
+    """Time averages of w_1 = <g e1, e1> up to each of ``times`` (rows) for
+    ``reps`` paths (columns): on euclidean:n from the origin with u0 = I,
+    x_t = h sum w_mid, so x_t / t averages w_1 by the midpoint rule."""
+    cfg = group_run(n, times[-1], seed=seed, output_times=tuple(times))
+    out = simulate_paths(cfg, range(reps), record_frames=False)
+    return out.xs[:, :, 0] / out.times[:, None]
 
 
 class TestGroupSdeConfig:
+    """The group diffusion's parameters, h0 and abar, checked as SimConfig
+    takes them for a run at epsilon = 1."""
+
     def test_cfl_violation_rejected(self):
         with pytest.raises(ConfigError, match=r"h0 must lie in \(0, 0.1\]"):
-            GroupSdeConfig(basis=canonical_basis(2), h=0.5)
+            group_run(2, 1.0, h0=0.5)
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ConfigError):
-            GroupSdeConfig(basis=canonical_basis(2), h=0.0)
+            group_run(2, 1.0, h0=0.0)
 
     def test_non_skew_drift_rejected(self):
-        with pytest.raises(ConfigError):
-            GroupSdeConfig(basis=canonical_basis(2), abar=np.eye(2), h=0.1)
+        with pytest.raises(ConfigError, match="abar must be skew-symmetric"):
+            simulate_paths(group_run(2, 1.0, abar=np.eye(2)), [0])
 
-    @pytest.mark.parametrize("kw", [{"h": np.inf},
+    @pytest.mark.parametrize("kw", [{"h0": np.inf},
                                     {"abar": np.array([[0.0, np.nan], [np.nan, 0.0]])}])
     def test_non_finite_inputs_rejected(self, kw):
         with pytest.raises(ConfigError):
-            GroupSdeConfig(basis=canonical_basis(2), **kw)
+            group_run(2, 1.0, **kw)
 
 
 class TestStepGroup:
+    """The group steps of the engine's chains at epsilon = 1."""
+
     def test_zero_noise_zero_drift_is_identity(self):
-        cfg = cfg_for(3)
-        g = haar_sample(3, np.random.default_rng(0))
-        out = step_group(g, cfg, np.zeros(3))
-        np.testing.assert_array_equal(out, g)
+        cfg = group_run(3, 1.0, output_times=(0.5, 1.0))
+        out = simulate_paths(cfg, range(2), record_group=True, rngs=[ZeroNoise()] * 2)
+        assert np.array_equal(out.gs, np.broadcast_to(np.eye(3), out.gs.shape))
 
     def test_output_stays_orthogonal(self):
-        cfg = cfg_for(4)
-        rng = np.random.default_rng(1)
-        g = np.broadcast_to(np.eye(4), (500, 4, 4)).copy()
-        for _ in range(20):
-            g = step_group(g, cfg, rng.standard_normal((500, 6)))
-        assert orthogonality_defect(g) < 1e-12
+        cfg = group_run(4, 2.0, seed=1, output_times=tuple(np.linspace(0.0, 2.0, 21)))
+        out = simulate_paths(cfg, range(500), record_frames=False, record_group=True)
+        assert orthogonality_defect(out.gs) < 1e-12
 
     def test_wrong_noise_length_rejected(self):
-        cfg = cfg_for(3)
-        with pytest.raises(ConfigError):
-            step_group(np.eye(3), cfg, np.zeros(2))
+        with pytest.raises(ConfigError, match="rngs must match path_indices in length"):
+            simulate_paths(group_run(3, 1.0), range(3), rngs=[ZeroNoise()] * 2)
 
     def test_planar_angle_distribution(self):
         # n = 2: the accumulated rotation angle after fast time tau is
-        # N(0, tau/2): each step adds sqrt(h) xi / sqrt(2) to the angle.
-        cfg = cfg_for(2, h=0.1)
-        rng = np.random.default_rng(42)
+        # N(0, tau/2): each half-step adds sqrt(h/2) xi / sqrt(2) to the angle.
         paths, tau = 10_000, 4.0
-        n_steps = int(round(tau / cfg.h))
-        g = np.broadcast_to(np.eye(2), (paths, 2, 2)).copy()
-        angle = np.zeros(paths)
-        prev = np.zeros(paths)
-        for _ in range(n_steps):
-            g = step_group(g, cfg, rng.standard_normal((paths, 1)))
-            now = np.arctan2(g[:, 0, 1], g[:, 0, 0])
-            delta = now - prev
-            delta = (delta + np.pi) % (2.0 * np.pi) - np.pi  # unwrap
-            angle += delta
-            prev = now
+        cfg = group_run(2, tau, seed=42, output_times=tuple(np.linspace(0.0, tau, 41)))
+        gs = simulate_paths(cfg, range(paths), record_frames=False, record_group=True).gs
+        angle = np.unwrap(np.arctan2(gs[:, :, 0, 1], gs[:, :, 0, 0]), axis=0)[-1]
         stat, p = kstest(angle / np.sqrt(tau / 2.0), "norm")
         assert p > 0.01
 
     def test_drift_only_rotates_deterministically(self):
-        basis = canonical_basis(2)
-        abar = np.sqrt(2.0) * basis.mats[0]  # angle rate 1
-        cfg = GroupSdeConfig(basis=basis, abar=abar, h=0.1)
-        g = np.eye(2)
-        for _ in range(10):
-            g = step_group(g, cfg, np.zeros(1))
+        abar = np.sqrt(2.0) * canonical_basis(2).mats[0]  # angle rate 1
         expected = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
-        np.testing.assert_allclose(g, expected, atol=1e-12)
+        # The angle chain on euclidean:2, the matrix chain on hyperbolic2.
+        for chart in ("euclidean:2", "hyperbolic2"):
+            cfg = SimConfig(chart=chart, epsilon=1.0, t_final=1.0, abar=abar, output_times=(1.0,))
+            g = simulate_paths(cfg, [0], record_group=True, rngs=[ZeroNoise()]).gs[0, 0]
+            np.testing.assert_allclose(g, expected, atol=1e-12)
 
     @pytest.mark.parametrize("with_drift", [False, True])
     @pytest.mark.parametrize("layout", ["stacked", "single", "transposed"])
@@ -98,20 +106,20 @@ class TestStepGroup:
         # the general route multiplies g by group_exp of the whole exponent.
         rng = np.random.default_rng(11)
         basis = canonical_basis(2)
-        cfg = cfg_for(2, h=0.05, abar=0.9 * basis.mats[0] if with_drift else None)
+        h = 0.05
+        drift = h * 0.9 * basis.mats[0] if with_drift else None
         stack = haar_sample(2, rng, size=40)
         g, xi = {"stacked": (stack, rng.standard_normal((40, 1))),
                  "single": (stack[0], rng.standard_normal(1)),
                  "transposed": (stack.transpose(0, 2, 1), rng.standard_normal((40, 1)))}[layout]
         before = g.copy()
-        exponent = cfg.noise_scale * np.einsum("...k,kij->...ij", xi, basis.mats)
+        exponent = np.sqrt(h) * np.einsum("...k,kij->...ij", xi, basis.mats)
         if with_drift:
-            exponent = exponent + cfg.drift_term()
+            exponent = exponent + drift
         expected = g @ group_exp(exponent)
-        for out in (step_group(g, cfg, xi),
-                    _advance(g, xi, basis.mats, cfg.noise_scale, cfg.drift_term())):
-            assert out.shape == expected.shape
-            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+        out = _advance(g, xi, basis.mats, np.sqrt(h), drift)
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(g, before)
 
 
@@ -159,30 +167,25 @@ class TestPoissonIdentities:
 
 
 class TestErgodicAverages:
+    """Time averages along the engine's group chains at epsilon = 1."""
+
     def test_constant_functional_is_exact(self):
-        cfg = cfg_for(3)
-        avg = ergodic_average_repetitions(lambda gs: np.full(len(gs), 2.5), cfg, [3.0, 7.0],
-                                          reps=1, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(avg, 2.5, atol=1e-12)
+        # |w|^2 = 1 at every step, so the moment matrix has trace 1.
+        moments = direction_moments(group_run(3, 7.0), range(4))
+        np.testing.assert_allclose(np.trace(moments, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-12)
 
     def test_lln_bound_n3_t400(self):
         # E(avg^2) <= sqrt(N) * Osc(f) * t^(-1/2) for f(g) = <g e1, e1>,
         # Osc(f) = 2, N = 3: bound sqrt(3) * 2 / 20 at t = 400.
-        cfg = cfg_for(3)
-        rng = np.random.default_rng(21)
-        avgs = ergodic_average_repetitions(
-            lambda gs: gs[:, 0, 0], cfg, [400.0], reps=200, rng=rng)
+        avgs = linear_averages(3, [400.0], reps=200, seed=21)
         bound = np.sqrt(3.0) * 2.0 / np.sqrt(400.0)
         assert np.mean(avgs[0] ** 2) <= bound
 
     def test_lln_bound_grid(self):
         # same bound at t in {100, 400, 1600} for n in {2, 3, 4}
-        rng = np.random.default_rng(22)
         times = [100.0, 400.0, 1600.0]
         for n in (2, 3, 4):
-            cfg = cfg_for(n)
-            avgs = ergodic_average_repetitions(
-                lambda gs: gs[:, 0, 0], cfg, times, reps=200, rng=rng)
+            avgs = linear_averages(n, times, reps=200, seed=22)
             n_basis = n * (n - 1) // 2
             for row, t in zip(avgs, times):
                 assert np.mean(row**2) <= np.sqrt(n_basis) * 2.0 / np.sqrt(t)
@@ -190,42 +193,33 @@ class TestErgodicAverages:
     def test_squared_statistic_averages_to_one_over_n(self):
         # f(g) = <g e1, e1>^2 time-averages to 1/n.
         n = 3
-        cfg = cfg_for(n)
-        rng = np.random.default_rng(23)
-        avgs = ergodic_average_repetitions(
-            lambda gs: gs[:, 0, 0] ** 2, cfg, [3200.0], reps=32, rng=rng)
-        est = avgs[0].mean()
-        se = avgs[0].std(ddof=1) / np.sqrt(avgs.shape[1])
+        avgs = direction_moments(group_run(n, 3200.0, seed=23), range(32))[:, 0, 0]
+        est = avgs.mean()
+        se = avgs.std(ddof=1) / np.sqrt(len(avgs))
         assert abs(est - 1.0 / n) < 4 * se
 
     def test_single_path_average_matches_moment(self):
-        cfg = cfg_for(2)
-        rng = np.random.default_rng(24)
-        avg = ergodic_average_repetitions(lambda gs: gs[:, 0, 0] ** 2, cfg, [2000.0],
-                                          reps=1, rng=rng)
-        assert abs(avg[0, 0] - 0.5) < 0.05
-
-    def test_checkpoints_off_grid_rejected(self):
-        cfg = cfg_for(2)
-        with pytest.raises(ConfigError):
-            ergodic_average_repetitions(lambda gs: gs[:, 0, 0], cfg, [100.05],
-                                        reps=4, rng=np.random.default_rng(0))
+        avg = direction_moments(group_run(2, 2000.0, seed=24), [0])[0, 0, 0]
+        assert abs(avg - 0.5) < 0.05
 
     def test_non_finite_checkpoints_rejected(self):
-        cfg = cfg_for(2)
+        # The times averaged up to are a run's output times.
         with pytest.raises(ConfigError, match="finite"):
-            ergodic_average_repetitions(lambda gs: gs[:, 0, 0], cfg, [100.0, np.inf],
-                                        reps=4, rng=np.random.default_rng(0))
+            group_run(2, 200.0, output_times=(100.0, np.inf))
 
-    def test_component_stack_functional(self):
-        # f may return (..., reps): each component is averaged on the same paths.
-        cfg = cfg_for(2)
-        both = ergodic_average_repetitions(lambda gs: np.stack([gs[:, 0, 0], gs[:, 0, 1]]),
-                                           cfg, [5.0, 10.0], reps=3, rng=np.random.default_rng(1))
-        first = ergodic_average_repetitions(lambda gs: gs[:, 0, 0], cfg, [5.0, 10.0], reps=3,
-                                            rng=np.random.default_rng(1))
-        assert both.shape == (2, 2, 3)
-        np.testing.assert_array_equal(both[:, 0], first)
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_moments_read_the_simulated_paths(self, n):
+        # On euclidean:n each step moves x by h w_mid, so the positions at
+        # every step give the directions the moments average.  300 steps
+        # cross two chunk ends; a path's moments do not depend on its batch.
+        rot = np.roll(np.eye(n), 1, axis=0)
+        cfg = group_run(n, 30.0, seed=5, e0=np.full(n, n**-0.5), abar=0.7 * (rot - rot.T),
+                        output_times=tuple(np.linspace(0.0, 30.0, 301)))
+        w = np.diff(simulate_paths(cfg, range(4), record_frames=False).xs, axis=0) / cfg.h0
+        moments = direction_moments(cfg, range(4))
+        np.testing.assert_allclose(moments, np.einsum("kpi,kpj->pij", w, w) / 300,
+                                   rtol=0, atol=1e-11)
+        assert np.array_equal(moments[2:3], direction_moments(cfg, [2]))
 
 
 class TestHaarMoments:
@@ -263,11 +257,8 @@ def test_terminal_law_matches_haar():
     # After a long run the path marginal <g e1, e1> agrees with fresh Haar
     # draws (two-sample KS).
     n = 3
-    cfg = cfg_for(n)
-    rng = np.random.default_rng(35)
-    ends = np.broadcast_to(np.eye(n), (500, n, n)).copy()
-    for _ in range(400):  # t = 40 at h = 0.1
-        ends = step_group(ends, cfg, rng.standard_normal((500, len(cfg.basis))))
+    cfg = group_run(n, 40.0, seed=35, output_times=(40.0,))
+    ends = simulate_paths(cfg, range(500), record_frames=False, record_group=True).gs[-1]
     ref = haar_sample(n, np.random.default_rng(36), size=500)
     stat, p = ks_2samp(ends[:, 0, 0], ref[:, 0, 0])
     assert p > 0.01
