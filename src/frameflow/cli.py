@@ -1,10 +1,14 @@
-"""Command-line front end: config parsing, dispatch, deterministic output.
+"""Command-line front end: config parsing, commands, deterministic output.
 
 Configuration values come, in increasing priority, from built-in defaults,
 the FRAMEFLOW_SEED environment variable (seed only), a flat key=value
-config file, and command-line flags.  This module parses text into
-values; the library's config objects and check functions validate them,
-before any work starts.
+config file, and command-line flags.  Each input key is declared once,
+as a :class:`RunConfig` field: its default, its parser, its flag's help and
+whether a config file may set it.  The flags, ``CONFIG_KEYS`` and
+:func:`parse_config` are derived from those fields, so a flag, a file value
+and the environment seed go through the same parser and a bad value gives
+the same one-line :class:`ConfigError`.  The library's config objects and
+check functions validate the values before any work starts.
 
 Exit codes: 0 success, 1 criterion failure, 2 configuration error,
 3 numerical abort.  Under ``-v`` each phase of a run logs one line with
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -41,7 +46,7 @@ from .homogenize import (
     run_ensemble,
 )
 from . import perturbed_geodesic
-from .lie_algebra import canonical_basis, casimir_sum, haar_sample
+from .lie_algebra import canonical_basis, casimir_sum, check_dim, haar_sample
 from .manifold import chart_by_name
 from .perturbed_geodesic import ORACLE_STREAM_BASE, SimConfig, philox_stream
 # Unused here; bench/tracing.py wraps it under this module's name.
@@ -49,85 +54,11 @@ from .perturbed_geodesic import simulate_rescaled_path  # noqa: F401
 
 _log = logging.getLogger(__name__)
 
-# Keys accepted in config files; anything else is rejected by name.
-CONFIG_KEYS = (
-    "manifold", "dim", "epsilon", "epsilon_list", "e0", "abar", "t_final", "h0",
-    "seed", "paths", "output_times", "output_dir",
-)
-
 MSD_TOLERANCE = 0.10
 KS_P_FLOOR = 0.01
 # summary.json name of the KS criterion, by reference law; both read the last KS row.
 KS_CRITERION = {"euclidean": "marginal_normal_ks", "hyperbolic": "distance_oracle_ks"}
 R2_THRESHOLD = 0.99
-
-
-@dataclass
-class RunConfig:
-    """Flat, validated view of every tunable the subcommands share."""
-
-    command: str | None = None
-    manifold: str = "euclidean:2"
-    dim: int | None = None
-    epsilon: float = 0.05
-    epsilon_list: tuple[float, ...] | None = None
-    e0: str = "e1"
-    abar: str = "0"
-    t_final: float | None = None
-    h0: float = 0.1
-    seed: int = 0
-    paths: int | None = None
-    output_times: str | None = None
-    output_dir: str = "out"
-    jobs: int | None = None
-    samples: int = 100_000
-    reps: int = 16
-    with_frames: bool = False
-    with_group: bool = False
-    verbose: int = 0
-
-    def resolve_dim(self) -> int:
-        if self.dim is not None:
-            return self.dim
-        return chart_by_name(self.manifold).dim
-
-    def e0_vector(self, n: int) -> np.ndarray:
-        return _parse_e0(self.e0, n)
-
-    def abar_matrix(self, n: int) -> np.ndarray | None:
-        return _parse_abar(self.abar, n)
-
-    def output_times_tuple(self, t_final: float) -> tuple[float, ...] | None:
-        if self.output_times is None:
-            return None
-        text = self.output_times.strip()
-        if "," not in text and "." not in text:
-            count = _parse_int("output_times", text, minimum=2)
-            return tuple(np.linspace(0.0, t_final, count))
-        values = tuple(_parse_float("output_times", v) for v in text.split(","))
-        return values
-
-    def sim_config(self) -> SimConfig:
-        chart = chart_by_name(self.manifold)
-        n = chart.dim
-        t_final = 1.0 if self.t_final is None else self.t_final
-        return SimConfig(
-            chart=self.manifold,
-            epsilon=self.epsilon,
-            t_final=t_final,
-            e0=self.e0_vector(n),
-            abar=self.abar_matrix(n),
-            h0=self.h0,
-            seed=self.seed,
-            output_times=self.output_times_tuple(t_final),
-        )
-
-    def ensemble_spec(self, default_paths: int = 2000) -> EnsembleSpec:
-        return EnsembleSpec(
-            sim=self.sim_config(),
-            paths=self.paths if self.paths is not None else default_paths,
-            jobs=self.jobs if self.jobs is not None else (os.cpu_count() or 1),
-        )
 
 
 def _parse_int(key: str, value, minimum: int | None = None) -> int:
@@ -149,6 +80,101 @@ def _parse_float(key: str, value, positive: bool = False) -> float:
     if positive and not out > 0:
         raise ConfigError(f"{key} must be positive")
     return out
+
+
+_positive = functools.partial(_parse_float, positive=True)
+
+
+def _parse_epsilon_list(key: str, value) -> tuple[float, ...]:
+    if isinstance(value, (tuple, list)):
+        parts = [str(v) for v in value]
+    else:
+        parts = str(value).split(",")
+    return check_epsilon_list(_parse_float(key, v) for v in parts)
+
+
+def _text(key: str, value) -> str:
+    return str(value)
+
+
+def _key(default, parse, help=None, in_file=True, flag=True):
+    """A :class:`RunConfig` field that is an input key: its default, the
+    ``parse(key, value)`` that every value of it goes through (flag, config
+    file or ``FRAMEFLOW_SEED``), the help of its ``--key-with-dashes`` flag,
+    whether a config file may set it, and whether :func:`build_parser`
+    adds that flag (not for the switches it declares by hand)."""
+    return dataclasses.field(default=default, metadata={
+        "parse": parse, "help": help, "in_file": in_file, "flag": flag})
+
+
+@dataclass
+class RunConfig:
+    """Every tunable the subcommands share, each field the one declaration
+    of its input key."""
+
+    manifold: str = _key("euclidean:2", _text, "euclidean:<n> or hyperbolic2")
+    dim: int | None = _key(None, lambda key, v: check_dim(_parse_int(key, v)),
+                           "group dimension for algebra-level commands")
+    epsilon: float = _key(0.05, _positive, "time-scale ratio (positive)")
+    epsilon_list: tuple[float, ...] | None = _key(None, _parse_epsilon_list,
+                                                  "comma list, strictly decreasing")
+    e0: str = _key("e1", _text, "direction vector: e<k> or comma components")
+    abar: str = _key("0", _text, "drift: 0, canonical:<k>, or basis coefficients")
+    t_final: float | None = _key(None, _positive, "slow-clock horizon")
+    h0: float = _key(0.1, lambda key, v: check_h0(_positive(key, v)),
+                     "fast-clock step factor in (0, 0.1]")
+    seed: int = _key(0, _parse_int)
+    paths: int | None = _key(None, functools.partial(_parse_int, minimum=1))
+    output_times: str | None = _key(None, _text, "count or comma list of times in [0, t_final]")
+    output_dir: str = _key("out", _text)
+    jobs: int | None = _key(None, functools.partial(_parse_int, minimum=1),
+                            "parallel workers for homogenize and sweep (results identical)",
+                            in_file=False)
+    samples: int = _key(100_000, functools.partial(_parse_int, minimum=1000),
+                        "sample count for haar", in_file=False)
+    reps: int = _key(16, functools.partial(_parse_int, minimum=2),
+                     "repetition count for ergodic", in_file=False)
+    with_frames: bool = _key(False, lambda key, v: bool(v), in_file=False, flag=False)
+    with_group: bool = _key(False, lambda key, v: bool(v), in_file=False, flag=False)
+    verbose: int = _key(0, _parse_int, in_file=False, flag=False)
+
+    def resolve_dim(self) -> int:
+        return self.dim if self.dim is not None else chart_by_name(self.manifold).dim
+
+    def output_times_tuple(self, t_final: float) -> tuple[float, ...] | None:
+        if self.output_times is None:
+            return None
+        text = self.output_times.strip()
+        if "," not in text and "." not in text:
+            count = _parse_int("output_times", text, minimum=2)
+            return tuple(np.linspace(0.0, t_final, count))
+        return tuple(_parse_float("output_times", v) for v in text.split(","))
+
+    def sim_config(self) -> SimConfig:
+        n = chart_by_name(self.manifold).dim
+        t_final = 1.0 if self.t_final is None else self.t_final
+        return SimConfig(
+            chart=self.manifold,
+            epsilon=self.epsilon,
+            t_final=t_final,
+            e0=_parse_e0(self.e0, n),
+            abar=_parse_abar(self.abar, n),
+            h0=self.h0,
+            seed=self.seed,
+            output_times=self.output_times_tuple(t_final),
+        )
+
+    def ensemble_spec(self, default_paths: int = 2000) -> EnsembleSpec:
+        return EnsembleSpec(
+            sim=self.sim_config(),
+            paths=self.paths if self.paths is not None else default_paths,
+            jobs=self.jobs if self.jobs is not None else (os.cpu_count() or 1),
+        )
+
+
+# Each input key, with its parser and flag help; config files accept those with in_file.
+KEYS = {f.name: f.metadata for f in dataclasses.fields(RunConfig) if f.metadata}
+CONFIG_KEYS = tuple(key for key, meta in KEYS.items() if meta["in_file"])
 
 
 def _parse_e0(spec: str, n: int) -> np.ndarray:
@@ -222,41 +248,13 @@ def parse_config(file: str | None = None, flags: dict | None = None,
             merged[key] = value
 
     cfg = RunConfig()
-    converters = {
-        "manifold": lambda v: str(v),
-        "dim": lambda v: _parse_int("dim", v, minimum=2),
-        "epsilon": lambda v: _parse_float("epsilon", v, positive=True),
-        "epsilon_list": _parse_epsilon_list,
-        "e0": lambda v: str(v),
-        "abar": lambda v: str(v),
-        "t_final": lambda v: _parse_float("t_final", v, positive=True),
-        "h0": lambda v: check_h0(_parse_float("h0", v, positive=True)),
-        "seed": lambda v: _parse_int("seed", v),
-        "paths": lambda v: _parse_int("paths", v, minimum=1),
-        "output_times": lambda v: str(v),
-        "output_dir": lambda v: str(v),
-        "jobs": lambda v: _parse_int("jobs", v, minimum=1),
-        "samples": lambda v: _parse_int("samples", v, minimum=1000),
-        "reps": lambda v: _parse_int("reps", v, minimum=2),
-        "with_frames": bool,
-        "with_group": bool,
-        "verbose": lambda v: _parse_int("verbose", v),
-    }
     for key, value in merged.items():
-        if key not in converters:
+        if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        setattr(cfg, key, converters[key](value))
+        setattr(cfg, key, KEYS[key]["parse"](key, value))
     # Chart name sanity (raises with the offending name).
     chart_by_name(cfg.manifold)
     return cfg
-
-
-def _parse_epsilon_list(value) -> tuple[float, ...]:
-    if isinstance(value, (tuple, list)):
-        parts = [str(v) for v in value]
-    else:
-        parts = str(value).split(",")
-    return check_epsilon_list(_parse_float("epsilon_list", v) for v in parts)
 
 
 def _fmt(value) -> str:
@@ -313,7 +311,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> int:
 
 def cmd_haar(cfg: RunConfig) -> int:
     n = cfg.resolve_dim()
-    e0 = cfg.e0_vector(n)
+    e0 = _parse_e0(cfg.e0, n)
     rng = philox_stream(cfg.seed, 0)
     est, se = haar_moment_stats(n, e0, cfg.samples, rng)
     target = (4.0 / ((n - 1) * n)) * np.eye(n)
@@ -340,7 +338,8 @@ def cmd_ergodic(cfg: RunConfig) -> int:
     n = cfg.resolve_dim()
     sim = SimConfig(chart=f"euclidean:{n}", epsilon=1.0,
                     t_final=400.0 if cfg.t_final is None else cfg.t_final,
-                    e0=cfg.e0_vector(n), abar=cfg.abar_matrix(n), h0=cfg.h0, seed=cfg.seed)
+                    e0=_parse_e0(cfg.e0, n), abar=_parse_abar(cfg.abar, n), h0=cfg.h0,
+                    seed=cfg.seed)
     moments = np.empty((cfg.reps, n, n))
     for batch in perturbed_geodesic.path_batches(sim, cfg.reps, False, False):
         g0 = np.array([haar_sample(n, philox_stream(cfg.seed, ORACLE_STREAM_BASE + p))
@@ -505,13 +504,6 @@ COMMANDS = {
 }
 
 
-def dispatch(cfg: RunConfig, command: str | None = None) -> int:
-    command = command if command is not None else cfg.command
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown subcommand {command!r}")
-    return COMMANDS[command](cfg)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frameflow",
@@ -522,24 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--manifold", help="euclidean:<n> or hyperbolic2")
-        p.add_argument("--dim", type=int, help="group dimension for algebra-level commands")
-        p.add_argument("--epsilon", type=float, help="time-scale ratio (positive)")
-        p.add_argument("--epsilon-list", dest="epsilon_list",
-                       help="comma list, strictly decreasing")
-        p.add_argument("--e0", help="direction vector: e<k> or comma components")
-        p.add_argument("--abar", help="drift: 0, canonical:<k>, or basis coefficients")
-        p.add_argument("--t-final", dest="t_final", type=float, help="slow-clock horizon")
-        p.add_argument("--h0", type=float, help="fast-clock step factor in (0, 0.1]")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--paths", type=int)
-        p.add_argument("--output-times", dest="output_times",
-                       help="count or comma list of times in [0, t_final]")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--jobs", type=int,
-                       help="parallel workers for homogenize and sweep (results identical)")
-        p.add_argument("--samples", type=int, help="sample count for haar")
-        p.add_argument("--reps", type=int, help="repetition count for ergodic")
+        for key, meta in KEYS.items():
+            if meta["flag"]:
+                p.add_argument("--" + key.replace("_", "-"), help=meta["help"])
         p.add_argument("--verbose", "-v", action="count", default=None)
 
     for name, help_text in (
@@ -585,9 +562,8 @@ def main(argv=None) -> int:
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = parse_config(file=args.config, flags=flags)
-        cfg.command = args.command
         with _phase_log(cfg.verbose):
-            return dispatch(cfg)
+            return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,12 @@ from .errors import ConfigError
 
 SKEW_TOL = 1e-12
 
+# Largest dimension accepted: the largest n whose dense canonical basis,
+# n(n-1)/2 matrices of n x n doubles or 4 n^3 (n - 1) bytes, fits in the
+# 16 MiB (16.8e6 B) that one engine call may hold, ``BATCH_BYTES`` of
+# perturbed_geodesic.  n = 45 needs 16.0e6 B and n = 46 needs 17.5e6 B.
+MAX_DIM = 45
+
 # Squaring threshold of the exponential's series.  Below this
 # spectral scale the Taylor series cut after 16 terms is exact to double
 # precision: the first omitted term is below 0.5^17 / 17! < 1e-19.
@@ -85,14 +91,20 @@ class SkewBasis:
         return float(np.max(np.abs(gram - np.eye(len(self.mats)))))
 
 
-def canonical_basis(n: int) -> SkewBasis:
-    """The basis {(E_ij - E_ji)/sqrt(2) : i < j} in lexicographic order.
+def check_dim(n: int) -> int:
+    """``n`` if 2 <= n <= MAX_DIM, else :class:`ConfigError`, raised before
+    anything of size n is allocated.  For n = 1 the skew space is trivial
+    and none of the rotational-noise constructions apply."""
+    if not 2 <= n <= MAX_DIM:
+        raise ConfigError(f"dimension must be between 2 and {MAX_DIM}, got {n}")
+    return n
 
-    Requires n >= 2: for n = 1 the skew space is trivial and none of the
-    rotational-noise constructions apply.
+
+def canonical_basis(n: int) -> SkewBasis:
+    """The basis {(E_ij - E_ji)/sqrt(2) : i < j} in lexicographic order,
+    for 2 <= n <= MAX_DIM (see :func:`check_dim`).
     """
-    if n < 2:
-        raise ConfigError(f"dimension must be at least 2, got {n}")
+    check_dim(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mats = np.zeros((len(pairs), n, n))
     for k, (i, j) in enumerate(pairs):
@@ -177,8 +189,7 @@ def haar_sample(n: int, rng: np.random.Generator, size: int | None = None) -> np
 
     ``size=None`` returns one (n, n) matrix, otherwise a (size, n, n) stack.
     """
-    if n < 2:
-        raise ConfigError(f"dimension must be at least 2, got {n}")
+    check_dim(n)
     squeeze = size is None
     count = 1 if squeeze else int(size)
     z = rng.standard_normal((count, n, n))

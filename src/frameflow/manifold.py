@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainExitError
+from .lie_algebra import check_dim
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ class Chart:
 
 
 def euclidean_chart(n: int) -> Chart:
-    """Flat R^n: identity metric, vanishing Christoffel symbols."""
-    if n < 2:
-        raise ConfigError(f"dimension must be at least 2, got {n}")
+    """Flat R^n, for 2 <= n <= MAX_DIM (see :func:`lie_algebra.check_dim`):
+    identity metric, vanishing Christoffel symbols."""
+    check_dim(n)
 
     def metric(x):
         x = np.asarray(x, dtype=float)

@@ -132,7 +132,7 @@ def philox_stream(seed: int, stream: int) -> np.random.Generator:
 
 # Bytes a philox_stream holds, as tracemalloc counts them (numpy 2.4, CPython
 # 3.11); path_batches prices one a path.
-STREAM_BYTES = 736
+STREAM_BYTES = 708
 
 
 # Oracle and auxiliary consumers use stream indices far above any path index.

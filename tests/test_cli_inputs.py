@@ -16,6 +16,10 @@ from frameflow.cli import CONFIG_KEYS, RunConfig, build_parser, main
     # | |e0| - 1 | = 1.7e-9 is over the one unit-norm tolerance, 1e-9.
     (["haar", "--e0", "0.70710678,0.70710678"], "e0 must be a unit vector (|e0| = 1)"),
     (["haar", "--h0", "0.5"], "h0 must lie in (0, 0.1]"),
+    # A flag goes through its key's parser, as a file value and FRAMEFLOW_SEED
+    # do; argparse rejected these with its usage text and no reason.
+    (["simulate", "--seed", "1.5"], "seed: expected an integer, got '1.5'"),
+    (["simulate", "--epsilon", "abc"], "epsilon: expected a number, got 'abc'"),
 ])
 def test_invalid_input_exits_2_with_reason(argv, message, tmp_path, capsys):
     # Checked by the library before any work starts: no traceback, exit 2.
@@ -49,6 +53,37 @@ def test_out_of_range_horizon_prints_one_line_and_exits_2(argv, message, tmp_pat
         assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert caught == []
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("source,key,value,message", [
+    ("file", "seed", "1.5", "seed: expected an integer, got '1.5'"),
+    ("env", "seed", "1.5", "seed: expected an integer, got '1.5'"),
+    ("file", "epsilon", "abc", "epsilon: expected a number, got 'abc'"),
+])
+def test_malformed_value_from_file_or_environment_exits_2(source, key, value, message,
+                                                          tmp_path, monkeypatch, capsys):
+    # The same parser and line as for the flag (test_invalid_input_exits_2_with_reason).
+    monkeypatch.delenv("FRAMEFLOW_SEED", raising=False)
+    argv = ["simulate", "--output-dir", str(tmp_path)]
+    if source == "file":
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("FRAMEFLOW_SEED", value)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["verify-algebra", "--dim", "2000"],
+                                  ["haar", "--dim", "2000"],
+                                  ["simulate", "--manifold", "euclidean:2000"]])
+def test_too_large_dimension_exits_2_before_allocating(argv, tmp_path, capsys):
+    # Each of these ended in a numpy memory error traceback: the canonical
+    # basis at n = 2000 is 58 TiB, the haar sample chunk 1.5 TiB.
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: dimension must be between 2 and 45, got 2000\n")
 
 
 def test_horizon_below_half_a_step_runs_one_step(tmp_path, capsys):

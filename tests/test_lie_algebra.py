@@ -14,7 +14,7 @@ from frameflow import (
     rotation_defect,
     skewness_defect,
 )
-from frameflow import lie_algebra
+from frameflow import lie_algebra, perturbed_geodesic
 from frameflow.lie_algebra import SkewBasis
 
 
@@ -51,6 +51,16 @@ class TestCanonicalBasis:
     def test_n1_rejected(self):
         with pytest.raises(ConfigError):
             canonical_basis(1)
+
+    def test_dimension_bound_is_the_largest_basis_in_one_batch(self):
+        # The dense basis holds n^3 (n - 1) / 2 doubles; n = 45 is the last
+        # n whose basis fits in the engine's per-call budget.
+        budget = perturbed_geodesic.BATCH_BYTES
+        assert 4 * 45**3 * 44 <= budget < 4 * 46**3 * 45
+        assert lie_algebra.check_dim(45) == 45 == lie_algebra.MAX_DIM
+        for n in (1, 46):
+            with pytest.raises(ConfigError, match=f"dimension must be between 2 and 45, got {n}"):
+                lie_algebra.check_dim(n)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_element_count_and_skewness(self, n):
