@@ -10,9 +10,12 @@ the parent goes first in even pairs and the change in odd ones.  The file
 gives, per workload and end-to-end metric of BENCHMARK.json, each side's
 median and quartiles, how many pairs the change won, the ratio of the
 medians (change / parent), whether that ratio is within the metric's
-bound and whether it is better than 1 by more than the bound (what a
-claimed gain must show), and the line count of ``src/frameflow/*.py`` on
-each side.  It is rewritten after every pair, so an interrupted run
+bound, whether it is better than 1 by more than the bound (what a
+claimed gain must show), the parent's spread (q3 - q1) / median, and
+whether the comparison is unresolved: a spread wider than the bound, with
+some run of the change no better than some run of the parent, cannot tell
+an unchanged metric from one moved by up to the bound.  Then the line counts of ``src/frameflow/*.py``
+and of ``tests/*.py`` on each side.  It is rewritten after every pair, so an interrupted run
 leaves what it measured; each pair prints every metric's running ratio.
 Each ``--note key=text`` adds a top-level string (what changed, tier-1
 time, output checks, ...).  Nothing under either checkout changes except
@@ -102,16 +105,21 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         won = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         ratio = entry["change"]["median"] / entry["parent"]["median"]
         gain = 1.0 - ratio if m["better"] == "lower" else ratio - 1.0
+        parent = entry["parent"]
+        spread = (parent["q3"] - parent["q1"]) / parent["median"]
+        separated = (max(sign * c for c in values["change"])
+                     < min(sign * p for p in values["parent"]))
         entry.update(change_better=f"{won}/{pairs}", ratio_median=round(ratio, 4),
                      within_bound=compare.verdict(m, ratio) != "REGRESSED",
-                     beyond_bound=gain > m["bound"])
+                     beyond_bound=gain > m["bound"], parent_spread=round(spread, 4),
+                     unresolved=spread > m["bound"] and not separated)
         out[m["name"]] = entry
     return out
 
 
-def source_lines(checkout: Path) -> int:
-    """``wc -l src/frameflow/*.py``: newlines over the package's modules."""
-    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "frameflow").glob("*.py"))
+def source_lines(checkout: Path, pattern: str = "src/frameflow/*.py") -> int:
+    """``wc -l <pattern>``: newlines over the matching files of ``checkout``."""
+    return sum(p.read_bytes().count(b"\n") for p in checkout.glob(pattern))
 
 
 def main(argv=None) -> int:
@@ -132,6 +140,7 @@ def main(argv=None) -> int:
                    f"{args.seed + args.pairs - 1}, the side that runs first alternating",
         "end_to_end": {},
         "wc_l_src_frameflow": {side: source_lines(path) for side, path in checkouts.items()},
+        "wc_l_tests": {side: source_lines(path, "tests/*.py") for side, path in checkouts.items()},
     }
     record.update(note.split("=", 1) for note in args.note)
     for workload in workloads:

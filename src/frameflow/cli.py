@@ -123,10 +123,11 @@ class RunConfig:
     t_final: float | None = _key(None, _positive, "slow-clock horizon")
     h0: float = _key(0.1, lambda key, v: check_h0(_positive(key, v)),
                      "fast-clock step factor in (0, 0.1]")
-    seed: int = _key(0, _parse_int)
-    paths: int | None = _key(None, functools.partial(_parse_int, minimum=1))
+    seed: int = _key(0, _parse_int, "64-bit integer that keys the run's Philox streams")
+    paths: int | None = _key(None, functools.partial(_parse_int, minimum=1),
+                             "ensemble size (statistical commands need >= 100)")
     output_times: str | None = _key(None, _text, "count or comma list of times in [0, t_final]")
-    output_dir: str = _key("out", _text)
+    output_dir: str = _key("out", _text, "where CSV/JSON results go")
     jobs: int | None = _key(None, functools.partial(_parse_int, minimum=1),
                             "parallel workers for homogenize and sweep (results identical)",
                             in_file=False)
@@ -405,7 +406,8 @@ def cmd_homogenize(cfg: RunConfig) -> int:
     spec = cfg.ensemble_spec()
     chart = chart_by_name(spec.sim.chart)
     n = chart.dim
-    if chart.flat:
+    law = reference_law(chart)
+    if law == "euclidean":
         # The msd_slope fit runs through the positive output times, as reached on the step grid.
         out_idx = perturbed_geodesic.output_steps(spec.sim)[1]
         if len(np.unique(out_idx[out_idx > 0])) < 2:
@@ -421,7 +423,7 @@ def cmd_homogenize(cfg: RunConfig) -> int:
                zip(stats.times, stats.ks_stat, stats.ks_p))
 
     criteria: dict = {}
-    if chart.flat:
+    if law == "euclidean":
         positive = stats.times > 0
         slope, _, r2 = linear_fit(stats.times[positive], stats.msd[positive])
         target = msd_rate(n)
@@ -434,7 +436,7 @@ def cmd_homogenize(cfg: RunConfig) -> int:
             "r2": r2, "threshold": R2_THRESHOLD, "pass": bool(r2 > R2_THRESHOLD),
         }
     ks_p = float(stats.ks_p[-1])
-    criteria[KS_CRITERION[reference_law(chart)]] = {
+    criteria[KS_CRITERION[law]] = {
         "statistic": float(stats.ks_stat[-1]), "p_value": ks_p, "floor": KS_P_FLOOR,
         "pass": bool(ks_p > KS_P_FLOOR),
     }
@@ -517,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
         for key, meta in KEYS.items():
             if meta["flag"]:
                 p.add_argument("--" + key.replace("_", "-"), help=meta["help"])
-        p.add_argument("--verbose", "-v", action="count", default=None)
+        p.add_argument("--verbose", "-v", action="count", default=None,
+                       help="log each phase of the run, with its seconds, to stderr")
 
     for name, help_text in (
         ("verify-algebra", "check the skew-basis identities and print defects"),

@@ -27,12 +27,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, require_finite
-from .lie_algebra import SkewBasis, group_exp, haar_sample, skewness_defect, SKEW_TOL
+from .lie_algebra import (BATCH_BYTES, SkewBasis, group_exp, haar_sample, skewness_defect,
+                          SKEW_TOL)
 
 # Ceiling of the fast-clock step h/epsilon, the noise variance of one group step.
 MAX_H0 = 0.1
 # Largest tolerated deviation of |e0| from 1.
 UNIT_TOL = 1e-9
+# Largest Frobenius norm X = |0.5 h Abar| of a half-step's drift exponent.
+# The exponential squares about log2(X) times, and the matrix chain's
+# orthogonality defect over 999 steps (8 paths, eps = 0.5) grew with X:
+# 2.5e-11 at X = 250, 8.2e-10 at 2,500, 7.0e-9 at 25,000 and 1.6e-6 at
+# 2.5e6.  At X = 1e20 g was off SO(n) by 1, at 1e100 the positions were NaN
+# on paths still counted alive, and an X that overflows ended the run in an
+# OverflowError.  At X = 1e3 the defect read 1.0e-10 on euclidean:5, well
+# below the 1e-8 of the constraint gates; the tests' largest X is about 0.21.
+MAX_DRIFT_EXPONENT = 1e3
 
 
 def check_h0(h0: float) -> float:
@@ -51,14 +61,22 @@ def check_direction(e0) -> np.ndarray:
     return e0
 
 
-def check_drift(abar, n: int) -> np.ndarray:
-    """``abar`` as a float matrix; raises :class:`ConfigError` unless it is a finite skew n x n matrix."""
+def check_drift(abar, n: int, h: float) -> np.ndarray:
+    """The drift exponent 0.5 h abar of a half-step of ``h``; raises
+    :class:`ConfigError` unless ``abar`` is a finite skew n x n matrix and
+    the exponent's Frobenius norm is at most ``MAX_DRIFT_EXPONENT``."""
     abar = require_finite("abar", abar)
     if abar.shape != (n, n):
         raise ConfigError(f"abar must have shape {(n, n)}, got {abar.shape}")
     if skewness_defect(abar) > SKEW_TOL:
         raise ConfigError("abar must be skew-symmetric")
-    return abar
+    with np.errstate(over="ignore"):
+        half = 0.5 * h * abar
+        size = float(np.linalg.norm(half))
+    if not size <= MAX_DRIFT_EXPONENT:
+        raise ConfigError(f"abar is too large: the half-step drift exponent 0.5 h abar has "
+                          f"norm {size:.3g} at h = {h:g}, above {MAX_DRIFT_EXPONENT:g}")
+    return half
 
 
 def step_counts(name: str, times, h: float) -> np.ndarray:
@@ -132,7 +150,12 @@ def haar_moment_stats(n: int, e0: np.ndarray, samples: int,
     if samples < 1000:
         raise ConfigError("haar moment estimation needs at least 1000 samples")
     e0 = np.asarray(e0, dtype=float)
-    chunk = 50_000
+    # Samples a chunk: at most 50,000 and as many as fit in BATCH_BYTES at 48 n^2
+    # bytes, six n x n matrices of doubles, a sample.  From the second chunk
+    # on, tracemalloc's peak read 40 n^2 + 16 n bytes a sample plus about
+    # 70 kB at n = 2..12, as the last chunk's products are still held while
+    # the next is drawn.
+    chunk = min(50_000, BATCH_BYTES // (48 * n * n))
     total = 0
     s1 = np.zeros((n, n))
     s2 = np.zeros((n, n))

@@ -86,20 +86,17 @@ class EnsembleSpec:
 
 
 def reference_law(chart: Chart) -> str:
-    """The limiting Brownian motion a run on ``chart`` is tested against:
-    "euclidean" on flat charts (its exact normal law) and "hyperbolic" on
-    the chart named ``hyperbolic2`` (its exact samples), the name by which
-    the engine picks its exact step.
+    """The limiting Brownian motion a run on ``chart`` is tested against,
+    the chart's model: "euclidean" (its exact normal law) or "hyperbolic"
+    (exact samples of McKean's law), whatever the chart's name.
 
-    Raises :class:`ConfigError` on any other chart, whose KS criterion
-    would have nothing to test against.
+    Raises :class:`ConfigError`, naming the chart, when it has no model,
+    as its KS criterion would have nothing to test against.
     """
-    if chart.flat:
-        return "euclidean"
-    if chart.name == "hyperbolic2":
-        return "hyperbolic"
-    raise ConfigError(f"no reference law for the curved chart {chart.name!r}: "
-                      "only flat charts and hyperbolic2 have one")
+    if chart.model is None:
+        raise ConfigError(f"no reference law for the chart {chart.name!r}: "
+                          "only the euclidean and hyperbolic models have one")
+    return chart.model
 
 
 def check_epsilon_list(values) -> tuple[float, ...]:

@@ -25,10 +25,13 @@ from .errors import ConfigError
 
 SKEW_TOL = 1e-12
 
+# Bytes of arrays one engine call, or one chunk of Haar samples, may hold
+# (see perturbed_geodesic.path_batches and group_process.haar_moment_stats).
+BATCH_BYTES = 16 << 20
+
 # Largest dimension accepted: the largest n whose dense canonical basis,
-# n(n-1)/2 matrices of n x n doubles or 4 n^3 (n - 1) bytes, fits in the
-# 16 MiB (16.8e6 B) that one engine call may hold, ``BATCH_BYTES`` of
-# perturbed_geodesic.  n = 45 needs 16.0e6 B and n = 46 needs 17.5e6 B.
+# n(n-1)/2 matrices of n x n doubles or 4 n^3 (n - 1) bytes, fits in
+# BATCH_BYTES (16.8e6 B).  n = 45 needs 16.0e6 B and n = 46 needs 17.5e6 B.
 MAX_DIM = 45
 
 # Squaring threshold of the exponential's series.  Below this

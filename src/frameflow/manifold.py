@@ -32,17 +32,17 @@ from .lie_algebra import check_dim
 class Chart:
     """A global coordinate chart with its metric data.
 
-    ``flat`` marks charts with identically vanishing Christoffel symbols so
-    integrators can skip the transport work.  ``distance``, when present,
-    is the model-space distance function used for displacement statistics.
-    ``base_point`` is the default start x0 of a run, the origin when None.
-
-    The exact half-plane frame step and the half-plane reference law of
-    the ensemble harness are picked by ``name``, not by these fields: only
-    the chart named ``hyperbolic2`` has them, whatever name it is
-    registered under.  Any other curved chart, a renamed copy of
-    :func:`hyperbolic2_chart` included, runs the Heun loop and has no
-    reference law; a flat chart has the flat one under any name.
+    ``model`` is the model space the chart is, which picks its frame step,
+    reference law and default x0: "euclidean" (no frame transport, the flat
+    Brownian limit, the origin), "hyperbolic" (the whole upper half-plane:
+    the exact PSL(2,R) step, McKean's law, (0, 1)) or None (any other
+    chart: the Heun loop, no reference law, the origin).  A renamed copy
+    keeps its model.  The exact half-plane step never reads ``in_domain``,
+    so a "hyperbolic" chart whose ``in_domain`` is not the upper half-plane
+    at a grid of probe points raises :class:`ConfigError`: a cut half-plane
+    must clear its model, and, as the origin is off it, be given an x0.
+    ``distance``, when present, is the model-space distance used for
+    displacement statistics.
     """
 
     name: str
@@ -50,13 +50,21 @@ class Chart:
     metric: Callable[[np.ndarray], np.ndarray]
     christoffel: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], np.ndarray]
-    flat: bool = False
+    model: str | None = None
     unbounded: bool = True
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     # Optional closed form of B[k, j] = -sum_i v_i Gamma[k, i, j]; lets the
     # integrator skip assembling the full Christoffel array per step.
     transport_rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    base_point: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.model not in (None, "euclidean", "hyperbolic"):
+            raise ConfigError(f"chart {self.name!r}: unknown model {self.model!r}")
+        if self.model == "hyperbolic" and self.dim != 2:
+            raise ConfigError(f"chart {self.name!r}: the hyperbolic model needs dim 2, "
+                              f"not {self.dim}")
+        if self.model == "hyperbolic":
+            _require_whole_half_plane(self)
 
     def require_in_domain(self, x: np.ndarray, t: float = 0.0) -> None:
         ok = np.asarray(self.in_domain(np.asarray(x, dtype=float)))
@@ -92,8 +100,7 @@ def euclidean_chart(n: int) -> Chart:
         metric=metric,
         christoffel=christoffel,
         in_domain=in_domain,
-        flat=True,
-        unbounded=True,
+        model="euclidean",
         distance=distance,
     )
 
@@ -125,21 +132,37 @@ def hyperbolic2_chart() -> Chart:
         out[..., 1, 0, 0] = inv_y
         return out
 
-    def in_domain(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 1] > 0.0
-
     return Chart(
         name="hyperbolic2",
         dim=2,
         metric=metric,
         christoffel=christoffel,
-        in_domain=in_domain,
-        flat=False,
+        in_domain=_in_upper_half_plane,
+        model="hyperbolic",
         unbounded=False,
         distance=hyperbolic_distance,
-        base_point=(0.0, 1.0),
     )
+
+
+def _in_upper_half_plane(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return x[..., 1] > 0.0
+
+
+def _require_whole_half_plane(chart: Chart) -> None:
+    """Raise ConfigError unless ``chart.in_domain`` is the upper half-plane
+    on a grid of points 1e-6 to 1e6 from the axes, on both sides of x2 = 0."""
+    scales = 10.0 ** np.arange(-6, 7)
+    x1 = np.concatenate([-scales, [0.0], scales])
+    x2 = np.concatenate([scales, [0.0, -1.0]])
+    probes = np.stack(np.meshgrid(x1, x2), axis=-1).reshape(-1, 2)
+    inside = np.asarray(chart.in_domain(probes), dtype=bool)
+    wrong = np.nonzero(inside != _in_upper_half_plane(probes))[0]
+    if wrong.size:
+        x = probes[wrong[0]]
+        raise ConfigError(f"chart {chart.name!r}: the hyperbolic model is the whole upper "
+                          f"half-plane, but in_domain is {bool(inside[wrong[0]])} at "
+                          f"({x[0]:g}, {x[1]:g}); a cut half-plane must clear its model")
 
 
 def _require_upper(x: np.ndarray) -> None:

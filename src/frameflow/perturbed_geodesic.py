@@ -11,10 +11,10 @@ equation time T/eps with step h = h0 * eps (noise variance h0 per group
 step, uniformly in eps) and T/(h0 eps^2) steps in total.
 
 Each step is a Strang splitting: half a group step, a step of the frame
-ODE with the rotation frozen at its midpoint value g_mid (exact on
-``hyperbolic2``, Heun, of order 2, on other curved charts), then the
-second half group step.  The group chain never reads the point or the
-frame; only the direction g_mid e0 reaches them.  So
+ODE with the rotation frozen at its midpoint value g_mid (exact on the
+euclidean and hyperbolic models, Heun, of order 2, on other charts), then
+the second half group step.  The group chain never reads the point or
+the frame; only the direction g_mid e0 reaches them.  So
 :func:`simulate_paths`, the one stepping routine, takes the steps in
 chunks of 128, each in four stages:
 
@@ -24,17 +24,17 @@ chunks of 128, each in four stages:
    itself where an output needs it, computed in a representation chosen
    by the dimension n and the chart:
 
-   - n = 2 on flat charts: g is a rotation by an angle and half-steps add
-     angles, so one cumsum gives every half-angle (a - phi0) / 2, for
-     e0 = (cos phi0, sin phi0), and one vectorised tan of it every
-     direction, by the half-angle formulas;
+   - n = 2 on the euclidean model: g is a rotation by an angle and
+     half-steps add angles, so one cumsum gives every half-angle
+     (a - phi0) / 2, for e0 = (cos phi0, sin phi0), and one vectorised
+     tan of it every direction, by the half-angle formulas;
    - n = 3 and 4: unit quaternions held as SU(2) pairs of complex
      numbers, one pair q for n = 3 (g v = q v conj(q)) and two, l and s,
      for n = 4 (g v = l v conj(s) on R^4 = H), each multiplied at a
      half-step by the exponential of its rotation vector: a sub-block's
      exponentials at once, then a loop of complex products vectorised
      over paths, and the directions from the pairs in closed form;
-   - otherwise (n >= 5, and curved n = 2 charts): rotation matrices,
+   - otherwise (n >= 5, and other n = 2 charts): rotation matrices,
      multiplied by the exponential of each half-step through ``_advance``
      (for n = 2 one complex multiply of each row of g by e^(i theta)),
      with each step's direction written as soon as g_mid is formed.
@@ -46,10 +46,10 @@ chunks of 128, each in four stages:
 3. Frame, by one of three stages that share one contract (see
    :func:`_frame_stage`):
 
-   - flat unbounded charts: the frame stays u0 and the point is x0 plus
-     h u0 times the running sum of the directions g_mid e0, formed from
-     sums over the segments between output steps;
-   - ``hyperbolic2``: the oriented orthonormal frame bundle of the
+   - the euclidean model on unbounded charts: the frame stays u0 and the
+     point is x0 plus h u0 times the running sum of the directions
+     g_mid e0, formed from sums over the segments between output steps;
+   - the hyperbolic model: the oriented orthonormal frame bundle of the
      half-plane is PSL(2,R), a frame (x, u) being the Moebius map F with
      F(i) = x and F'(i) = u, and geodesic motion along w = g_mid e0 with
      parallel transport is right multiplication by exp(h X(w)),
@@ -60,8 +60,8 @@ chunks of 128, each in four stages:
      det 1 once per chunk by rebuilding its top row from its bottom row
      and x1, and x and u are formed only where they are read;
    - other charts: one loop over the steps does the Heun frame step, on
-     bounded charts the domain and finiteness check, and on curved charts
-     the metric re-orthonormalization of the frame, every step.
+     bounded charts the domain and finiteness check, and off the euclidean
+     model the metric re-orthonormalization of the frame, every step.
 
    Every stage dates a path's failure (its state off the chart or not
    finite) to the step and restarts the path at (x0, u0); from that step
@@ -103,8 +103,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainExitError, require_finite
-from .lie_algebra import (_as_pair, _as_vector, _multiply, _pair_product, _pair_vectors,
-                          _rotate, canonical_basis, project_rotation)
+from .lie_algebra import (BATCH_BYTES, _as_pair, _as_vector, _multiply, _pair_product,
+                          _pair_vectors, _rotate, canonical_basis, project_rotation)
 from .group_process import (_advance, check_direction, check_drift, check_h0, horizon_steps,
                             step_counts)
 from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
@@ -119,8 +119,6 @@ _GROUP_PROJECT_EVERY = 1000
 # Steps whose per-step factors (one quaternion pair's exponentials,
 # hyperbolic2 step matrices) are formed at once.
 _SUB = 16
-# Bytes of outputs and workspaces one engine call may hold (see path_batches).
-BATCH_BYTES = 16 << 20
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
@@ -219,27 +217,34 @@ class EnsemblePaths:
 def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial point, frame and direction (x0, u0, e0) of ``cfg`` on ``chart``.
 
-    x0 defaults to the chart's ``base_point`` (the origin unless the chart
-    sets one; (0, 1) on hyperbolic2), u0 to the identity, orthonormalized
-    in the metric at x0, and e0 to the first coordinate vector.  Raises :class:`ConfigError` on
-    a shape mismatch, on a metric at x0 that is not finite and on a u0 that
-    cannot be orthonormalized there, and :class:`DomainExitError` when x0 is
-    off the chart.
+    x0 defaults to (0, 1) on the hyperbolic model and to the origin on
+    any other chart, u0 to the identity, orthonormalized in the metric at
+    x0, and e0 to the first coordinate vector.  Raises :class:`ConfigError` on
+    a shape mismatch, on a default x0 off the chart or its metric's domain
+    (pass x0 then), on a metric at x0 that is not finite and on a u0 that
+    cannot be orthonormalized there, and :class:`DomainExitError` when a
+    given x0 is off the chart.
     """
     n = chart.dim
     e0 = np.eye(n)[0] if cfg.e0 is None else np.asarray(cfg.e0, dtype=float)
     if e0.shape != (n,):
         raise ConfigError(f"e0 must have shape ({n},)")
-    x0 = chart.base_point if cfg.x0 is None else cfg.x0
-    x0 = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    default = [0.0, 1.0] if chart.model == "hyperbolic" else np.zeros(n)
+    x0 = np.array(default if cfg.x0 is None else cfg.x0, dtype=float)
     if x0.shape != (n,):
         raise ConfigError(f"x0 must have shape ({n},), got {x0.shape}")
-    chart.require_in_domain(x0)
+    try:
+        chart.require_in_domain(x0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            metric = chart.metric(x0)
+    except DomainExitError:
+        if cfg.x0 is not None:
+            raise
+        raise ConfigError(f"chart {chart.name!r}: the default x0 = {tuple(x0)} is off "
+                          "the chart; pass x0") from None
     u0 = np.eye(n) if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
     if u0.shape != (n, n):
         raise ConfigError(f"u0 must have shape {(n, n)}, got {u0.shape}")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        metric = chart.metric(x0)
     if not np.all(np.isfinite(metric)):
         raise ConfigError(f"the metric at x0 = {x0} is not finite")
     try:
@@ -264,7 +269,7 @@ class _Engine:
         self.h = cfg.h0 * cfg.epsilon                      # equation-clock step
         self.slow_dt = cfg.h0 * cfg.epsilon**2             # slow-clock advance per step
         self.noise_scale = float(np.sqrt(0.5 * self.h / cfg.epsilon))
-        self.drift_half = None if cfg.abar is None else 0.5 * self.h * check_drift(cfg.abar, n)
+        self.drift_half = None if cfg.abar is None else check_drift(cfg.abar, n, self.h)
         self.x0, self.u0, self.e0 = resolve_start(cfg, self.chart)
 
 
@@ -503,7 +508,7 @@ class _MatrixChain:
 
 
 def _group_chain(eng: _Engine, n_paths: int):
-    if eng.n == 2 and eng.chart.flat:
+    if eng.n == 2 and eng.chart.model == "euclidean":
         return _AngleChain(eng, n_paths)
     if eng.n in (3, 4):
         return _PairChain(eng, n_paths)
@@ -519,18 +524,18 @@ def _group_chain(eng: _Engine, n_paths: int):
 # what it returns for that path from then on is not read.
 
 def _frame_stage(eng: _Engine, n_paths: int):
-    if eng.chart.flat and eng.chart.unbounded:
+    if eng.chart.model == "euclidean" and eng.chart.unbounded:
         return _CumsumFrame(eng, n_paths)
-    if eng.chart.name == "hyperbolic2":
+    if eng.chart.model == "hyperbolic":
         return _HalfPlaneFrame(eng, n_paths)
     return _HeunFrame(eng, n_paths)
 
 
 class _CumsumFrame:
-    """Flat unbounded charts: u stays u0 and x is x0 + h u0 (sum of the
-    directions so far), formed only where it is read, from sums over the
-    segments between wanted steps; ``total`` carries the sum from chunk to
-    chunk.  No path can fail here, so u is a read-only view of u0."""
+    """The euclidean model on unbounded charts: u stays u0 and x is x0 + h u0
+    (sum of the directions so far), formed only where it is read, from sums
+    over the segments between wanted steps; ``total`` carries the sum from
+    chunk to chunk.  No path can fail here, so u is a read-only view of u0."""
 
     def __init__(self, eng: _Engine, n_paths: int):
         self.eng = eng
@@ -551,7 +556,7 @@ class _CumsumFrame:
 
 
 class _HalfPlaneFrame:
-    """hyperbolic2: the frame as a matrix F = [[a, b], [c, d]] of SL(2,R),
+    """The hyperbolic model: the frame as a matrix F = [[a, b], [c, d]] of SL(2,R),
     stored as (2, 2, P), stepped by the exact product of the module notes.
 
     The start is F0 = [[sqrt(y), x/sqrt(y)], [0, 1/sqrt(y)]] K(theta/2)
@@ -652,11 +657,12 @@ def _sl2_valid(F: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class _HeunFrame:
     """Other charts: (x, u) as arrays, advanced by a Heun step of the frame
-    ODE, checked on bounded charts and, on curved charts, re-orthonormalized
-    in the metric, every step."""
+    ODE, checked on bounded charts and, off the euclidean model,
+    re-orthonormalized in the metric, every step."""
 
     def __init__(self, eng: _Engine, n_paths: int):
         self.eng = eng
+        self.flat = eng.chart.model == "euclidean"
         self.x = np.tile(eng.x0, (n_paths, 1))
         self.u = np.tile(eng.u0, (n_paths, 1, 1))
 
@@ -672,7 +678,7 @@ class _HeunFrame:
         for j in range(steps):
             e_dir = dirs[:, :, j]
             v1 = np.einsum("...ij,...j->...i", u, e_dir)
-            if chart.flat:
+            if self.flat:
                 x = x + h * v1
             else:
                 udot1 = frame_transport(chart, x, v1) @ u
@@ -689,7 +695,7 @@ class _HeunFrame:
                     x_fail[first] = x[first]
                     x[bad] = eng.x0
                     u[bad] = eng.u0
-            if not chart.flat:
+            if not self.flat:
                 u = gram_schmidt_metric(chart, x, u)
             if i < len(wanted) and wanted[i] == j:
                 xk[i] = x

@@ -14,7 +14,7 @@ def strip_chart(half_width=0.3):
         metric=base.metric,
         christoffel=base.christoffel,
         in_domain=lambda x: np.abs(np.asarray(x)[..., 0]) < half_width,
-        flat=True,
+        model="euclidean",
         unbounded=False,
         distance=base.distance,
     )

@@ -35,6 +35,9 @@ def checkouts(tmp_path):
         root = tmp_path / side
         (root / "bench").mkdir(parents=True)
         (root / "src" / "frameflow").mkdir(parents=True)
+        (root / "tests").mkdir()
+        (root / "tests" / "test_a.py").write_text("y = 2\n" * (lines + 4))
+        (root / "tests" / "data.txt").write_text("not counted\n")
         (root / "bench" / "run.py").write_text(FAKE_RUN)
         (root / "side").write_text(side)
         (root / "src" / "frameflow" / "a.py").write_text("x = 1\n" * lines)
@@ -54,6 +57,7 @@ def test_alternated_pairs_are_summarised_per_metric(checkouts, capsys):
     record = json.loads(out.read_text())
     assert record["change"] == "fake"
     assert record["wc_l_src_frameflow"] == {"parent": 5, "change": 3}
+    assert record["wc_l_tests"] == {"parent": 9, "change": 7}
     entry = record["end_to_end"]["hyp2-ensemble"]
     assert entry["runs"]["change"] == {"correct": True, "failed": 0, "attempted": 9, "pairs": 3}
     # Walls 3, 4, 2 (parent) and 2, 3, 1 (change): the change wins every pair.
@@ -72,6 +76,11 @@ def test_alternated_pairs_are_summarised_per_metric(checkouts, capsys):
     assert not rss["beyond_bound"]
     assert entry["setup_s"]["change_better"] == "0/3" and entry["setup_s"]["within_bound"]
     assert not entry["setup_s"]["beyond_bound"]
+    # The parent's walls spread over (4 - 2) / 3 of their median, wider
+    # than the bound, and a change run ties a parent run: unresolved.
+    assert wall["parent_spread"] == pytest.approx(2 / 3, abs=1e-4) and wall["unresolved"]
+    assert entry["setup_s"]["parent_spread"] == 0.0 and not entry["setup_s"]["unresolved"]
+    assert not rss["unresolved"]
     # Each pair prints the running ratio of every end-to-end metric.
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
@@ -86,3 +95,18 @@ def test_a_failing_run_stops_the_script(checkouts):
         bench_pairs.main([str(checkouts / "parent"), str(checkouts / "change"),
                           "--out", str(checkouts / "B.json"), "--seed", "1", "--pairs", "1",
                           "--workload", "flat2-ensemble"])
+
+
+def test_a_wide_spread_is_resolved_only_by_separated_runs():
+    # Walls spread over 2/3 of the parent's median; the change's runs all
+    # below the parent's resolve it, one run among them does not.
+    metric = {"name": "wall_s", "better": "lower", "bound": 0.25}
+
+    def entry(change):
+        runs = {side: [{"correct": True, "failed": 0, "attempted": 1,
+                        "metrics": {"wall_s": {"value": v}}} for v in walls]
+                for side, walls in (("parent", [3.0, 4.0, 2.0]), ("change", change))}
+        return bench_pairs.summarize(runs, [metric])["wall_s"]
+
+    assert not entry([1.0, 1.5, 1.9])["unresolved"]
+    assert entry([1.0, 1.5, 2.0])["unresolved"]

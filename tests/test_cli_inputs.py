@@ -1,11 +1,14 @@
+import argparse
 import dataclasses
+import json
 import warnings
 
 import pytest
 
 from frameflow import (ConfigError, EnsembleSpec, SimConfig, epsilon_sweep, euclidean_chart,
                        hyperbolic2_chart, manifold, perturbed_geodesic, run_ensemble)
-from frameflow.cli import CONFIG_KEYS, RunConfig, build_parser, main
+from frameflow.cli import CONFIG_KEYS, KS_CRITERION, RunConfig, build_parser, main
+from frameflow.homogenize import reference_law
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -102,19 +105,24 @@ def test_horizon_below_half_a_step_runs_one_step(tmp_path, capsys):
 def copies(monkeypatch):
     """Renamed copies of the built-in charts, registered for one test only.
 
-    ``euclidean-curved`` is the half-plane under a name that starts like
-    the flat charts' names.
+    ``flat-copy`` and ``half-plane`` keep their models.  ``h2-copy`` and
+    ``euclidean-curved``, the half-plane under a name that starts like the
+    euclidean charts' names, have it cleared, as a chart with no model has
+    no reference law.
     """
-    for name, chart in (("h2-copy", hyperbolic2_chart()), ("flat-copy", euclidean_chart(2)),
-                        ("euclidean-curved", hyperbolic2_chart())):
-        monkeypatch.setitem(manifold._CUSTOM_CHARTS, name, dataclasses.replace(chart, name=name))
+    for name, chart, model in (("h2-copy", hyperbolic2_chart(), None),
+                               ("flat-copy", euclidean_chart(2), "euclidean"),
+                               ("euclidean-curved", hyperbolic2_chart(), None),
+                               ("half-plane", hyperbolic2_chart(), "hyperbolic")):
+        monkeypatch.setitem(manifold._CUSTOM_CHARTS, name,
+                            dataclasses.replace(chart, name=name, model=model))
 
 
 @pytest.mark.parametrize("command", [["homogenize", "--epsilon", "0.2"],
                                      ["sweep", "--epsilon-list", "0.3,0.2"]])
 def test_curved_chart_without_oracle_exits_2(command, copies, tmp_path, capsys):
-    # Only the built-in half-plane has a reference law among curved charts:
-    # without one, the KS criterion has nothing to test against.
+    # A chart with no model has no reference law: the KS criterion would
+    # have nothing to test against.
     argv = command + ["--manifold", "h2-copy", "--t-final", "0.2", "--paths", "100",
                       "--jobs", "1", "--output-dir", str(tmp_path)]
     assert main(argv) == 2
@@ -129,11 +137,24 @@ def test_curved_chart_named_like_a_flat_one_exits_2(copies, tmp_path, capsys):
 
 
 def test_reference_law_follows_the_chart_not_its_name(copies):
-    # A flat chart under any name is tested against the flat law.
-    sim = SimConfig(chart="flat-copy", epsilon=0.1, t_final=0.2, seed=1)
-    stats = run_ensemble(EnsembleSpec(sim=sim, paths=100, jobs=1))
-    assert stats.ks_p is not None and len(stats.ks_p) == len(stats.times)
-    assert stats.ks_p[0] == 1.0  # identical point masses at t = 0
+    # A chart under any name is tested against its model's law.
+    for chart, law in (("flat-copy", "euclidean"), ("half-plane", "hyperbolic")):
+        assert reference_law(manifold.chart_by_name(chart)) == law
+        sim = SimConfig(chart=chart, epsilon=0.1, t_final=0.2, seed=1)
+        stats = run_ensemble(EnsembleSpec(sim=sim, paths=100, jobs=1))
+        assert stats.ks_p is not None and len(stats.ks_p) == len(stats.times)
+        assert stats.ks_p[0] == 1.0  # identical point masses at t = 0
+        assert (stats.oracle_scalar is None) == (law == "euclidean")
+
+
+def test_homogenize_on_a_renamed_half_plane_runs_the_oracle_ks(copies, tmp_path):
+    # A copy of hyperbolic2 under another name has its model, and with it
+    # the half-plane's reference law; picked by name, it exited 2.
+    argv = ["homogenize", "--manifold", "half-plane", "--epsilon", "0.2", "--t-final", "0.2",
+            "--paths", "100", "--jobs", "1", "--output-dir", str(tmp_path)]
+    assert main(argv) in (0, 1)
+    criteria = json.loads((tmp_path / "summary.json").read_text())["criteria"]
+    assert set(criteria) == {KS_CRITERION["hyperbolic"], "aborts"}
 
 
 def test_library_sweep_without_oracle_raises_config_error(copies):
@@ -148,6 +169,25 @@ def test_sweep_on_registered_flat_chart_runs_the_marginal_ks(copies, tmp_path):
                  "--output-dir", str(tmp_path)]) in (0, 1)
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[0] == "epsilon,msd_rel_err,ks_stat,ks_p" and len(rows) == 3
+
+
+def test_drift_too_large_for_the_step_exits_2(tmp_path, capsys):
+    # 0.5 h |abar| = inf: the exponential's squaring count overflowed and
+    # the command ended in an OverflowError traceback.
+    argv = ["simulate", "--manifold", "euclidean:5", "--abar", "1e300,0,0,0,0,0,0,0,0,0",
+            "--epsilon", "0.5", "--t-final", "0.05", "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: abar is too large") and err.count("\n") == 1
+
+
+def test_every_option_of_every_command_has_help():
+    # --seed, --paths, --output-dir and -v printed none.
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.help and action.help != argparse.SUPPRESS, (name, action.dest)
 
 
 def test_every_config_key_is_a_field_and_a_flag():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
@@ -12,7 +14,8 @@ from frameflow import (
     poisson_h,
     simulate_paths,
 )
-from frameflow.group_process import _advance, haar_moment_stats
+from frameflow.group_process import MAX_DRIFT_EXPONENT, _advance, haar_moment_stats
+from frameflow.lie_algebra import BATCH_BYTES
 from frameflow.lie_algebra import group_exp
 from frameflow.perturbed_geodesic import direction_moments
 
@@ -61,6 +64,33 @@ class TestGroupSdeConfig:
     def test_non_finite_inputs_rejected(self, kw):
         with pytest.raises(ConfigError):
             group_run(2, 1.0, **kw)
+
+
+def drift_of_size(n, size, h):
+    """A skew drift whose half-step exponent 0.5 h abar has Frobenius norm ``size``."""
+    return (2.0 * size / h) * canonical_basis(n).mats[0]
+
+
+class TestDriftBound:
+    """0.5 h |abar| is bounded: at 1e20 euclidean:5 returned g off SO(5) by 1
+    with every path alive, and at 1e100 NaN positions on live paths."""
+
+    @pytest.mark.parametrize("chart,n", [("euclidean:3", 3), ("euclidean:5", 5),
+                                         ("hyperbolic2", 2)])
+    def test_drift_above_the_bound_rejected(self, chart, n):
+        abar = drift_of_size(n, 1.001 * MAX_DRIFT_EXPONENT, h=0.05)
+        cfg = SimConfig(chart=chart, epsilon=0.5, t_final=0.05, abar=abar)
+        with pytest.raises(ConfigError, match="abar is too large"):
+            simulate_paths(cfg, [0])
+
+    def test_drift_at_the_bound_keeps_g_on_the_group(self):
+        # 999 steps of h = 0.05, one short of the matrix chain's re-projection.
+        t_final = 999 * 0.1 * 0.5**2
+        cfg = SimConfig(chart="euclidean:5", epsilon=0.5, t_final=t_final, output_times=(t_final,),
+                        abar=drift_of_size(5, 0.999999 * MAX_DRIFT_EXPONENT, h=0.05))
+        out = simulate_paths(cfg, range(8), record_frames=False, record_group=True)
+        assert out.steps == 999 and out.alive.all() and np.isfinite(out.xs).all()
+        assert orthogonality_defect(out.gs[-1]) < 1e-8
 
 
 class TestStepGroup:
@@ -251,6 +281,18 @@ class TestHaarMoments:
     def test_sample_floor(self):
         with pytest.raises(ConfigError):
             haar_moment_stats(2, np.array([1.0, 0.0]), 10, np.random.default_rng(0))
+
+    def test_chunk_fits_the_batch_budget(self):
+        # Chunks of 50,000 samples whatever n peaked at 134.5 MB at n = 8.
+        e0 = np.eye(8)[0]
+        haar_moment_stats(8, e0, 1000, np.random.default_rng(0))    # warm numpy up
+        tracemalloc.start()
+        try:
+            haar_moment_stats(8, e0, 20_000, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BATCH_BYTES
 
 
 def test_terminal_law_matches_haar():

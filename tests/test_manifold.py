@@ -268,6 +268,41 @@ class TestChartRegistry:
         with pytest.raises(ConfigError):
             chart_by_name("euclidean:x")
 
+    @pytest.mark.parametrize("changes", [{"model": "hyperbolc"}, {"model": "flat"},
+                                         {"model": "hyperbolic", "dim": 3}])
+    def test_unknown_or_misfit_model_rejected(self, changes):
+        # A misspelt model would run the Heun loop with no reference law,
+        # and the exact half-plane step exists for dim 2 only.
+        with pytest.raises(ConfigError, match="model"):
+            dataclasses.replace(hyperbolic2_chart(), **changes)
+
+    @pytest.mark.parametrize("in_domain", [
+        lambda x: abs(x[..., 0]) < 0.3,
+        lambda x: (np.abs(x[..., 0]) < 0.3) & (x[..., 1] > 0.0),
+        lambda x: (x[..., 1] > 0.0) & (x[..., 1] < 10.0),
+        lambda x: x[..., 1] >= 0.0,
+    ])
+    def test_cut_half_plane_must_clear_its_model(self, in_domain):
+        # The exact half-plane step never reads in_domain: a cut copy that
+        # kept the model ran past its cut with no abort (0 of 8 paths at
+        # epsilon 0.2, T = 1, max |x1| = 4.44 against a cut at 0.3).
+        with pytest.raises(ConfigError, match="must clear its model"):
+            dataclasses.replace(hyperbolic2_chart(), name="cut", in_domain=in_domain)
+        cut = dataclasses.replace(hyperbolic2_chart(), name="cut", in_domain=in_domain,
+                                  model=None, unbounded=False)
+        assert cut.model is None
+
+    def test_wrapped_half_plane_keeps_its_model(self):
+        # A wrapper that answers as the half-plane does, as a call counter
+        # would, is the whole half-plane.
+        base = hyperbolic2_chart()
+        chart = dataclasses.replace(base, in_domain=lambda x: base.in_domain(x))
+        assert chart.model == "hyperbolic"
+
+    def test_built_in_models(self):
+        assert euclidean_chart(3).model == "euclidean"
+        assert hyperbolic2_chart().model == "hyperbolic"
+
     def test_custom_registration(self, monkeypatch):
         chart = euclidean_chart(2)
         # Mark the key as patched so that it is removed after the test.

@@ -710,10 +710,11 @@ def test_h2_paths_near_the_axis_stay_alive():
 
 
 def test_heun_loop_converges_to_exact_h2_step(monkeypatch):
-    # A copy of the half-plane under another name runs the Heun loop; its
-    # gap to the exact step is the Heun error, which shrinks like eps^2.
+    # A copy of the half-plane with its model cleared runs the Heun loop;
+    # its gap to the exact step is the Heun error, which shrinks like eps^2.
     monkeypatch.setitem(manifold._CUSTOM_CHARTS, "hyperbolic2-heun",
-                        dataclasses.replace(hyperbolic2_chart(), name="hyperbolic2-heun"))
+                        dataclasses.replace(hyperbolic2_chart(), name="hyperbolic2-heun",
+                                            model=None))
     gaps = {}
     for eps in (0.1, 0.05):
         kw = dict(epsilon=eps, t_final=0.5, seed=12, x0=np.array([0.0, 1.0]), output_times=(0.5,))
@@ -724,9 +725,21 @@ def test_heun_loop_converges_to_exact_h2_step(monkeypatch):
     assert gaps[0.1] >= 3.0 * gaps[0.05]
 
 
+@pytest.mark.parametrize("abar", [None, [[0.0, 0.9], [-0.9, 0.0]]])
+def test_renamed_half_plane_takes_the_exact_step(abar, monkeypatch):
+    # The frame step follows the chart's model, not its name: picked by
+    # name, this copy ran the Heun loop, up to 5.6e-5 off the exact step.
+    monkeypatch.setitem(manifold._CUSTOM_CHARTS, "h2copy",
+                        dataclasses.replace(hyperbolic2_chart(), name="h2copy"))
+    runs = [simulate_paths(SimConfig(chart=chart, epsilon=0.1, t_final=0.5, seed=4, abar=abar),
+                           range(6), record_group=True) for chart in ("hyperbolic2", "h2copy")]
+    for field in ("xs", "us", "gs", "alive"):
+        assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field)), field
+
+
 def test_renamed_chart_starts_at_its_base_point(monkeypatch):
-    # The default x0 comes from the chart, not from its name: a renamed
-    # copy of the half-plane starts at (0, 1), on its own domain.
+    # The default x0 comes from the chart's model, not from its name: a
+    # renamed copy of the half-plane starts at (0, 1), on its own domain.
     monkeypatch.setitem(manifold._CUSTOM_CHARTS, "h2copy",
                         dataclasses.replace(hyperbolic2_chart(), name="h2copy"))
     cfg = SimConfig(chart="h2copy", epsilon=0.1, t_final=0.01)
@@ -740,9 +753,19 @@ def test_renamed_chart_starts_at_its_base_point(monkeypatch):
 @pytest.fixture
 def h2_strip(monkeypatch):
     """The half-plane cut to the strip |x1| < 0.3, registered for one test only."""
-    chart = dataclasses.replace(hyperbolic2_chart(), name="h2-strip", unbounded=False,
+    chart = dataclasses.replace(hyperbolic2_chart(), name="h2-strip", model=None, unbounded=False,
                                 in_domain=lambda x: np.abs(np.asarray(x)[..., 0]) < 0.3)
     monkeypatch.setitem(manifold._CUSTOM_CHARTS, "h2-strip", chart)
+
+
+def test_model_less_half_plane_needs_an_x0(h2_strip):
+    # With its model cleared, the cut half-plane starts by default at the
+    # origin, on the axis, where its metric is not defined.
+    cfg = SimConfig(chart="h2-strip", epsilon=0.2, t_final=0.04, seed=0)
+    with pytest.raises(ConfigError, match="pass x0"):
+        simulate_paths(cfg, range(2))
+    out = simulate_paths(dataclasses.replace(cfg, x0=np.array([0.1, 1.2])), range(2))
+    assert out.xs.shape[1] == 2
 
 
 @pytest.mark.parametrize("chart", ["strip-test", "h2-strip"])
