@@ -20,9 +20,9 @@ from .homogenize import (
     run_ensemble,
 )
 from .lie_algebra import (
-    SkewBasis,
     canonical_basis,
     casimir_sum,
+    gram_defect,
     group_exp,
     haar_sample,
     orthogonality_defect,

@@ -46,7 +46,7 @@ from .homogenize import (
     run_ensemble,
 )
 from . import perturbed_geodesic
-from .lie_algebra import canonical_basis, casimir_sum, check_dim, haar_sample
+from .lie_algebra import canonical_basis, casimir_sum, check_dim, gram_defect, haar_sample
 from .manifold import chart_by_name
 from .perturbed_geodesic import ORACLE_STREAM_BASE, SimConfig, philox_stream
 # Unused here; bench/tracing.py wraps it under this module's name.
@@ -126,7 +126,8 @@ class RunConfig:
     seed: int = _key(0, _parse_int, "64-bit integer that keys the run's Philox streams")
     paths: int | None = _key(None, functools.partial(_parse_int, minimum=1),
                              "ensemble size (statistical commands need >= 100)")
-    output_times: str | None = _key(None, _text, "count or comma list of times in [0, t_final]")
+    output_times: str | None = _key(None, _text,
+                                    "integer count, or comma list of times in [0, t_final]")
     output_dir: str = _key("out", _text, "where CSV/JSON results go")
     jobs: int | None = _key(None, functools.partial(_parse_int, minimum=1),
                             "parallel workers for homogenize and sweep (results identical)",
@@ -146,7 +147,7 @@ class RunConfig:
         if self.output_times is None:
             return None
         text = self.output_times.strip()
-        if "," not in text and "." not in text:
+        if text.lstrip("+-").isdigit():         # an integer literal is a count
             count = _parse_int("output_times", text, minimum=2)
             return tuple(np.linspace(0.0, t_final, count))
         return tuple(_parse_float("output_times", v) for v in text.split(","))
@@ -206,14 +207,14 @@ def _parse_abar(spec: str, n: int) -> np.ndarray | None:
         k = _parse_int("abar", spec.split(":", 1)[1], minimum=1)
         if k > len(basis):
             raise ConfigError(f"abar: canonical index {k} out of range (N = {len(basis)})")
-        return basis.mats[k - 1].copy()
+        return basis[k - 1].copy()
     try:
         coef = np.array([float(v) for v in spec.split(",")], dtype=float)
     except ValueError:
         raise ConfigError(f"abar: expected 0, canonical:<k>, or coefficients, got {spec!r}") from None
     if coef.size != len(basis):
         raise ConfigError(f"abar: expected {len(basis)} coefficients, got {coef.size}")
-    return np.einsum("k,kij->ij", coef, basis.mats)
+    return np.einsum("k,kij->ij", coef, basis)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -300,12 +301,12 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_verify_algebra(cfg: RunConfig) -> int:
     n = cfg.resolve_dim()
     basis = canonical_basis(n)
-    gram_defect = basis.gram_defect()
+    basis_defect = gram_defect(basis)
     target = -((n - 1) / 2.0) * np.eye(n)
     casimir_defect = float(np.max(np.abs(casimir_sum(basis) - target)))
-    print(f"basis gram defect: {gram_defect:.3e}")
+    print(f"basis gram defect: {basis_defect:.3e}")
     print(f"casimir defect:    {casimir_defect:.3e}")
-    ok = gram_defect < 1e-12 and casimir_defect < 1e-12
+    ok = basis_defect < 1e-12 and casimir_defect < 1e-12
     print("verify-algebra:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, require_finite
-from .lie_algebra import (BATCH_BYTES, SkewBasis, group_exp, haar_sample, skewness_defect,
-                          SKEW_TOL)
+from .lie_algebra import BATCH_BYTES, group_exp, haar_sample, skewness_defect, SKEW_TOL
 
 # Ceiling of the fast-clock step h/epsilon, the noise variance of one group step.
 MAX_H0 = 0.1
@@ -125,7 +124,7 @@ def poisson_h(g: np.ndarray, e0: np.ndarray, i: int) -> float:
     return float(-(4.0 / (n - 1)) * (g @ np.asarray(e0, dtype=float))[i])
 
 
-def apply_generator_linear(g: np.ndarray, e0: np.ndarray, i: int, basis: SkewBasis) -> float:
+def apply_generator_linear(g: np.ndarray, e0: np.ndarray, i: int, basis: np.ndarray) -> float:
     """The diffusion generator applied to <g e0, e_i>, i.e. (1/2) sum_k <g A_k^2 e0, e_i>.
 
     Summing the per-element terms keeps this an independent route to the
@@ -134,7 +133,7 @@ def apply_generator_linear(g: np.ndarray, e0: np.ndarray, i: int, basis: SkewBas
     g = np.asarray(g, dtype=float)
     e0 = np.asarray(e0, dtype=float)
     # A_k^2 e0 for each k, then the per-element inner products <g A_k^2 e0, e_i>.
-    a2e0 = np.einsum("kij,kjl,l->ki", basis.mats, basis.mats, e0)
+    a2e0 = np.einsum("kij,kjl,l->ki", basis, basis, e0)
     terms = (g @ a2e0.T)[i]
     return 0.5 * float(np.sum(terms))
 
@@ -151,10 +150,10 @@ def haar_moment_stats(n: int, e0: np.ndarray, samples: int,
         raise ConfigError("haar moment estimation needs at least 1000 samples")
     e0 = np.asarray(e0, dtype=float)
     # Samples a chunk: at most 50,000 and as many as fit in BATCH_BYTES at 48 n^2
-    # bytes, six n x n matrices of doubles, a sample.  From the second chunk
-    # on, tracemalloc's peak read 40 n^2 + 16 n bytes a sample plus about
-    # 70 kB at n = 2..12, as the last chunk's products are still held while
-    # the next is drawn.
+    # bytes, six n x n matrices of doubles, a sample.  A chunk's arrays are
+    # freed before the next is drawn, so however many chunks a run takes,
+    # tracemalloc's peak is that of one chunk: 32 n^2 + 8 n bytes a sample
+    # plus about 70 kB at n = 2..12.
     chunk = min(50_000, BATCH_BYTES // (48 * n * n))
     total = 0
     s1 = np.zeros((n, n))
@@ -166,6 +165,7 @@ def haar_moment_stats(n: int, e0: np.ndarray, samples: int,
         s1 += prod.sum(axis=0)
         s2 += (prod**2).sum(axis=0)
         total += k
+        del w, prod
     mean = s1 / samples
     var = np.maximum(s2 / samples - mean**2, 0.0)
     scale = 4.0 / (n - 1)

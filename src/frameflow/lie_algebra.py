@@ -2,8 +2,9 @@
 
 Everything downstream is driven by an orthonormal basis of the space of
 n x n skew-symmetric matrices, orthonormal under the inner product
-<A, B> = tr(A B^T).  This module builds that basis, provides the matrix
-exponential onto the rotation group (scaling and squaring with a
+<A, B> = tr(A B^T).  This module builds that basis, a plain (N, n, n)
+array whose identities ``frameflow verify-algebra`` checks, provides the
+matrix exponential onto the rotation group (scaling and squaring with a
 truncated Taylor series), and samples rotations from the invariant
 (Haar) distribution.  For n = 3 and 4 it also holds rotations as unit
 quaternions written as SU(2) pairs of complex numbers: the Hamilton
@@ -16,8 +17,6 @@ accept stacked inputs (..., n, n) and operate on the trailing two axes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,37 +60,12 @@ def rotation_defect(g: np.ndarray) -> float:
     return max(orthogonality_defect(g), float(np.max(np.abs(np.linalg.det(g) - 1.0))))
 
 
-@dataclass(frozen=True)
-class SkewBasis:
-    """Ordered orthonormal basis of the n x n skew-symmetric matrices.
-
-    ``mats`` is the stacked array of the N = n(n-1)/2 basis elements, in
-    lexicographic (i, j), i < j order.  Orthonormality is with respect to
-    <A, B> = tr(A B^T) and is validated on construction.
-    """
-
-    dim: int
-    mats: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.dim
-        expected = n * (n - 1) // 2
-        if self.mats.shape != (expected, n, n):
-            raise ConfigError(
-                f"basis for dim {n} must have shape {(expected, n, n)}, got {self.mats.shape}"
-            )
-        if skewness_defect(self.mats) > SKEW_TOL:
-            raise ConfigError("basis elements are not skew-symmetric")
-        if self.gram_defect() > SKEW_TOL:
-            raise ConfigError("basis is not orthonormal under tr(A B^T)")
-
-    def __len__(self) -> int:
-        return self.mats.shape[0]
-
-    def gram_defect(self) -> float:
-        """Largest deviation of tr(A_i A_j^T) from the identity matrix."""
-        gram = np.einsum("iab,jab->ij", self.mats, self.mats)
-        return float(np.max(np.abs(gram - np.eye(len(self.mats)))))
+def gram_defect(mats: np.ndarray) -> float:
+    """Largest entry of tr(A_i A_j^T) - delta_ij over a stack of matrices
+    (N, n, n); zero for an orthonormal set."""
+    mats = np.asarray(mats, dtype=float)
+    gram = np.einsum("iab,jab->ij", mats, mats)
+    return float(np.max(np.abs(gram - np.eye(len(mats)))))
 
 
 def check_dim(n: int) -> int:
@@ -103,31 +77,27 @@ def check_dim(n: int) -> int:
     return n
 
 
-def canonical_basis(n: int) -> SkewBasis:
-    """The basis {(E_ij - E_ji)/sqrt(2) : i < j} in lexicographic order,
-    for 2 <= n <= MAX_DIM (see :func:`check_dim`).
-    """
+def canonical_basis(n: int) -> np.ndarray:
+    """The basis {(E_ij - E_ji)/sqrt(2) : i < j} in lexicographic order, an
+    (N, n, n) array, for 2 <= n <= MAX_DIM (see :func:`check_dim`); its
+    identities are checked by ``frameflow verify-algebra``."""
     check_dim(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     mats = np.zeros((len(pairs), n, n))
     for k, (i, j) in enumerate(pairs):
         mats[k, i, j] = 1.0 / np.sqrt(2.0)
         mats[k, j, i] = -1.0 / np.sqrt(2.0)
-    return SkewBasis(dim=n, mats=mats)
+    return mats
 
 
-def casimir_sum(basis: SkewBasis) -> np.ndarray:
-    """Sum of squares of the basis elements.
+def casimir_sum(mats: np.ndarray) -> np.ndarray:
+    """Sum of squares sum_k A_k^2 of a stack of matrices (N, n, n).
 
-    For any orthonormal basis this collapses to -((n-1)/2) I; the identity
-    is what converts the rotational generator into a scalar multiple of the
-    identity on linear statistics.  A non-orthonormal basis is rejected
-    rather than silently summed.
+    For an orthonormal skew basis this is -((n-1)/2) I, the identity that
+    makes the rotational generator a scalar multiple of the identity on
+    linear statistics; :func:`gram_defect` says whether a stack is one.
     """
-    defect = basis.gram_defect()
-    if defect > SKEW_TOL:
-        raise ValueError(f"basis Gram defect {defect:.3e} exceeds {SKEW_TOL:g}")
-    return np.einsum("kab,kbc->ac", basis.mats, basis.mats)
+    return np.einsum("kab,kbc->ac", mats, mats)
 
 
 def group_exp(a: np.ndarray) -> np.ndarray:

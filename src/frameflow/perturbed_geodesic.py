@@ -60,8 +60,8 @@ chunks of 128, each in four stages:
      det 1 once per chunk by rebuilding its top row from its bottom row
      and x1, and x and u are formed only where they are read;
    - other charts: one loop over the steps does the Heun frame step, on
-     bounded charts the domain and finiteness check, and off the euclidean
-     model the metric re-orthonormalization of the frame, every step.
+     bounded charts the domain and finiteness check, and the metric
+     re-orthonormalization of the frame, every step.
 
    Every stage dates a path's failure (its state off the chart or not
    finite) to the step and restarts the path at (x0, u0); from that step
@@ -305,7 +305,7 @@ class _AngleChain:
     """
 
     def __init__(self, eng: _Engine, n_paths: int):
-        self.scale = 0.5 * eng.noise_scale * eng.basis.mats[0, 0, 1]
+        self.scale = 0.5 * eng.noise_scale * eng.basis[0, 0, 1]
         self.drift = 0.0 if eng.drift_half is None else 0.5 * eng.drift_half[0, 1]
         self.phi0 = float(np.arctan2(eng.e0[1], eng.e0[0]))
         self.half = np.full(n_paths, np.remainder(-0.5 * self.phi0, np.pi))
@@ -374,7 +374,7 @@ class _PairChain:
     def __init__(self, eng: _Engine, n_paths: int):
         n, n_noise = eng.n, eng.n_noise
         self.n, self.e0 = n, eng.e0
-        vectors = np.array([_pair_vectors(a) for a in eng.basis.mats])    # (N, K, 3)
+        vectors = np.array([_pair_vectors(a) for a in eng.basis])    # (N, K, 3)
         k = vectors.shape[1]
         self.map = eng.noise_scale * vectors.reshape(n_noise, 3 * k).T    # (3K, N)
         self.drift = None if eng.drift_half is None else _pair_vectors(eng.drift_half)
@@ -495,9 +495,9 @@ class _MatrixChain:
         kept = np.empty((len(keep), n_paths, n, n))
         i = 0
         for j in range(steps):
-            mid = _advance(self.g, xi[:, j, 0], eng.basis.mats, eng.noise_scale, eng.drift_half)
+            mid = _advance(self.g, xi[:, j, 0], eng.basis, eng.noise_scale, eng.drift_half)
             e_dir[:, :, j] = (mid.reshape(-1, n) @ eng.e0).reshape(n_paths, n)
-            self.g = _advance(mid, xi[:, j, 1], eng.basis.mats, eng.noise_scale, eng.drift_half)
+            self.g = _advance(mid, xi[:, j, 1], eng.basis, eng.noise_scale, eng.drift_half)
             self.steps += 1
             if self.steps % _GROUP_PROJECT_EVERY == 0:
                 self.g = project_rotation(self.g)
@@ -657,12 +657,12 @@ def _sl2_valid(F: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class _HeunFrame:
     """Other charts: (x, u) as arrays, advanced by a Heun step of the frame
-    ODE, checked on bounded charts and, off the euclidean model,
-    re-orthonormalized in the metric, every step."""
+    ODE (x + h v1 exactly, and u unchanged, where the Christoffel symbols
+    vanish), checked on bounded charts and re-orthonormalized in the
+    metric, every step."""
 
     def __init__(self, eng: _Engine, n_paths: int):
         self.eng = eng
-        self.flat = eng.chart.model == "euclidean"
         self.x = np.tile(eng.x0, (n_paths, 1))
         self.u = np.tile(eng.u0, (n_paths, 1, 1))
 
@@ -678,15 +678,12 @@ class _HeunFrame:
         for j in range(steps):
             e_dir = dirs[:, :, j]
             v1 = np.einsum("...ij,...j->...i", u, e_dir)
-            if self.flat:
-                x = x + h * v1
-            else:
-                udot1 = frame_transport(chart, x, v1) @ u
-                xp = x + h * v1
-                up = u + h * udot1
-                v2 = np.einsum("...ij,...j->...i", up, e_dir)
-                udot2 = frame_transport(chart, xp, v2) @ up
-                x, u = x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
+            udot1 = frame_transport(chart, x, v1) @ u
+            xp = x + h * v1
+            up = u + h * udot1
+            v2 = np.einsum("...ij,...j->...i", up, e_dir)
+            udot2 = frame_transport(chart, xp, v2) @ up
+            x, u = x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
             if not chart.unbounded:
                 bad = ~(chart.in_domain(x) & np.all(np.isfinite(x), axis=-1))
                 if bad.any():
@@ -695,8 +692,7 @@ class _HeunFrame:
                     x_fail[first] = x[first]
                     x[bad] = eng.x0
                     u[bad] = eng.u0
-            if not self.flat:
-                u = gram_schmidt_metric(chart, x, u)
+            u = gram_schmidt_metric(chart, x, u)
             if i < len(wanted) and wanted[i] == j:
                 xk[i] = x
                 if uk is not None:

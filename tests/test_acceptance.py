@@ -15,6 +15,7 @@ from frameflow import (
     SimConfig,
     canonical_basis,
     casimir_sum,
+    gram_defect,
     haar_sample,
     hyperbolic_distance,
     ks_two_sample,
@@ -59,7 +60,7 @@ def test_criterion_1_algebraic_identities():
     worst_casimir = worst_gram = 0.0
     for n in range(2, 9):
         basis = canonical_basis(n)
-        worst_gram = max(worst_gram, basis.gram_defect())
+        worst_gram = max(worst_gram, gram_defect(basis))
         target = -((n - 1) / 2.0) * np.eye(n)
         worst_casimir = max(worst_casimir, float(np.max(np.abs(casimir_sum(basis) - target))))
     elapsed = time.perf_counter() - t0
@@ -176,7 +177,7 @@ def test_criterion_7_invariance_suite(flat_ensemble_n2):
     alt_e0 = run_ensemble(EnsembleSpec(sim=sim_e2, paths=1000), record_frames=False)
     _, p_e0 = ks_two_sample(base, alt_e0.positions[-1, :, 0])
 
-    abar = np.sqrt(2.0) * canonical_basis(2).mats[0]  # unit norm under tr(A B^T)
+    abar = np.sqrt(2.0) * canonical_basis(2)[0]  # unit norm under tr(A B^T)
     sim_drift = SimConfig(chart="euclidean:2", epsilon=0.01, t_final=1.0,
                           seed=BASE_SEED + 2, abar=abar)
     alt_drift = run_ensemble(EnsembleSpec(sim=sim_drift, paths=1000), record_frames=False)

@@ -214,6 +214,15 @@ class TestSimulateCommand:
         assert main(args + ["--output-dir", str(d2)]) == 0
         assert (d1 / "path_0000.csv").read_bytes() == (d2 / "path_0000.csv").read_bytes()
 
+    def test_exponent_output_time_is_a_time_not_a_count(self, tmp_path):
+        # "1e-3" has neither "," nor ".", and was parsed as a count (exit 2).
+        args = ["simulate", "--t-final", "0.01", "--seed", "3", "--paths", "2"]
+        for times in ("1e-3", "0.001"):
+            assert main(args + ["--output-times", times, "--output-dir", str(tmp_path / times)]) == 0
+        files = written_files(tmp_path / "1e-3")
+        assert len(files) == 2 and files == written_files(tmp_path / "0.001")
+        assert next(iter(files.values())).decode().splitlines()[1].startswith("0.001")
+
 
 def _sim_config(argv):
     """The SimConfig that ``main(argv)`` runs."""

@@ -289,7 +289,7 @@ def strang_reference(cfg, path_indices):
     """
     chart = chart_by_name(cfg.chart)
     n = chart.dim
-    mats = canonical_basis(n).mats
+    mats = canonical_basis(n)
     h = cfg.h0 * cfg.epsilon
     scale = np.sqrt(0.5 * h / cfg.epsilon)
     drift = np.zeros((n, n)) if cfg.abar is None else 0.5 * h * np.asarray(cfg.abar)
@@ -502,7 +502,7 @@ def test_angle_chain_is_exact_across_the_tangent_pole():
     # 1.3e-9 below pi/2 to 1.3e-9 above it, where |tan b| exceeds 7e8 and
     # passes 1e11; each path starts at its own offset.
     eng = perturbed_geodesic._Engine(SimConfig(chart="euclidean:2", epsilon=0.05, t_final=1.0))
-    scale = eng.noise_scale * eng.basis.mats[0, 0, 1]        # angle per unit normal
+    scale = eng.noise_scale * eng.basis[0, 0, 1]        # angle per unit normal
     offsets = np.linspace(-1.3e-9, -1.2e-9, 7)
     half_steps = np.full((7, 256), 2e-11)
     half_steps[:, 0] = np.pi + 2 * offsets
