@@ -64,7 +64,8 @@ def gram_defect(mats: np.ndarray) -> float:
     """Largest entry of tr(A_i A_j^T) - delta_ij over a stack of matrices
     (N, n, n); zero for an orthonormal set."""
     mats = np.asarray(mats, dtype=float)
-    gram = np.einsum("iab,jab->ij", mats, mats)
+    flat = mats.reshape(len(mats), -1)
+    gram = flat @ flat.T
     return float(np.max(np.abs(gram - np.eye(len(mats)))))
 
 

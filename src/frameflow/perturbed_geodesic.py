@@ -35,9 +35,12 @@ chunks of 128, each in four stages:
      exponentials at once, then a loop of complex products vectorised
      over paths, and the directions from the pairs in closed form;
    - otherwise (n >= 5, and other n = 2 charts): rotation matrices,
-     multiplied by the exponential of each half-step through ``_advance``
-     (for n = 2 one complex multiply of each row of g by e^(i theta)),
-     with each step's direction written as soon as g_mid is formed.
+     multiplied at each half-step by its factor through ``_advance``,
+     with each step's direction written as soon as g_mid is formed.  For
+     n >= 5 the factor is the exponential, formed a step at a time; for
+     n = 2 it is the turn e^(i theta) of each row of g, read as a complex
+     number, and a sub-block's turns are formed at once from one
+     vectorised tan of the half-angles theta / 2.
 
    An angle is a rotation whatever its rounding, and quaternion pairs
    renormalised once per chunk give a matrix orthogonal to the rounding
@@ -72,11 +75,12 @@ chunks of 128, each in four stages:
 Every stage writes into arrays that :func:`_workspaces` allocates once
 per run, so a run of P paths holds the noise buffer, P * 128 * 2N * 8
 bytes, the chunk's directions, P * n * 129 * 8 bytes, and workspaces of
-one step (the matrix chain, the frame stages' states) or a sub-block of
-16 steps (the pair chain, 4 for n = 4, and the hyperbolic2 step
-matrices), however many steps it takes.  On flat n = 2 one row of 257
-numbers a path holds the chunk's noise, its half-angles and then its
-directions, in turn, and is all the chunk memory of the run.
+one step (the matrix chain's g, the frame stages' states) or a sub-block
+of 16 steps (the pair chain, 4 for n = 4, the n = 2 matrix chain's turns
+and the hyperbolic2 step matrices), however many steps it takes.  On flat
+n = 2 one row of 257 numbers a path holds the chunk's noise, its
+half-angles and then its directions, in turn, and is all the chunk memory
+of the run.
 :func:`path_batches` prices a path by what those arrays and its Philox
 stream hold for it, and splits the paths of a command into calls that
 each hold at most ``BATCH_BYTES`` of outputs and workspaces.
@@ -105,8 +109,8 @@ import numpy as np
 from .errors import ConfigError, DomainExitError, require_finite
 from .lie_algebra import (BATCH_BYTES, _as_pair, _as_vector, _multiply, _pair_product,
                           _pair_vectors, _rotate, canonical_basis, project_rotation)
-from .group_process import (_advance, check_direction, check_drift, check_h0, horizon_steps,
-                            step_counts)
+from .group_process import (_advance, _half_step_factors, check_direction, check_drift, check_h0,
+                            horizon_steps, step_counts)
 from .manifold import Chart, chart_by_name, frame_transport, gram_schmidt_metric
 
 # Steps per chunk: each path draws a chunk's noise at once, and the chain
@@ -384,8 +388,8 @@ class _PairChain:
         # batch of n = 4 below what the matrix chain held.
         self.sub = _SUB // k**2
         # The transposed noise, then per half-step |w|, tan(|w|/4) and 1 +
-        # tan(|w|/4)^2; N = 3K.
-        self.scratch = np.empty((n_noise, self.sub * 2 * n_paths))
+        # tan(|w|/4)^2; N = 3K for the canonical basis.
+        self.scratch = np.empty((max(n_noise, 3 * k), self.sub * 2 * n_paths))
         self.w = np.empty((3 * k, self.sub * 2 * n_paths))
         self.e = np.empty((self.sub, 2, k, 2, n_paths), dtype=complex)
         self.tmp = np.empty((2, 2, n_paths), dtype=complex)
@@ -433,9 +437,13 @@ class _PairChain:
                       xi[block].transpose(3, 1, 2, 0))
         w = self.w[:, :size]
         # Row by row, not as a BLAS product, whose rounding may depend on
-        # the number of paths.
+        # the number of paths; a component no generator reaches stays 0.
         for row, out in zip(self.map, w):
-            first, *rest = np.flatnonzero(row)
+            terms = np.flatnonzero(row)
+            if terms.size == 0:
+                out.fill(0.0)
+                continue
+            first, *rest = terms
             np.multiply(noise[first], row[first], out=out)
             for i in rest:
                 out += row[i] * noise[i]
@@ -482,28 +490,50 @@ class _PairChain:
 
 
 class _MatrixChain:
-    """g as a matrix, multiplied by the matrix exponential of each half-step."""
+    """g as a matrix, multiplied at each half-step by the factor of
+    :func:`_half_step_factors`: for n = 2 a turn of each of its rows, the
+    turns of a sub-block of steps formed at once, and otherwise the
+    exponential, formed a step at a time."""
 
     def __init__(self, eng: _Engine, n_paths: int):
         self.eng = eng
         self.g = np.tile(np.eye(eng.n), (n_paths, 1, 1))
         self.steps = 0
+        self.sub = 1
+        if eng.n == 2:
+            # A sub-block's turns and their tan(theta / 2), path-major like
+            # the noise, so that neither is transposed; kept for the run.
+            self.sub = _SUB
+            self.turns = np.empty((n_paths, _SUB, 2), dtype=complex)
+            self.tan = np.empty((n_paths, _SUB, 2))
+
+    def factors(self, xi: np.ndarray):
+        """The pairs of half-step factors of each step of noise xi (P, sub, 2, N)."""
+        eng = self.eng
+        if eng.n == 2:
+            sub = xi.shape[1]
+            turns = _half_step_factors(xi, eng.basis, eng.noise_scale, eng.drift_half,
+                                       out=self.turns[:, :sub], work=self.tan[:, :sub])
+            return turns.transpose(1, 2, 0)
+        return [[_half_step_factors(xi[:, 0, half], eng.basis, eng.noise_scale, eng.drift_half)
+                 for half in (0, 1)]]
 
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         eng, n = self.eng, self.eng.n
         n_paths, steps = xi.shape[:2]
         kept = np.empty((len(keep), n_paths, n, n))
         i = 0
-        for j in range(steps):
-            mid = _advance(self.g, xi[:, j, 0], eng.basis, eng.noise_scale, eng.drift_half)
-            e_dir[:, :, j] = (mid.reshape(-1, n) @ eng.e0).reshape(n_paths, n)
-            self.g = _advance(mid, xi[:, j, 1], eng.basis, eng.noise_scale, eng.drift_half)
-            self.steps += 1
-            if self.steps % _GROUP_PROJECT_EVERY == 0:
-                self.g = project_rotation(self.g)
-            if i < len(keep) and keep[i] == j:
-                kept[i] = self.g
-                i += 1
+        for lo in range(0, steps, self.sub):
+            for j, (first, second) in enumerate(self.factors(xi[:, lo:lo + self.sub]), lo):
+                mid = _advance(self.g, first)
+                e_dir[:, :, j] = (mid.reshape(-1, n) @ eng.e0).reshape(n_paths, n)
+                self.g = _advance(mid, second)
+                self.steps += 1
+                if self.steps % _GROUP_PROJECT_EVERY == 0:
+                    self.g = project_rotation(self.g)
+                if i < len(keep) and keep[i] == j:
+                    kept[i] = self.g
+                    i += 1
         return kept
 
 

@@ -280,10 +280,11 @@ class TestBatchedSimulate:
         assert main(argv + ["--output-dir", str(tmp_path / "one")]) == 0
         # A path holds 301 output rows of x, u and g (10 values), one noise
         # row of 128 steps of 2 normals, 2 rows of 129 for the chunk
-        # directions, the matrix chain's 2 x 2 g and the half-plane stage's
+        # directions, the matrix chain's 2 x 2 g and its 16 steps of 2
+        # turns (complex) and their tangents, and the half-plane stage's
         # 2 x 2 F and 16 steps of 3 step-matrix entries, 8 bytes each, and
         # its Philox stream.
-        two_paths = 2 * (8 * (301 * 10 + 128 * 2 + 2 * 129 + 4 + 4 + 16 * 3)
+        two_paths = 2 * (8 * (301 * 10 + 128 * 2 + 2 * 129 + 4 + 16 * 2 * 3 + 4 + 16 * 3)
                          + perturbed_geodesic.STREAM_BYTES)
         monkeypatch.setattr(perturbed_geodesic, "BATCH_BYTES", two_paths)
         assert main(argv + ["-v", "--output-dir", str(tmp_path / "split")]) == 0

@@ -14,7 +14,8 @@ from frameflow import (
     poisson_h,
     simulate_paths,
 )
-from frameflow.group_process import MAX_DRIFT_EXPONENT, _advance, haar_moment_stats
+from frameflow.group_process import (MAX_DRIFT_EXPONENT, _advance, _half_step_factors,
+                                     haar_moment_stats)
 from frameflow.lie_algebra import BATCH_BYTES
 from frameflow.lie_algebra import group_exp
 from frameflow.perturbed_geodesic import direction_moments
@@ -132,8 +133,9 @@ class TestStepGroup:
     @pytest.mark.parametrize("with_drift", [False, True])
     @pytest.mark.parametrize("layout", ["stacked", "single", "transposed"])
     def test_planar_step_matches_the_general_route(self, layout, with_drift):
-        # n = 2 turns each row of g, read as a complex number, by e^(i theta);
-        # the general route multiplies g by group_exp of the whole exponent.
+        # n = 2 turns each row of g, read as a complex number, by e^(i theta),
+        # formed from tan(theta / 2); the general route multiplies g by
+        # group_exp of the whole exponent.
         rng = np.random.default_rng(11)
         basis = canonical_basis(2)
         h = 0.05
@@ -147,10 +149,38 @@ class TestStepGroup:
         if with_drift:
             exponent = exponent + drift
         expected = g @ group_exp(exponent)
-        out = _advance(g, xi, basis, np.sqrt(h), drift)
+        out = _advance(g, _half_step_factors(xi, basis, np.sqrt(h), drift))
         assert out.shape == expected.shape
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(g, before)
+
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi, 1.0, -2.5, 0.7 * MAX_DRIFT_EXPONENT,
+                                       -MAX_DRIFT_EXPONENT / np.sqrt(2.0)])
+    def test_turn_is_the_unit_complex_number_of_its_angle(self, theta):
+        # The turn of a half-step that is all drift: theta = 0, the tan pole
+        # at +-pi, and the largest |theta| the drift bound lets through,
+        # |0.5 h abar| / sqrt(2).  Its sine is formed as t (2 / (1 + t^2)),
+        # so at the pole it is the rounding of pi's sine and not 0.
+        drift = np.sqrt(2.0) * theta * canonical_basis(2)[0]
+        turn = _half_step_factors(np.zeros((3, 1)), canonical_basis(2), 0.1, drift)
+        assert turn.shape == (3,) and turn.dtype == complex
+        assert np.max(np.abs(np.abs(turn) - 1.0)) <= 4e-16
+        np.testing.assert_allclose(turn, np.cos(theta) + 1j * np.sin(theta), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("theta", [np.pi, -np.pi])
+    def test_half_turns_at_the_pole_keep_g(self, theta):
+        # Each half-step turns hyperbolic2's matrix chain by theta = +-pi, so
+        # a step turns it by 2 pi and g stays I to rounding, on the group.
+        h = 0.1
+        abar = (2.0 * theta / h) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        cfg = SimConfig(chart="hyperbolic2", epsilon=1.0, t_final=40 * h, abar=abar,
+                        output_times=(h, 20 * h, 40 * h))
+        out = simulate_paths(cfg, range(2), record_group=True, rngs=[ZeroNoise()] * 2)
+        assert out.alive.all()
+        np.testing.assert_allclose(out.gs, np.broadcast_to(np.eye(2), out.gs.shape),
+                                   rtol=0, atol=1e-13)
+        assert orthogonality_defect(out.gs) < 1e-14
 
 
 class TestPoissonIdentities:

@@ -365,11 +365,13 @@ def run_logged(spec, caplog, **kw):
 # chain's row of 257 numbers, which holds the noise and the directions too,
 # the carried half-angle and the running sum of 2 directions; on
 # hyperbolic2, 128 noise steps of 2 normals, 2 rows of 129 for the chunk
-# directions, the 2 x 2 g of the matrix chain, and the 2 x 2 F and 16 steps
-# of 3 step-matrix entries of the half-plane stage.
+# directions, the 2 x 2 g of the matrix chain and its 16 steps of 2 turns
+# (complex) and their tangents, and the 2 x 2 F and 16 steps of 3
+# step-matrix entries of the half-plane stage.
 PATH_BYTES = {chart: 8 * (21 * 6 + values) + perturbed_geodesic.STREAM_BYTES
               for chart, values in (("euclidean:2", 257 + 1 + 2),
-                                    ("hyperbolic2", 128 * 2 + 2 * 129 + 4 + 4 + 16 * 3))}
+                                    ("hyperbolic2",
+                                     128 * 2 + 2 * 129 + 4 + 16 * 2 * 3 + 4 + 16 * 3))}
 
 
 class TestFanOut:

@@ -95,6 +95,21 @@ class TestCasimirSum:
         assert gram_defect(2.0 * basis) == pytest.approx(3.0)
         assert gram_defect(basis[[0, 0, 1]]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gram_defect_is_the_einsum_form(self, n):
+        # The Gram matrix as one product of the flattened stack gives the
+        # defect of tr(A_i A_j^T) summed entry by entry: on the canonical
+        # basis, on an orthonormal mix of it, and on that mix moved off
+        # orthonormality by 1e-3.
+        basis = canonical_basis(n)
+        size = len(basis)
+        mix = special_ortho_group.rvs(size, random_state=n) if size > 1 else np.eye(1)
+        mixed = np.einsum("ij,jab->iab", mix, basis)
+        for mats in (basis, mixed, mixed * (1.0 + 1e-3 * np.arange(size))[:, None, None]):
+            gram = np.einsum("iab,jab->ij", mats, mats)
+            expected = np.max(np.abs(gram - np.eye(size)))
+            assert abs(gram_defect(mats) - expected) <= 1e-15
+
 
 class TestGroupExp:
     def test_zero_gives_identity(self):

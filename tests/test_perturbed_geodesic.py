@@ -471,7 +471,7 @@ def test_path_price_is_what_the_workspaces_hold_per_path(chart):
 
 @pytest.mark.parametrize("chart,width", [("euclidean:2", 5370), ("euclidean:3", 1241),
                                          ("euclidean:4", 866), ("euclidean:5", 611),
-                                         ("hyperbolic2", 2993)])
+                                         ("hyperbolic2", 2632)])
 def test_full_width_batch_sizes(chart, width):
     # With each stream priced at 736 B, before its key dropped its
     # __dict__, the calls ran 5,322, 1,238, 865, 611 and 2,978 paths.
@@ -481,7 +481,9 @@ def test_full_width_batch_sizes(chart, width):
     # chain's row.  hyperbolic2 ran 3,744 paths a call before its half-plane stage's F
     # and step matrices, 4 + 16 x 3 numbers a path, were priced; the flat
     # charts ran 2,576, 1,312, 900 and 628 before the cumsum stage's
-    # running sum, n numbers a path, was.
+    # running sum, n numbers a path, was.  hyperbolic2 ran 2,993 before the
+    # matrix chain's sub-block of 16 turns and their tangents, 96 numbers
+    # a path, were priced.
     cfg = SimConfig(chart=chart, epsilon=0.1, t_final=0.15, seed=4)
     assert len(path_batches(cfg, 100_000, record_frames=False, record_group=False)[0]) == width
 
@@ -597,6 +599,31 @@ def test_zero_rotation_vector_leaves_g_at_the_identity(chart):
     assert np.array_equal(out.gs, np.broadcast_to(np.eye(n), out.gs.shape))
     np.testing.assert_allclose(out.xs[-1, :, 0], 300 * 0.1 * 0.05, rtol=1e-13)
     assert np.all(out.xs[:, :, 1:] == 0.0)
+
+
+def test_pair_chain_runs_generators_that_leave_a_component_uncovered(monkeypatch):
+    # Two of euclidean:3's three generators, A_01 and A_12, turn about the
+    # first and third axes only, so the middle component of every rotation
+    # vector has no term; it raised ValueError when its row was unpacked.
+    monkeypatch.setattr(perturbed_geodesic, "canonical_basis",
+                        lambda n: canonical_basis(n)[[0, 2]])
+    cfg = SimConfig(chart="euclidean:3", epsilon=0.1, t_final=0.3, seed=5)
+    eng = perturbed_geodesic._Engine(cfg)
+    assert eng.n_noise == 2
+    noise, dirs, chain, _ = perturbed_geodesic._workspaces(eng, 4, 300)
+    # The pairs are renormalised at chunk ends, so a chunk's first
+    # direction is unit to rounding; the products of a chunk move the norm
+    # by up to 1.2e-14 with all three generators too.
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        rng.standard_normal(noise.shape, out=noise)
+        chain.run(noise, np.arange(0), dirs)
+        assert np.isfinite(dirs).all()
+        norms = np.linalg.norm(dirs, axis=1)
+        np.testing.assert_allclose(norms[:, 0], 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=2e-14)
+    out = simulate_paths(cfg, range(4), record_group=True)
+    assert out.alive.all() and np.isfinite(out.xs).all() and np.isfinite(out.gs).all()
 
 
 @pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "hyperbolic2"])

@@ -43,8 +43,9 @@ def test_tracer_installs_runs_and_uninstalls():
 
 def test_tracer_counts_two_group_half_steps_per_hyperbolic2_step():
     # The benchmark's own tests count two traced `_advance` calls per
-    # hyperbolic2 step; the exact frame step must keep that chain and
-    # leave the traced results bitwise those of an untraced run.
+    # hyperbolic2 step: the chain forms its turns a sub-block at a time,
+    # and `_advance` still applies each half-step.  The traced results
+    # must be bitwise those of an untraced run.
     pg = frameflow.perturbed_geodesic
     make = lambda: frameflow.SimConfig(chart="hyperbolic2", epsilon=0.2, t_final=0.2, seed=9)  # noqa: E731
     steps = 50                                  # t_final / (h0 eps^2)
