@@ -1,7 +1,7 @@
 """Compare the outputs of two checkouts, entry by entry, by SHA-256.
 
     python3 scripts/output_digests.py PARENT CHANGE [--seed 80001] [--paths 300] \\
-        [--t-final 0.5] [--epsilon 0.05]
+        [--t-final 0.5] [--epsilon 0.05] [--json PATH]
 
 Each checkout runs one fixed matrix in a process of its own, one at a
 time, with its ``src`` first on the path: ``simulate_paths`` on
@@ -10,17 +10,33 @@ time, with its ``src`` first on the path: ``simulate_paths`` on
 each without and with a drift, frames and g recorded, and
 ``direction_moments`` on each of them.  An entry is one output array
 (``xs``, ``us``, ``gs``, ``alive``, the aborts as rows of path, time and
-position, or the moments).  The script prints each entry's SHA-256 on both
-sides and, where they differ, the largest absolute deviation; it exits 0
-when every entry is equal and 1 otherwise.  Nothing is kept: the arrays
-pass through a temporary directory.
+position, or the moments).
+
+The same process then runs ``frameflow.cli.main`` on each of ``CLI_RUNS``:
+every command at small fixed sizes and the run's ``--seed``, each writing
+to ``cli/<label>`` under the process's working directory (the same
+relative path in both checkouts, so stdout lines compare), and ``--help``
+of the program and of each command of its ``COMMANDS`` table.  Its
+entries are the bytes of every file a run writes, its stdout and stderr,
+and its exit code, named ``cli/<label>/<file>``; the largest deviation of
+two texts is that of their numbers, where the texts differ in nothing
+else.
+
+The script prints each entry's SHA-256 on both sides and, where they
+differ, the largest absolute deviation; ``--json PATH`` writes the same
+rows there.  It exits 0 when every entry is equal and 1 otherwise.
+Nothing else is kept: the outputs pass through a temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,6 +46,21 @@ import numpy as np
 
 CHARTS = ("euclidean:2", "euclidean:3", "euclidean:4", "euclidean:5", "hyperbolic2",
           "digest-strip")
+_ENSEMBLE = ["--paths", "100", "--t-final", "0.05", "--jobs", "1"]
+# (label, argv) of each command run; each also gets --seed and --output-dir cli/<label>.
+CLI_RUNS = (
+    ("verify-algebra", ["verify-algebra", "--dim", "5"]),
+    ("haar", ["haar", "--dim", "3", "--samples", "2000"]),
+    ("ergodic", ["ergodic", "--dim", "3", "--reps", "4", "--t-final", "5",
+                 "--abar", "canonical:2"]),
+    ("simulate", ["simulate", "--manifold", "hyperbolic2", "--paths", "3", "--t-final", "0.05",
+                  "--output-times", "5", "--abar", "canonical:1", "--frames", "--group"]),
+    ("homogenize-euclidean2", ["homogenize", "--output-times", "3", *_ENSEMBLE]),
+    ("homogenize-hyperbolic2", ["homogenize", "--manifold", "hyperbolic2", "--output-times", "3",
+                                *_ENSEMBLE]),
+    ("sweep", ["sweep", "--manifold", "euclidean:3", "--epsilon-list", "0.2,0.1", *_ENSEMBLE]),
+)
+_NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|Infinity|inf|NaN|nan)")
 
 
 def parse_args(argv):
@@ -40,6 +71,7 @@ def parse_args(argv):
     p.add_argument("--paths", type=int, default=300)
     p.add_argument("--t-final", type=float, default=0.5)
     p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--json", type=Path, help="also write the rows to this JSON file")
     return p.parse_args(argv)
 
 
@@ -77,8 +109,32 @@ def run_matrix(seed: int, paths: int, t_final: float, epsilon: float) -> dict:
     return out
 
 
+def run_cli(seed: int) -> None:
+    """Run ``CLI_RUNS`` and each ``--help`` through the frameflow on the path,
+    in this process, writing each run's files, stdout, stderr and exit code
+    under ``cli/<label>``."""
+    from frameflow.cli import COMMANDS, main
+
+    runs = [(label, [*argv, "--seed", str(seed), "--output-dir", f"cli/{label}"])
+            for label, argv in CLI_RUNS]
+    runs += [("help", ["--help"])] + [(f"help-{c}", [c, "--help"]) for c in COMMANDS]
+    for label, argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        folder = Path("cli", label)
+        folder.mkdir(parents=True, exist_ok=True)
+        for name, text in (("stdout", out.getvalue()), ("stderr", err.getvalue()),
+                           ("exit", f"{code}\n")):
+            (folder / name).write_text(text)
+
+
 def outputs(checkout: Path, seed: int, paths: int, t_final: float, epsilon: float) -> dict:
-    """The matrix's arrays as ``checkout`` computes them, in a process of its own."""
+    """The matrix's arrays and the CLI runs' bytes as ``checkout`` computes
+    them, in a process of its own."""
     src = Path(checkout).resolve() / "src"
     if not (src / "frameflow").is_dir():
         raise SystemExit(f"output_digests: no src/frameflow under {checkout}")
@@ -89,29 +145,42 @@ def outputs(checkout: Path, seed: int, paths: int, t_final: float, epsilon: floa
                 "import numpy as np, frameflow, output_digests as od; "
                 f"assert frameflow.__file__.startswith({str(src)!r}), frameflow.__file__; "
                 f"np.savez({str(dump)!r}, **od.run_matrix({seed}, {paths}, {t_final!r}, "
-                f"{epsilon!r}))")
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        env.pop("PYTHONPATH", None)
+                f"{epsilon!r})); od.run_cli({seed})")
+        # A fixed width, so that argparse wraps --help the same way in any terminal.
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", COLUMNS="100")
+        for name in ("PYTHONPATH", "FRAMEFLOW_SEED"):
+            env.pop(name, None)
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
             raise SystemExit(f"output_digests: {checkout} exited {proc.returncode}:\n"
                              f"{proc.stderr}")
         with np.load(dump) as data:
-            return {name: data[name] for name in data.files}
+            out = {name: data[name] for name in data.files}
+        for path in sorted(Path(tmp, "cli").rglob("*")):
+            if path.is_file():
+                out[path.relative_to(tmp).as_posix()] = path.read_bytes()
+        return out
 
 
-def digest(a: np.ndarray) -> str:
-    """SHA-256 of an array's dtype, shape and bytes."""
+def digest(a: np.ndarray | bytes) -> str:
+    """SHA-256 of bytes, or of an array's dtype, shape and bytes."""
+    if isinstance(a, bytes):
+        return hashlib.sha256(a).hexdigest()
     h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
     h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
-def deviation(a: np.ndarray, b: np.ndarray) -> float | None:
+def deviation(a: np.ndarray | bytes, b: np.ndarray | bytes) -> float | None:
     """Largest |a - b| over equal shapes (NaNs in the same places count as
-    equal); None when the shapes differ."""
-    if a.shape != b.shape:
+    equal); None when the shapes differ.  Texts compare by their numbers,
+    and give None unless they differ in their numbers alone."""
+    if isinstance(a, bytes) and isinstance(b, bytes):
+        if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
+            return None
+        a, b = (np.array(_NUMBER.findall(t), dtype=float) for t in (a, b))
+    if isinstance(a, bytes) or isinstance(b, bytes) or a.shape != b.shape:
         return None
     a, b = a.astype(float), b.astype(float)
     same = (a == b) | (np.isnan(a) & np.isnan(b))
@@ -139,13 +208,21 @@ def main(argv=None) -> int:
     rows = compare(*sides)
     for name, da, db, dev in rows:
         if da == db:
-            print(f"{name:<28} {da}  equal")
+            print(f"{name:<36} {da}  equal")
         else:
-            shown = "shape differs" if dev is None else f"max |dev| {dev:.3g}"
-            print(f"{name:<28} {da}\n{'':<28} {db}  {shown}")
+            shown = "shape or text differs" if dev is None else f"max |dev| {dev:.3g}"
+            print(f"{name:<36} {da}\n{'':<36} {db}  {shown}")
     differ = sum(da != db for _, da, db, _ in rows)
     print(f"{differ} of {len(rows)} entries differ (seed {args.seed}, {args.paths} paths, "
           f"T = {args.t_final:g}, epsilon = {args.epsilon:g})")
+    if args.json:
+        args.json.write_text(json.dumps({
+            "parent": str(args.parent), "change": str(args.change), "seed": args.seed,
+            "paths": args.paths, "t_final": args.t_final, "epsilon": args.epsilon,
+            "differ": differ,
+            "entries": {name: {"parent": da, "change": db, "max_abs_dev": dev}
+                        for name, da, db, dev in rows},
+        }, indent=2) + "\n")
     return 1 if differ else 0
 
 

@@ -38,7 +38,6 @@ from .manifold import (
     gram_schmidt_metric,
     hyperbolic2_chart,
     hyperbolic_distance,
-    numeric_christoffel,
     register_chart,
 )
 from .perturbed_geodesic import (

@@ -259,16 +259,11 @@ def parse_config(file: str | None = None, flags: dict | None = None,
     return cfg
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal representation."""
-    return repr(float(value))
-
-
 def _cell(value) -> str:
-    """Integers as integers, other numbers as :func:`_fmt` writes them."""
+    """Integers as integers, other numbers as their shortest round-trip decimal."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
-    return _fmt(value) if isinstance(value, (bool, float, np.floating)) else str(value)
+    return repr(float(value)) if isinstance(value, (bool, float, np.floating)) else str(value)
 
 
 # Rows of a path file formatted and written at a time.
@@ -283,16 +278,36 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         f.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
             for lo in range(0, len(rows), _CSV_BLOCK):
-                # repr of a Python float is what _fmt writes, without the per-value checks.
+                # repr of a Python float is what _cell writes, without the per-value checks.
                 f.write("".join(",".join(map(repr, row)) + "\n"
                                 for row in rows[lo:lo + _CSV_BLOCK].tolist()))
         else:
             f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _moment_table(cfg: RunConfig, name: str, est: np.ndarray, se: np.ndarray,
+                  target: np.ndarray) -> tuple[Path, float]:
+    """Write the (i, j, estimate, stderr) rows of an n x n moment estimate
+    to ``<name>.csv``; its path and the worst deviation from ``target`` in
+    standard errors."""
+    n = len(est)
+    out = Path(cfg.output_dir) / f"{name}.csv"
+    _write_csv(out, ["i", "j", "estimate", "stderr"],
+               [(i, j, est[i, j], se[i, j]) for i in range(n) for j in range(n)])
+    return out, float(np.max(np.abs(est - target) / np.maximum(se, 1e-300)))
+
+
+def _write_summary(out_dir: Path, command: str, spec: EnsembleSpec, criteria: dict,
+                   **fields) -> bool:
+    """Write ``summary.json``: the command, chart, paths and seed of the run,
+    ``fields``, the criteria and whether every criterion passes, which it
+    returns."""
+    overall = all(c["pass"] for c in criteria.values())
+    summary = {"command": command, "chart": spec.sim.chart, "paths": spec.paths,
+               "seed": spec.sim.seed, **fields, "criteria": criteria, "pass": overall}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return overall
 
 
 # ----------------------------------------------------------------- commands
@@ -316,11 +331,7 @@ def cmd_haar(cfg: RunConfig) -> int:
     e0 = _parse_e0(cfg.e0, n)
     rng = philox_stream(cfg.seed, 0)
     est, se = haar_moment_stats(n, e0, cfg.samples, rng)
-    target = (4.0 / ((n - 1) * n)) * np.eye(n)
-    rows = [(i, j, est[i, j], se[i, j]) for i in range(n) for j in range(n)]
-    out = Path(cfg.output_dir) / "haar.csv"
-    _write_csv(out, ["i", "j", "estimate", "stderr"], rows)
-    worst = float(np.max(np.abs(est - target) / np.maximum(se, 1e-300)))
+    out, worst = _moment_table(cfg, "haar", est, se, (4.0 / ((n - 1) * n)) * np.eye(n))
     print(f"wrote {out}; worst deviation {worst:.2f} stderr from 4/((n-1)n) I")
     return 0 if worst <= 4.0 else 1
 
@@ -351,10 +362,7 @@ def cmd_ergodic(cfg: RunConfig) -> int:
         moments[batch.start:batch.stop] = 0.5 * (m + m.transpose(0, 2, 1))
     est = moments.mean(axis=0)
     se = moments.std(axis=0, ddof=1) / np.sqrt(cfg.reps)
-    rows = [(i, j, est[i, j], se[i, j]) for i in range(n) for j in range(n)]
-    out = Path(cfg.output_dir) / "ergodic.csv"
-    _write_csv(out, ["i", "j", "estimate", "stderr"], rows)
-    worst = float(np.max(np.abs(est - np.eye(n) / n) / np.maximum(se, 1e-300)))
+    out, worst = _moment_table(cfg, "ergodic", est, se, np.eye(n) / n)
     # The horizon on the step grid, a whole number of steps of h0.
     t_grid = perturbed_geodesic.output_steps(sim)[0] * sim.h0
     print(f"wrote {out}; worst deviation {worst:.3g} stderr from delta_ij/n at t={t_grid:g}")
@@ -445,17 +453,7 @@ def cmd_homogenize(cfg: RunConfig) -> int:
         "count": len(stats.aborts), "paths": spec.paths,
         "pass": bool(len(stats.aborts) == 0),
     }
-    overall = all(c["pass"] for c in criteria.values())
-    summary = {
-        "command": "homogenize",
-        "chart": spec.sim.chart,
-        "epsilon": spec.sim.epsilon,
-        "paths": spec.paths,
-        "seed": spec.sim.seed,
-        "criteria": criteria,
-        "pass": overall,
-    }
-    _write_json(out_dir / "summary.json", summary)
+    overall = _write_summary(out_dir, "homogenize", spec, criteria, epsilon=spec.sim.epsilon)
     _log.info("write: criteria and output files, %.3f s", time.perf_counter() - t_reduced)
     for name, crit in criteria.items():
         print(f"{name}: {'PASS' if crit['pass'] else 'FAIL'}")
@@ -473,37 +471,32 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _write_csv(out_dir / "sweep.csv", ["epsilon", "msd_rel_err", "ks_stat", "ks_p"],
                ((r.epsilon, r.msd_rel_err, r.ks_stat, r.ks_p) for r in rows))
     final = rows[-1]
-    summary = {
-        "command": "sweep",
-        "chart": spec.sim.chart,
-        "epsilon_list": list(cfg.epsilon_list),
-        "paths": spec.paths,
-        "seed": spec.sim.seed,
-        "final_row": dataclasses.asdict(final),
-        "criteria": {
-            "final_msd_rel_err": {"value": final.msd_rel_err, "tolerance": MSD_TOLERANCE,
-                                  "pass": bool(final.msd_rel_err < MSD_TOLERANCE)},
-            "final_ks": {"p_value": final.ks_p, "floor": KS_P_FLOOR,
-                         "pass": bool(final.ks_p > KS_P_FLOOR)},
-        },
+    criteria = {
+        "final_msd_rel_err": {"value": final.msd_rel_err, "tolerance": MSD_TOLERANCE,
+                              "pass": bool(final.msd_rel_err < MSD_TOLERANCE)},
+        "final_ks": {"p_value": final.ks_p, "floor": KS_P_FLOOR,
+                     "pass": bool(final.ks_p > KS_P_FLOOR)},
     }
-    summary["pass"] = all(c["pass"] for c in summary["criteria"].values())
-    _write_json(out_dir / "summary.json", summary)
+    overall = _write_summary(out_dir, "sweep", spec, criteria,
+                             epsilon_list=list(cfg.epsilon_list),
+                             final_row=dataclasses.asdict(final))
     _log.info("write: output files, %.3f s", time.perf_counter() - t_swept)
     for row in rows:
         print(f"epsilon={row.epsilon:g}  msd_rel_err={row.msd_rel_err:.4f}  "
               f"ks_stat={row.ks_stat:.4f}  ks_p={row.ks_p:.4f}")
     print(f"wrote sweep.csv, summary.json to {out_dir}")
-    return 0 if summary["pass"] else 1
+    return 0 if overall else 1
 
 
+# Each command's function and help, in the order ``frameflow --help`` lists them.
 COMMANDS = {
-    "verify-algebra": cmd_verify_algebra,
-    "haar": cmd_haar,
-    "ergodic": cmd_ergodic,
-    "simulate": cmd_simulate,
-    "homogenize": cmd_homogenize,
-    "sweep": cmd_sweep,
+    "verify-algebra": (cmd_verify_algebra, "check the skew-basis identities and print defects"),
+    "haar": (cmd_haar, "estimate Haar second moments of the direction statistic"),
+    "ergodic": (cmd_ergodic,
+                "time-average the direction moments along Haar-started group paths"),
+    "simulate": (cmd_simulate, "integrate rescaled paths and write per-path CSVs"),
+    "homogenize": (cmd_homogenize, "ensemble statistics against the diffusive limit"),
+    "sweep": (cmd_sweep, "repeat the ensemble across an epsilon list"),
 }
 
 
@@ -523,14 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", "-v", action="count", default=None,
                        help="log each phase of the run, with its seconds, to stderr")
 
-    for name, help_text in (
-        ("verify-algebra", "check the skew-basis identities and print defects"),
-        ("haar", "estimate Haar second moments of the direction statistic"),
-        ("ergodic", "time-average the direction moments along Haar-started group paths"),
-        ("simulate", "integrate rescaled paths and write per-path CSVs"),
-        ("homogenize", "ensemble statistics against the diffusive limit"),
-        ("sweep", "repeat the ensemble across an epsilon list"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_common(p)
         if name == "simulate":
@@ -567,7 +553,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(file=args.config, flags=flags)
         with _phase_log(cfg.verbose):
-            return COMMANDS[args.command](cfg)
+            return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

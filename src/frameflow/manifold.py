@@ -183,28 +183,6 @@ def hyperbolic_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.arccosh(np.maximum(arg, 1.0))
 
 
-def numeric_christoffel(metric: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                        h_fd: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols of a metric field by central differences.
-
-    Evaluates Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) with
-    a second-order stencil of width ``h_fd`` scaled by max(1, |x|_inf).
-    The result is symmetric in (i, j) by construction.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    step = h_fd * max(1.0, float(np.max(np.abs(x))))
-    dg = np.empty((n, n, n))  # dg[l] = d g / d x_l
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = step
-        dg[l] = (np.asarray(metric(x + e), dtype=float) - np.asarray(metric(x - e), dtype=float)) / (2.0 * step)
-    g_inv = np.linalg.inv(np.asarray(metric(x), dtype=float))
-    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", g_inv, bracket)
-
-
 def frame_transport(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """B[..., k, j] = -sum_i v_i Gamma[k, i, j]: a frame carried along v moves as du/dt = B u.
 

@@ -36,11 +36,12 @@ chunks of 128, each in four stages:
      over paths, and the directions from the pairs in closed form;
    - otherwise (n >= 5, and other n = 2 charts): rotation matrices,
      multiplied at each half-step by its factor through ``_advance``,
-     with each step's direction written as soon as g_mid is formed.  For
-     n >= 5 the factor is the exponential, formed a step at a time; for
-     n = 2 it is the turn e^(i theta) of each row of g, read as a complex
-     number, and a sub-block's turns are formed at once from one
-     vectorised tan of the half-angles theta / 2.
+     with each step's direction written as soon as g_mid is formed.  One
+     loop over sub-blocks forms each sub-block's factors in one call: for
+     n = 2 sub-blocks of 16 steps, whose factors are the turns e^(i theta)
+     of each row of g, read as a complex number, from one vectorised tan of
+     the half-angles theta / 2; for n >= 5 sub-blocks of one step, whose
+     two exponentials come from one call.
 
    An angle is a rotation whatever its rounding, and quaternion pairs
    renormalised once per chunk give a matrix orthogonal to the rounding
@@ -491,9 +492,9 @@ class _PairChain:
 
 class _MatrixChain:
     """g as a matrix, multiplied at each half-step by the factor of
-    :func:`_half_step_factors`: for n = 2 a turn of each of its rows, the
-    turns of a sub-block of steps formed at once, and otherwise the
-    exponential, formed a step at a time."""
+    :func:`_half_step_factors`, whose factors it forms a sub-block of steps
+    at a time: 16 steps of turns of g's rows for n = 2, and one step's two
+    exponentials otherwise."""
 
     def __init__(self, eng: _Engine, n_paths: int):
         self.eng = eng
@@ -507,31 +508,24 @@ class _MatrixChain:
             self.turns = np.empty((n_paths, _SUB, 2), dtype=complex)
             self.tan = np.empty((n_paths, _SUB, 2))
 
-    def factors(self, xi: np.ndarray):
-        """The pairs of half-step factors of each step of noise xi (P, sub, 2, N)."""
-        eng = self.eng
-        if eng.n == 2:
-            sub = xi.shape[1]
-            turns = _half_step_factors(xi, eng.basis, eng.noise_scale, eng.drift_half,
-                                       out=self.turns[:, :sub], work=self.tan[:, :sub])
-            return turns.transpose(1, 2, 0)
-        return [[_half_step_factors(xi[:, 0, half], eng.basis, eng.noise_scale, eng.drift_half)
-                 for half in (0, 1)]]
-
     def run(self, xi: np.ndarray, keep: np.ndarray, e_dir: np.ndarray):
         eng, n = self.eng, self.eng.n
         n_paths, steps = xi.shape[:2]
         kept = np.empty((len(keep), n_paths, n, n))
         i = 0
         for lo in range(0, steps, self.sub):
-            for j, (first, second) in enumerate(self.factors(xi[:, lo:lo + self.sub]), lo):
-                mid = _advance(self.g, first)
-                e_dir[:, :, j] = (mid.reshape(-1, n) @ eng.e0).reshape(n_paths, n)
-                self.g = _advance(mid, second)
+            sub = min(self.sub, steps - lo)
+            buffers = {} if n > 2 else {"out": self.turns[:, :sub], "work": self.tan[:, :sub]}
+            f = _half_step_factors(xi[:, lo:lo + sub], eng.basis, eng.noise_scale,
+                                   eng.drift_half, **buffers)
+            for j in range(sub):
+                mid = _advance(self.g, f[:, j, 0])
+                e_dir[:, :, lo + j] = (mid.reshape(-1, n) @ eng.e0).reshape(n_paths, n)
+                self.g = _advance(mid, f[:, j, 1])
                 self.steps += 1
                 if self.steps % _GROUP_PROJECT_EVERY == 0:
                     self.g = project_rotation(self.g)
-                if i < len(keep) and keep[i] == j:
+                if i < len(keep) and keep[i] == lo + j:
                     kept[i] = self.g
                     i += 1
         return kept

@@ -446,3 +446,47 @@ class TestSweepCommand:
         main(args + ["--output-dir", str(d1)])
         main(args + ["--output-dir", str(d2)])
         assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
+
+
+HOMOGENIZE_KEYS = {"command", "chart", "epsilon", "paths", "seed", "criteria", "pass"}
+KS_KEYS = {"statistic", "p_value", "floor", "pass"}
+ABORT_KEYS = {"count", "paths", "pass"}
+
+
+class TestWrittenSchemas:
+    @pytest.mark.parametrize("argv,keys,criteria", [
+        (["homogenize", "--manifold", "euclidean:2", "--output-times", "3"], HOMOGENIZE_KEYS,
+         {"msd_slope": {"value", "target", "rel_err", "tolerance", "pass"},
+          "msd_linearity": {"r2", "threshold", "pass"},
+          "marginal_normal_ks": KS_KEYS, "aborts": ABORT_KEYS}),
+        (["homogenize", "--manifold", "hyperbolic2", "--output-times", "3"], HOMOGENIZE_KEYS,
+         {"distance_oracle_ks": KS_KEYS, "aborts": ABORT_KEYS}),
+        (["sweep", "--manifold", "euclidean:2", "--epsilon-list", "0.2,0.1"],
+         {"command", "chart", "epsilon_list", "paths", "seed", "final_row", "criteria", "pass"},
+         {"final_msd_rel_err": {"value", "tolerance", "pass"},
+          "final_ks": {"p_value", "floor", "pass"}}),
+    ], ids=["homogenize-euclidean2", "homogenize-hyperbolic2", "sweep"])
+    def test_summary_keys(self, argv, keys, criteria, tmp_path):
+        rc = main(argv + ["--paths", "100", "--t-final", "0.05", "--seed", "3", "--jobs", "1",
+                          "--output-dir", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary) == keys
+        assert {name: set(c) for name, c in summary["criteria"].items()} == criteria
+        assert summary["command"] == argv[0] and summary["seed"] == 3
+        assert summary["pass"] is all(c["pass"] for c in summary["criteria"].values())
+        assert rc == (0 if summary["pass"] else 1)
+
+    def test_help_lists_the_commands_in_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^    (\S+) +(.+)$", capsys.readouterr().out, flags=re.M)
+        assert listed == [
+            ("verify-algebra", "check the skew-basis identities and print defects"),
+            ("haar", "estimate Haar second moments of the direction statistic"),
+            ("ergodic", "time-average the direction moments along Haar-started group paths"),
+            ("simulate", "integrate rescaled paths and write per-path CSVs"),
+            ("homogenize", "ensemble statistics against the diffusive limit"),
+            ("sweep", "repeat the ensemble across an epsilon list"),
+        ]

@@ -357,13 +357,14 @@ def _rotation(n, angle):
     return r
 
 
-@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "hyperbolic2"])
+@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:4", "euclidean:5",
+                                   "hyperbolic2"])
 def test_block_engine_matches_per_step_reference(chart):
     # 2,500 steps cross many chunk edges; outputs fall mid-chunk, on both
     # sides of the 16-step sub-chunk and 128-step chunk edges, and on
     # 1024-step edges.
     n = chart_by_name(chart).dim
-    x0 = [0.3, 1.5] if chart == "hyperbolic2" else [0.3, -0.2, 0.1, 0.0][:n]
+    x0 = [0.3, 1.5] if chart == "hyperbolic2" else [0.3, -0.2, 0.1, 0.0, 0.0][:n]
     e0 = _rotation(n, 0.7)[:, 0]
     abar = 0.8 * (_rotation(n, np.pi / 2) - _rotation(n, np.pi / 2).T)
     slow_dt = 0.1 * 0.05**2
@@ -626,7 +627,7 @@ def test_pair_chain_runs_generators_that_leave_a_component_uncovered(monkeypatch
     assert out.alive.all() and np.isfinite(out.xs).all() and np.isfinite(out.gs).all()
 
 
-@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "hyperbolic2"])
+@pytest.mark.parametrize("chart", ["euclidean:2", "euclidean:3", "euclidean:5", "hyperbolic2"])
 def test_batch_invariance(chart):
     # 1,200 steps: a path's numbers, across a block edge, do not depend on
     # the paths that share its batch.

@@ -19,7 +19,7 @@ PUBLIC = {
     "orthogonality_defect", "project_rotation", "rotation_defect", "skewness_defect",
     # manifold
     "Chart", "chart_by_name", "euclidean_chart", "frame_transport", "gram_schmidt_metric",
-    "hyperbolic2_chart", "hyperbolic_distance", "numeric_christoffel", "register_chart",
+    "hyperbolic2_chart", "hyperbolic_distance", "register_chart",
     # perturbed_geodesic
     "EnsemblePaths", "PathRecord", "SimConfig", "philox_stream", "simulate_paths",
     "simulate_rescaled_path",
