@@ -5,9 +5,11 @@
 
 Each checkout runs one fixed matrix in a process of its own, one at a
 time, with its ``src`` first on the path: ``simulate_paths`` on
-``euclidean:2`` to ``euclidean:5``, ``hyperbolic2`` and ``digest-strip``
-(a flat strip |x1| < 0.3 that this script registers, where paths abort),
-each without and with a drift, frames and g recorded, and
+``euclidean:2`` to ``euclidean:5``, ``hyperbolic2``, ``digest-strip``
+(a flat strip |x1| < 0.3 that this script registers, where paths abort)
+and ``digest-h2-heun`` (the half-plane with its model cleared, which
+takes the Heun frame step, from x0 = (0.1, 1.2)), each without and with
+a drift, frames and g recorded, and
 ``direction_moments`` on each of them.  An entry is one output array
 (``xs``, ``us``, ``gs``, ``alive``, the aborts as rows of path, time and
 position, or the moments).
@@ -45,7 +47,9 @@ from pathlib import Path
 import numpy as np
 
 CHARTS = ("euclidean:2", "euclidean:3", "euclidean:4", "euclidean:5", "hyperbolic2",
-          "digest-strip")
+          "digest-strip", "digest-h2-heun")
+# x0 of the charts whose default start is off the chart.
+X0 = {"digest-h2-heun": (0.1, 1.2)}
 _ENSEMBLE = ["--paths", "100", "--t-final", "0.05", "--jobs", "1"]
 # (label, argv) of each command run; each also gets --seed and --output-dir cli/<label>.
 CLI_RUNS = (
@@ -84,21 +88,27 @@ def _drift(n: int) -> np.ndarray:
 
 def run_matrix(seed: int, paths: int, t_final: float, epsilon: float) -> dict:
     """The matrix's output arrays by entry name, from the frameflow on the path."""
+    import dataclasses
+
     import frameflow as ff
     from frameflow.manifold import Chart
     from frameflow.perturbed_geodesic import direction_moments
 
     flat = ff.euclidean_chart(2)
+    # Checkouts whose Chart has an ``unbounded`` flag check a domain only when it is False.
+    flag = {"unbounded": False} if "unbounded" in Chart.__dataclass_fields__ else {}
     ff.register_chart("digest-strip", Chart(
         name="digest-strip", dim=2, metric=flat.metric, christoffel=flat.christoffel,
         in_domain=lambda x: np.abs(np.asarray(x)[..., 0]) < 0.3, model="euclidean",
-        unbounded=False, distance=flat.distance))
+        distance=flat.distance, **flag))
+    ff.register_chart("digest-h2-heun", dataclasses.replace(
+        ff.hyperbolic2_chart(), name="digest-h2-heun", model=None))
     out = {}
     for chart in CHARTS:
         n = ff.chart_by_name(chart).dim
         for label, abar in (("plain", None), ("drift", _drift(n))):
             cfg = ff.SimConfig(chart=chart, epsilon=epsilon, t_final=t_final, seed=seed,
-                               abar=abar)
+                               abar=abar, x0=X0.get(chart))
             run = ff.simulate_paths(cfg, range(paths), record_frames=True, record_group=True)
             key = f"{chart}/{label}"
             for field in ("xs", "us", "gs", "alive"):

@@ -196,8 +196,7 @@ def run_ensemble(spec: EnsembleSpec, record_frames: bool = True) -> EnsembleStat
     survivors = int(alive.sum())
 
     x0 = resolve_start(cfg, chart)[0]
-    d = chart.distance(xs, x0) if chart.distance is not None else np.sqrt(
-        np.sum((xs - x0) ** 2, axis=-1))
+    d = chart.distance(xs, x0)
     d2 = d**2
     msd = d2.mean(axis=1)
     msd_stderr = d2.std(axis=1, ddof=1) / np.sqrt(survivors)

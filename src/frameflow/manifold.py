@@ -32,77 +32,55 @@ from .lie_algebra import check_dim
 class Chart:
     """A global coordinate chart with its metric data.
 
-    ``model`` is the model space the chart is, which picks its frame step,
-    reference law and default x0: "euclidean" (no frame transport, the flat
-    Brownian limit, the origin), "hyperbolic" (the whole upper half-plane:
-    the exact PSL(2,R) step, McKean's law, (0, 1)) or None (any other
-    chart: the Heun loop, no reference law, the origin).  A renamed copy
-    keeps its model.  The exact half-plane step never reads ``in_domain``,
-    so a "hyperbolic" chart whose ``in_domain`` is not the upper half-plane
-    at a grid of probe points raises :class:`ConfigError`: a cut half-plane
-    must clear its model, and, as the origin is off it, be given an x0.
-    ``distance``, when present, is the model-space distance used for
-    displacement statistics.
+    ``model`` is the model space the chart is.  It picks the frame step,
+    reference law and default x0: "euclidean" (flat: no frame transport
+    unless ``in_domain`` cuts it, the flat Brownian limit, the origin),
+    "hyperbolic" (the whole upper half-plane: the exact PSL(2,R) step,
+    McKean's law, (0, 1)) or None (any other chart: the Heun loop, no
+    reference law, the origin), and a renamed copy keeps it.  It also fixes
+    the ``metric``, ``christoffel``, ``distance`` (used for displacement
+    statistics) and, on the half-plane, ``in_domain`` of fields left None; a
+    chart with no model must give its metric and Christoffel symbols, and
+    ``in_domain`` None is the whole coordinate space.  The exact half-plane
+    step never reads ``in_domain``, so a "hyperbolic" chart whose
+    ``in_domain`` is not the upper half-plane at a grid of probe points
+    raises :class:`ConfigError`: a cut half-plane must clear its model, and,
+    as the origin is off it, be given an x0.
     """
 
     name: str
     dim: int
-    metric: Callable[[np.ndarray], np.ndarray]
-    christoffel: Callable[[np.ndarray], np.ndarray]
-    in_domain: Callable[[np.ndarray], np.ndarray]
+    metric: Callable[[np.ndarray], np.ndarray] | None = None
+    christoffel: Callable[[np.ndarray], np.ndarray] | None = None
+    in_domain: Callable[[np.ndarray], np.ndarray] | None = None
     model: str | None = None
-    unbounded: bool = True
     distance: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     # Optional closed form of B[k, j] = -sum_i v_i Gamma[k, i, j]; lets the
     # integrator skip assembling the full Christoffel array per step.
     transport_rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.model not in (None, "euclidean", "hyperbolic"):
+        if self.model is not None and self.model not in _MODELS:
             raise ConfigError(f"chart {self.name!r}: unknown model {self.model!r}")
         if self.model == "hyperbolic" and self.dim != 2:
             raise ConfigError(f"chart {self.name!r}: the hyperbolic model needs dim 2, "
                               f"not {self.dim}")
+        # Only fields left None, so that a copy keeps the callables it is given.
+        for field, fn in _MODELS.get(self.model, {}).items():
+            if getattr(self, field) is None:
+                object.__setattr__(self, field, fn)
+        if self.metric is None or self.christoffel is None:
+            raise ConfigError(f"chart {self.name!r}: a chart with no model must give its "
+                              "metric and christoffel")
         if self.model == "hyperbolic":
             _require_whole_half_plane(self)
-
-    def require_in_domain(self, x: np.ndarray, t: float = 0.0) -> None:
-        ok = np.asarray(self.in_domain(np.asarray(x, dtype=float)))
-        if not bool(np.all(ok)):
-            raise DomainExitError(t, np.asarray(x, dtype=float))
 
 
 def euclidean_chart(n: int) -> Chart:
     """Flat R^n, for 2 <= n <= MAX_DIM (see :func:`lie_algebra.check_dim`):
     identity metric, vanishing Christoffel symbols."""
     check_dim(n)
-
-    def metric(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)).copy()
-
-    def christoffel(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (n, n, n))
-
-    def in_domain(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1], dtype=bool)
-
-    def distance(p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return np.sqrt(np.sum((p - q) ** 2, axis=-1))
-
-    return Chart(
-        name=f"euclidean:{n}",
-        dim=n,
-        metric=metric,
-        christoffel=christoffel,
-        in_domain=in_domain,
-        model="euclidean",
-        distance=distance,
-    )
+    return Chart(name=f"euclidean:{n}", dim=n, model="euclidean")
 
 
 def hyperbolic2_chart() -> Chart:
@@ -111,37 +89,44 @@ def hyperbolic2_chart() -> Chart:
     The non-zero Christoffel symbols are
     Gamma^1_12 = Gamma^1_21 = -1/x2, Gamma^2_22 = -1/x2, Gamma^2_11 = 1/x2.
     """
+    return Chart(name="hyperbolic2", dim=2, model="hyperbolic")
 
-    def metric(x):
-        x = np.asarray(x, dtype=float)
-        _require_upper(x)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        inv_y2 = 1.0 / x[..., 1] ** 2
-        out[..., 0, 0] = inv_y2
-        out[..., 1, 1] = inv_y2
-        return out
 
-    def christoffel(x):
-        x = np.asarray(x, dtype=float)
-        _require_upper(x)
-        out = np.zeros(x.shape[:-1] + (2, 2, 2))
-        inv_y = 1.0 / x[..., 1]
-        out[..., 0, 0, 1] = -inv_y
-        out[..., 0, 1, 0] = -inv_y
-        out[..., 1, 1, 1] = -inv_y
-        out[..., 1, 0, 0] = inv_y
-        return out
+def _flat_metric(x: np.ndarray) -> np.ndarray:
+    *lead, n = np.shape(x)
+    return np.broadcast_to(np.eye(n), (*lead, n, n)).copy()
 
-    return Chart(
-        name="hyperbolic2",
-        dim=2,
-        metric=metric,
-        christoffel=christoffel,
-        in_domain=_in_upper_half_plane,
-        model="hyperbolic",
-        unbounded=False,
-        distance=hyperbolic_distance,
-    )
+
+def _flat_christoffel(x: np.ndarray) -> np.ndarray:
+    *lead, n = np.shape(x)
+    return np.zeros((*lead, n, n, n))
+
+
+def _flat_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    return np.sqrt(np.sum(d ** 2, axis=-1))
+
+
+def _half_plane_metric(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    _require_upper(x)
+    out = np.zeros(x.shape[:-1] + (2, 2))
+    inv_y2 = 1.0 / x[..., 1] ** 2
+    out[..., 0, 0] = inv_y2
+    out[..., 1, 1] = inv_y2
+    return out
+
+
+def _half_plane_christoffel(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    _require_upper(x)
+    out = np.zeros(x.shape[:-1] + (2, 2, 2))
+    inv_y = 1.0 / x[..., 1]
+    out[..., 0, 0, 1] = -inv_y
+    out[..., 0, 1, 0] = -inv_y
+    out[..., 1, 1, 1] = -inv_y
+    out[..., 1, 0, 0] = inv_y
+    return out
 
 
 def _in_upper_half_plane(x: np.ndarray) -> np.ndarray:
@@ -181,6 +166,15 @@ def hyperbolic_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     arg = 1.0 + np.sum((p - q) ** 2, axis=-1) / (2.0 * p[..., 1] * q[..., 1])
     # Rounding can push the argument a hair below 1 for nearby points.
     return np.arccosh(np.maximum(arg, 1.0))
+
+
+# What each model fixes, filled into the chart fields left None.
+_MODELS = {
+    "euclidean": {"metric": _flat_metric, "christoffel": _flat_christoffel,
+                  "distance": _flat_distance},
+    "hyperbolic": {"metric": _half_plane_metric, "christoffel": _half_plane_christoffel,
+                   "in_domain": _in_upper_half_plane, "distance": hyperbolic_distance},
+}
 
 
 def frame_transport(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray:

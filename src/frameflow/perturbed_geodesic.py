@@ -50,7 +50,7 @@ chunks of 128, each in four stages:
 3. Frame, by one of three stages that share one contract (see
    :func:`_frame_stage`):
 
-   - the euclidean model on unbounded charts: the frame stays u0 and the
+   - the euclidean model with no ``in_domain``: the frame stays u0 and the
      point is x0 plus h u0 times the running sum of the directions
      g_mid e0, formed from sums over the segments between output steps;
    - the hyperbolic model: the oriented orthonormal frame bundle of the
@@ -63,9 +63,10 @@ chunks of 128, each in four stages:
      constraint and no way off the half-plane.  F is brought back to
      det 1 once per chunk by rebuilding its top row from its bottom row
      and x1, and x and u are formed only where they are read;
-   - other charts: one loop over the steps does the Heun frame step, on
-     bounded charts the domain and finiteness check, and the metric
-     re-orthonormalization of the frame, every step.
+   - other charts: one loop over the steps does the Heun frame step, the
+     check that x and u are finite and, where the chart has ``in_domain``,
+     that x is on it, and the metric re-orthonormalization of the frame,
+     every step.
 
    Every stage dates a path's failure (its state off the chart or not
    finite) to the step and restarts the path at (x0, u0); from that step
@@ -239,7 +240,8 @@ def resolve_start(cfg: SimConfig, chart: Chart) -> tuple[np.ndarray, np.ndarray,
     if x0.shape != (n,):
         raise ConfigError(f"x0 must have shape ({n},), got {x0.shape}")
     try:
-        chart.require_in_domain(x0)
+        if chart.in_domain is not None and not np.all(chart.in_domain(x0)):
+            raise DomainExitError(0.0, x0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             metric = chart.metric(x0)
     except DomainExitError:
@@ -548,7 +550,7 @@ def _group_chain(eng: _Engine, n_paths: int):
 # what it returns for that path from then on is not read.
 
 def _frame_stage(eng: _Engine, n_paths: int):
-    if eng.chart.model == "euclidean" and eng.chart.unbounded:
+    if eng.chart.model == "euclidean" and eng.chart.in_domain is None:
         return _CumsumFrame(eng, n_paths)
     if eng.chart.model == "hyperbolic":
         return _HalfPlaneFrame(eng, n_paths)
@@ -556,7 +558,7 @@ def _frame_stage(eng: _Engine, n_paths: int):
 
 
 class _CumsumFrame:
-    """The euclidean model on unbounded charts: u stays u0 and x is x0 + h u0
+    """The euclidean model with no ``in_domain``: u stays u0 and x is x0 + h u0
     (sum of the directions so far), formed only where it is read, from sums
     over the segments between wanted steps; ``total`` carries the sum from
     chunk to chunk.  No path can fail here, so u is a read-only view of u0."""
@@ -682,8 +684,8 @@ def _sl2_valid(F: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _HeunFrame:
     """Other charts: (x, u) as arrays, advanced by a Heun step of the frame
     ODE (x + h v1 exactly, and u unchanged, where the Christoffel symbols
-    vanish), checked on bounded charts and re-orthonormalized in the
-    metric, every step."""
+    vanish), checked (x and u finite, x in ``in_domain`` where given) and
+    re-orthonormalized in the metric, every step."""
 
     def __init__(self, eng: _Engine, n_paths: int):
         self.eng = eng
@@ -708,14 +710,15 @@ class _HeunFrame:
             v2 = np.einsum("...ij,...j->...i", up, e_dir)
             udot2 = frame_transport(chart, xp, v2) @ up
             x, u = x + 0.5 * h * (v1 + v2), u + 0.5 * h * (udot1 + udot2)
-            if not chart.unbounded:
-                bad = ~(chart.in_domain(x) & np.all(np.isfinite(x), axis=-1))
-                if bad.any():
-                    first = bad & (fail == steps)
-                    fail[first] = j
-                    x_fail[first] = x[first]
-                    x[bad] = eng.x0
-                    u[bad] = eng.u0
+            bad = ~(np.isfinite(x).all(axis=-1) & np.isfinite(u).all(axis=(-2, -1)))
+            if chart.in_domain is not None:
+                bad |= ~chart.in_domain(x)
+            if bad.any():
+                first = bad & (fail == steps)
+                fail[first] = j
+                x_fail[first] = x[first]
+                x[bad] = eng.x0
+                u[bad] = eng.u0
             u = gram_schmidt_metric(chart, x, u)
             if i < len(wanted) and wanted[i] == j:
                 xk[i] = x

@@ -157,6 +157,32 @@ def test_homogenize_on_a_renamed_half_plane_runs_the_oracle_ks(copies, tmp_path)
     assert set(criteria) == {KS_CRITERION["hyperbolic"], "aborts"}
 
 
+def test_homogenize_on_a_bare_half_plane_matches_hyperbolic2(monkeypatch, tmp_path):
+    # A chart that gives only its model takes the metric, symbols, domain
+    # and distance the model fixes; with no distance, homogenize ended in
+    # "TypeError: 'NoneType' object is not callable".
+    monkeypatch.setitem(manifold._CUSTOM_CHARTS, "bare-h2",
+                        manifold.Chart("bare-h2", dim=2, model="hyperbolic"))
+    files = {}
+    for chart in ("hyperbolic2", "bare-h2"):
+        out = tmp_path / chart
+        assert main(["homogenize", "--manifold", chart, "--epsilon", "0.2", "--t-final", "0.2",
+                     "--paths", "100", "--jobs", "1", "--output-dir", str(out)]) in (0, 1)
+        files[chart] = {path.name: path.read_bytes() for path in out.iterdir()}
+    summary = files["bare-h2"]["summary.json"]
+    files["bare-h2"]["summary.json"] = summary.replace(b'"bare-h2"', b'"hyperbolic2"')
+    assert files["bare-h2"] == files["hyperbolic2"] and len(files["hyperbolic2"]) == 3
+
+
+def test_chart_with_no_model_or_metric_exits_2(monkeypatch, tmp_path, capsys):
+    # Such a chart is rejected as it is built, here as the CLI resolves
+    # the chart's name: one line and exit 2, not a traceback.
+    monkeypatch.setattr(manifold, "hyperbolic2_chart", lambda: manifold.Chart("hyperbolic2", dim=2))
+    assert main(["simulate", "--manifold", "hyperbolic2", "--t-final", "0.01",
+                 "--output-dir", str(tmp_path)]) == 2
+    assert "'hyperbolic2': a chart with no model must give its metric" in capsys.readouterr().err
+
+
 def test_library_sweep_without_oracle_raises_config_error(copies):
     sim = SimConfig(chart="h2-copy", epsilon=0.3, t_final=0.2)
     with pytest.raises(ConfigError, match="'h2-copy'"):

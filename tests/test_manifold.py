@@ -283,7 +283,7 @@ class TestChartRegistry:
         with pytest.raises(ConfigError, match="must clear its model"):
             dataclasses.replace(hyperbolic2_chart(), name="cut", in_domain=in_domain)
         cut = dataclasses.replace(hyperbolic2_chart(), name="cut", in_domain=in_domain,
-                                  model=None, unbounded=False)
+                                  model=None)
         assert cut.model is None
 
     def test_wrapped_half_plane_keeps_its_model(self):
@@ -296,6 +296,28 @@ class TestChartRegistry:
     def test_built_in_models(self):
         assert euclidean_chart(3).model == "euclidean"
         assert hyperbolic2_chart().model == "hyperbolic"
+
+    def test_model_fills_only_the_fields_left_none(self):
+        # The model fixes the metric, symbols, domain and distance; a field
+        # that is given, as a tracer's wrapper is, stays as given.
+        bare = manifold.Chart("bare-h2", dim=2, model="hyperbolic")
+        assert bare.distance is hyperbolic2_chart().distance is hyperbolic_distance
+        assert bare.metric is hyperbolic2_chart().metric
+        flat = manifold.Chart("flat", dim=3, model="euclidean")
+        assert flat.in_domain is None
+        np.testing.assert_array_equal(flat.metric(np.zeros((4, 3))), np.tile(np.eye(3), (4, 1, 1)))
+        assert flat.christoffel(np.zeros(3)).shape == (3, 3, 3)
+
+        def wrapped(p, q):
+            return hyperbolic_distance(p, q)
+
+        assert dataclasses.replace(bare, distance=wrapped).distance is wrapped
+
+    @pytest.mark.parametrize("fields", [{}, {"metric": euclidean_chart(2).metric},
+                                        {"in_domain": lambda x: x[..., 0] > 0.0}])
+    def test_chart_with_no_model_must_give_its_metric_and_symbols(self, fields):
+        with pytest.raises(ConfigError, match="'bare'.*must give its metric"):
+            manifold.Chart("bare", dim=2, **fields)
 
     def test_custom_registration(self, monkeypatch):
         chart = euclidean_chart(2)

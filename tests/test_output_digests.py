@@ -16,14 +16,14 @@ def test_a_checkout_against_itself_gives_equal_digests(capsys, tmp_path):
             "--epsilon", "0.1", "--json", str(tmp_path / "digests.json")]
     assert output_digests.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    # Six entries (xs, us, gs, alive, aborts, moments) for each of six
+    # Six entries (xs, us, gs, alive, aborts, moments) for each of seven
     # charts without and with a drift, then 55 of the CLI: stdout, stderr
     # and the exit code of 7 command runs and 7 --help runs, and the 13
     # files the command runs write.
-    assert lines[-1].startswith("0 of 127 entries differ (seed 7")
-    assert all(line.endswith("  equal") for line in lines[:-1]) and len(lines) == 128
+    assert lines[-1].startswith("0 of 139 entries differ (seed 7")
+    assert all(line.endswith("  equal") for line in lines[:-1]) and len(lines) == 140
     record = json.loads((tmp_path / "digests.json").read_text())
-    assert record["differ"] == 0 and len(record["entries"]) == 127
+    assert record["differ"] == 0 and len(record["entries"]) == 139
     cli = {name: row for name, row in record["entries"].items() if name.startswith("cli/")}
     assert len(cli) == 55 and "cli/simulate/path_0002.csv" in cli
     assert all(row["parent"] == row["change"] and row["max_abs_dev"] == 0.0

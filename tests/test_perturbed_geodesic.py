@@ -18,7 +18,7 @@ from frameflow import (
     simulate_rescaled_path,
 )
 from frameflow import manifold, perturbed_geodesic
-from frameflow.manifold import frame_transport, gram_schmidt_metric
+from frameflow.manifold import Chart, frame_transport, gram_schmidt_metric
 from frameflow.perturbed_geodesic import path_batches, philox_stream, resolve_start
 
 
@@ -778,12 +778,23 @@ def test_renamed_chart_starts_at_its_base_point(monkeypatch):
     assert np.array_equal(out.xs[0, 0], [0.0, 1.0])
 
 
+def _strip(x):
+    return np.abs(np.asarray(x)[..., 0]) < 0.3
+
+
 @pytest.fixture
 def h2_strip(monkeypatch):
-    """The half-plane cut to the strip |x1| < 0.3, registered for one test only."""
-    chart = dataclasses.replace(hyperbolic2_chart(), name="h2-strip", model=None, unbounded=False,
-                                in_domain=lambda x: np.abs(np.asarray(x)[..., 0]) < 0.3)
-    monkeypatch.setitem(manifold._CUSTOM_CHARTS, "h2-strip", chart)
+    """The strip |x1| < 0.3, registered for one test only, as charts that
+    give their domain and nothing else that says how to check it: the
+    half-plane with its model cleared (``h2-strip``), the half-plane's
+    metric and symbols alone (``curved-strip``) and the euclidean model
+    (``flat-strip``, as ``strip-test`` is built)."""
+    h2 = hyperbolic2_chart()
+    for chart in (dataclasses.replace(h2, name="h2-strip", model=None, in_domain=_strip),
+                  Chart("curved-strip", dim=2, metric=h2.metric, christoffel=h2.christoffel,
+                        in_domain=_strip),
+                  Chart("flat-strip", dim=2, model="euclidean", in_domain=_strip)):
+        monkeypatch.setitem(manifold._CUSTOM_CHARTS, chart.name, chart)
 
 
 def test_model_less_half_plane_needs_an_x0(h2_strip):
@@ -796,10 +807,12 @@ def test_model_less_half_plane_needs_an_x0(h2_strip):
     assert out.xs.shape[1] == 2
 
 
-@pytest.mark.parametrize("chart", ["strip-test", "h2-strip"])
+@pytest.mark.parametrize("chart", ["strip-test", "flat-strip", "h2-strip", "curved-strip"])
 def test_heun_frame_holds_aborted_paths_at_their_start(chart, h2_strip):
-    # Both charts run the Heun loop, flat and curved, and most paths leave
-    # the strip within 250 steps.  At this x0 the metric Gram-Schmidt moves
+    # Every chart runs the Heun loop, flat and curved, and most paths leave
+    # the strip within 250 steps: a chart with a domain checks it, with no
+    # flag to say so (curved-strip ran on past the cut, as flat-strip did
+    # in the cumsum frame).  At this x0 the metric Gram-Schmidt moves
     # u0 by rounding, so a held frame must be put back, not re-orthonormalized.
     cfg = every_step(250, chart=chart, epsilon=0.2, seed=0, x0=np.array([0.1, 1.2]))
     out = simulate_paths(cfg, range(8))
@@ -815,3 +828,32 @@ def test_heun_frame_holds_aborted_paths_at_their_start(chart, h2_strip):
         alive[step:, p] = False
         assert np.all(out.xs[step:, p] == x0) and np.all(out.us[step:, p] == u0)
     assert np.all(in_domain(out.xs[alive]))
+
+
+def test_flat_chart_with_a_domain_aborts_like_strip_test(h2_strip):
+    # A euclidean chart that gives in_domain is checked, bitwise as the
+    # strip-test chart: it ran the cumsum frame unchecked (0 of 50 paths
+    # aborted at epsilon 0.2, T 1, and |x1| reached 4.30 against the cut).
+    runs = [simulate_paths(SimConfig(chart=chart, epsilon=0.2, t_final=1.0, seed=0), range(8),
+                           record_frames=True) for chart in ("flat-strip", "strip-test")]
+    for field in ("xs", "us", "alive"):
+        assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field)), field
+    assert len(runs[0].aborts) >= 3
+    assert [(p, t, list(x)) for p, t, x in runs[0].aborts] == \
+        [(p, t, list(x)) for p, t, x in runs[1].aborts]
+    assert np.all(np.abs(runs[0].xs[..., 0]) < 0.3)
+
+
+def test_heun_frame_aborts_paths_whose_frame_overflows(monkeypatch):
+    # Symbols of 1e200 keep x finite while u overflows: the Heun check read
+    # x alone, and the metric Gram-Schmidt then raised "frame columns are
+    # not linearly independent".  Every path aborts, held at its start.
+    flat = manifold.euclidean_chart(2)
+    chart = Chart("huge-symbols", dim=2, metric=flat.metric,
+                  christoffel=lambda x: np.full(np.shape(x)[:-1] + (2, 2, 2), 1e200))
+    monkeypatch.setitem(manifold._CUSTOM_CHARTS, chart.name, chart)
+    cfg = SimConfig(chart=chart.name, epsilon=0.2, t_final=0.05, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = simulate_paths(cfg, range(4), record_frames=True)
+    assert not out.alive.any() and sorted(p for p, _, _ in out.aborts) == [0, 1, 2, 3]
+    assert np.all(out.xs[1:] == 0.0) and np.all(out.us[1:] == np.eye(2))
